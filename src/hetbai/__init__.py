@@ -12,6 +12,7 @@ from .instance import (
     ArmStats,
     ConfusionPairs,
     ProblemInstance,
+    SlotIndex,
     ValidationReport,
     arm_stats,
     confusion_pairs,
@@ -21,6 +22,8 @@ from .instance import (
     load_instance,
     partition_arms,
     save_instance,
+    slot_index,
+    slot_stats,
     to_json,
     validate,
 )
@@ -41,12 +44,12 @@ from .allocation import (
     h_matrix,
     optimal_allocation,
     perron_positive_eigenvector,
+    slot_global_vector,
     transport_cost,
 )
 from .policy import (
     ClientState,
     CommSchedule,
-    ServerState,
     comm_schedule,
     f_eval,
     f_inverse,
@@ -55,6 +58,8 @@ from .policy import (
     select_arm,
     server_global_vector,
     should_stop,
+    slot_server_vector,
+    slot_z_statistic,
     uniform_select,
     z_statistic,
 )
@@ -67,6 +72,7 @@ from .simulator import (
     aggregate,
     export_records,
     export_summary,
+    pool_size,
     read_records,
     run_episode,
     sweep,

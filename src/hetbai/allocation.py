@@ -4,8 +4,14 @@ The target sampling proportions of all clients are characterized by one
 positive vector over the arms (the *global vector*): each client normalizes
 its restriction to its own arm set.  Per equivalence class of co-resident
 arms, the global vector is the unique all-positive unit eigenvector of a
-nonnegative matrix built from the separation gaps and ownership counts, and
-is computed here by power iteration.
+nonnegative matrix ``H = D C`` built from the separation gaps and ownership
+counts (``D`` positive diagonal, ``C`` the symmetric co-ownership counts).
+It is computed by a symmetric eigensolver on ``D^(1/2) C D^(1/2)`` and
+accepted only under a componentwise certificate: every entry positive and
+``|(Hx)_i - lambda x_i| <= 1e-10 * lambda x_i`` for every arm.  When the
+solver's vector fails the certificate (tiny entries lose their relative
+accuracy on badly scaled gaps), positivity-preserving power iteration
+continues from its absolute value until the certificate holds.
 
 Two rate functionals drive everything:
 
@@ -33,8 +39,10 @@ from .instance import (
     ArmStats,
     ConfusionPairs,
     ProblemInstance,
+    SlotIndex,
     arm_stats,
-    partition_arms,
+    slot_index,
+    slot_stats,
 )
 
 __all__ = [
@@ -45,6 +53,7 @@ __all__ = [
     "h_matrix",
     "perron_positive_eigenvector",
     "global_vector",
+    "slot_global_vector",
     "allocation_from_global",
     "optimal_allocation",
     "g_tilde",
@@ -61,6 +70,14 @@ __all__ = [
 ZERO_WEIGHT = 1e-300
 
 _ROW_SUM_TOL = 1e-12
+
+# Componentwise relative eigen-residual a global vector must certify.
+CERTIFICATE_TOL = 1e-10
+
+# Power steps after which a block is declared to have no certifiable
+# positive eigenvector (a reducible block, or one whose top eigenvalues
+# nearly coincide); production class blocks certify within a few steps.
+_MAX_POWER_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -149,75 +166,82 @@ class PowerIterationError(RuntimeError):
         self.residual = residual
 
 
-def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> HMatrix:
-    """Allocation matrix; requires all separation gaps to be positive."""
-    if stats is None:
-        stats = arm_stats(instance)
+def _inverse_scale(stats: ArmStats) -> np.ndarray:
+    """Diagonal ``D`` of ``H = D C``: ``1 / (gap^2 * mult^2)`` per arm."""
     if not stats.is_admissible():
         raise ValueError("inadmissible instance: zero separation gap")
-    K = instance.num_arms
-    co = np.zeros((K, K))
-    for arms in instance.arm_sets:
-        idx = np.array(arms)
-        co[np.ix_(idx, idx)] += 1.0
-    scale = 1.0 / (stats.gaps**2 * stats.multiplicities.astype(float) ** 2)
-    return HMatrix(matrix=co * scale[:, None], partition=partition_arms(instance))
+    return 1.0 / (stats.gaps**2 * stats.multiplicities.astype(float) ** 2)
+
+
+def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> HMatrix:
+    """Allocation matrix; requires all separation gaps to be positive."""
+    index = slot_index(instance)
+    if stats is None:
+        stats = slot_stats(index, index.flatten(instance.means))
+    scale = _inverse_scale(stats)
+    return HMatrix(matrix=index.co_ownership * scale[:, None], partition=index.partition)
 
 
 def perron_positive_eigenvector(
-    block: np.ndarray, tol: float = 1e-12, max_iters: int = 100_000
+    block: np.ndarray, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """All-positive unit eigenvector and top eigenvalue of a nonnegative block.
+    """Certified all-positive unit eigenvector and top eigenvalue of a nonnegative block.
 
-    Power iteration from the all-ones vector with per-step 2-norm
-    normalization; the eigenvalue is the Rayleigh quotient.  Converged when
-    successive iterates differ by less than ``tol`` in sup norm and the
-    eigen-residual is at most ``tol * max(1, lambda)`` (the residual floor in
-    float64 scales with the matrix, so the bound is relative for large
-    eigenvalues and absolute otherwise).
+    Iterates ``x <- Hx / |Hx|`` from ``|start|`` (default all-ones), taking
+    ``lambda = x . Hx``, until every entry of ``x`` is positive and
+    ``max_i |(Hx)_i - lambda x_i| / (lambda x_i) <= CERTIFICATE_TOL``.  At
+    least one step is taken, even from a start that would pass: the step
+    makes the entries of arms with identical rows bitwise equal, which a
+    direct eigensolver does not guarantee, and D-tracking breaks an exact
+    weight tie at random but a last-bit difference deterministically.
+    Raises :class:`PowerIterationError` when the iterate vanishes or no
+    certificate is reached within a fixed step budget.
     """
     H = np.asarray(block, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("block must be a square matrix")
-    n = H.shape[0]
-    u = np.ones(n) / math.sqrt(n)
+    x = np.ones(H.shape[0]) if start is None else np.abs(np.asarray(start, dtype=float))
+    y = H @ x
     residual = math.inf
-    for _ in range(max_iters):
-        y = H @ u
+    for _ in range(_MAX_POWER_STEPS):
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             raise PowerIterationError("iterate vanished; block is not irreducible")
-        u_next = y / norm
-        diff = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        if diff < tol:
-            y = H @ u
-            lam = float(u @ y)
-            residual = float(np.max(np.abs(y - lam * u)))
-            if residual <= tol * max(1.0, abs(lam)):
-                if np.min(u) <= 0.0:
-                    raise PowerIterationError("no positive eigenvector", residual)
-                return u, lam
+        x = y / norm
+        y = H @ x
+        lam = float(x @ y)
+        if lam > 0.0 and x.min() > 0.0:
+            residual = float(np.max(np.abs(y - lam * x) / (lam * x)))
+            if residual <= CERTIFICATE_TOL:
+                return x, lam
     raise PowerIterationError(
-        f"power iteration did not converge within {max_iters} iterations", residual
+        f"no certified positive eigenvector within {_MAX_POWER_STEPS} power steps", residual
     )
 
 
-def global_vector(
-    instance: ProblemInstance,
-    stats: ArmStats | None = None,
-    tol: float = 1e-12,
-    max_iters: int = 100_000,
-) -> GlobalVector:
+def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
+    """Class-wise certified Perron vectors of ``H = D C``, assembled over the arms.
+
+    Per class, ``numpy.linalg.eigh`` on the symmetric ``D^(1/2) C D^(1/2)``
+    gives ``x = D^(1/2) v`` for its top eigenvector ``v``; the Perron
+    iteration then polishes ``x`` until it certifies (one step as a rule).
+    """
+    scale = _inverse_scale(stats)
+    entries = np.zeros(index.num_arms)
+    for arms, co in index.class_blocks:
+        d = scale[arms]
+        root = np.sqrt(d)
+        _, vectors = np.linalg.eigh(root[:, None] * co * root)
+        entries[arms], _ = perron_positive_eigenvector(d[:, None] * co, start=root * vectors[:, -1])
+    return entries
+
+
+def global_vector(instance: ProblemInstance, stats: ArmStats | None = None) -> GlobalVector:
     """Class-wise Perron vectors assembled into one length-K vector."""
+    index = slot_index(instance)
     if stats is None:
-        stats = arm_stats(instance)
-    hm = h_matrix(instance, stats)
-    entries = np.zeros(instance.num_arms)
-    for j, cls in enumerate(hm.partition.classes):
-        u, _ = perron_positive_eigenvector(hm.block(j), tol=tol, max_iters=max_iters)
-        entries[np.array(cls)] = u
-    return GlobalVector(entries=entries, partition=hm.partition)
+        stats = slot_stats(index, index.flatten(instance.means))
+    return GlobalVector(entries=slot_global_vector(index, stats), partition=index.partition)
 
 
 def allocation_from_global(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,8 +28,11 @@ __all__ = [
     "ArmStats",
     "ArmPartition",
     "ConfusionPairs",
+    "SlotIndex",
     "validate",
     "arm_stats",
+    "slot_index",
+    "slot_stats",
     "confusion_pairs",
     "partition_arms",
     "gen_overlap_instance",
@@ -162,6 +166,80 @@ class ConfusionPairs:
     pairs: tuple[tuple[int, int], ...]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class SlotIndex:
+    """Arm-set structure of an instance, flattened into slots.
+
+    A slot is one (client, arm) pair.  Slots are numbered client by client
+    in arm-set order, so client ``m`` owns slots ``starts[m]:starts[m + 1]``
+    and slot ``starts[m] + k`` holds arm ``arm_sets[m][k]``; flattening the
+    instance's ``means`` rows gives the mean of every slot.  The structure
+    is fixed for a whole episode, so it is built once and the per-instant
+    statistics are array reductions over it.  Arrays are read-only.
+    """
+
+    num_arms: int
+    num_clients: int
+    arm_sets: tuple[tuple[int, ...], ...]
+    slot_client: np.ndarray
+    slot_arm: np.ndarray
+    starts: np.ndarray
+    multiplicities: np.ndarray
+
+    @classmethod
+    def of(cls, instance: ProblemInstance) -> "SlotIndex":
+        """Index of a structurally valid instance (not re-checked here)."""
+        sizes = [len(arms) for arms in instance.arm_sets]
+        slot_arm = np.fromiter(
+            (i for arms in instance.arm_sets for i in arms), dtype=np.int64, count=sum(sizes)
+        )
+        return cls(
+            num_arms=instance.num_arms,
+            num_clients=instance.num_clients,
+            arm_sets=instance.arm_sets,
+            slot_client=_frozen(np.repeat(np.arange(instance.num_clients), sizes)),
+            slot_arm=_frozen(slot_arm),
+            starts=_frozen(np.concatenate(([0], np.cumsum(sizes)))),
+            multiplicities=_frozen(np.bincount(slot_arm, minlength=instance.num_arms)),
+        )
+
+    @property
+    def num_slots(self) -> int:
+        """K', the number of (client, arm) slots."""
+        return len(self.slot_arm)
+
+    def flatten(self, rows: Sequence[Sequence[float]]) -> np.ndarray:
+        """Concatenate per-client rows aligned with the arm sets into slot order."""
+        return np.fromiter(
+            (x for row in rows for x in row), dtype=float, count=self.num_slots
+        )
+
+    @cached_property
+    def co_ownership(self) -> np.ndarray:
+        """``[i1, i2]``: number of clients owning both arms (diagonal: multiplicity)."""
+        owns = np.zeros((self.num_clients, self.num_arms))
+        owns[self.slot_client, self.slot_arm] = 1.0
+        return _frozen(owns.T @ owns)
+
+    @cached_property
+    def partition(self) -> ArmPartition:
+        return _partition(self.num_arms, self.arm_sets)
+
+    @cached_property
+    def class_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(arms, co-ownership block)`` of every class, in partition order."""
+        out = []
+        for cls in self.partition.classes:
+            idx = _frozen(np.array(cls))
+            out.append((idx, _frozen(self.co_ownership[np.ix_(idx, idx)])))
+        return tuple(out)
+
+
 def _structural_violations(instance: ProblemInstance) -> list[str]:
     v: list[str] = []
     if instance.num_arms < 1:
@@ -210,25 +288,15 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     )
 
 
+def _require_structure(instance: ProblemInstance) -> None:
+    violations = _structural_violations(instance)
+    if violations:
+        raise ValueError("structurally invalid instance: " + "; ".join(violations))
+
+
 def _compute_stats(instance: ProblemInstance) -> ArmStats:
-    K = instance.num_arms
-    sums = np.zeros(K)
-    mult = np.zeros(K, dtype=np.int64)
-    for arms, mus in zip(instance.arm_sets, instance.means):
-        for i, mu in zip(arms, mus):
-            sums[i] += mu
-            mult[i] += 1
-    global_means = sums / mult
-    best_arms = np.empty(instance.num_clients, dtype=np.int64)
-    gaps = np.full(K, np.inf)
-    for m, arms in enumerate(instance.arm_sets):
-        idx = np.array(arms)
-        mus = global_means[idx]
-        best_arms[m] = arms[int(np.argmax(mus))]
-        for k, i in enumerate(arms):
-            others = np.delete(mus, k)
-            gaps[i] = min(gaps[i], abs(mus[k] - others.max()))
-    return ArmStats(global_means=global_means, multiplicities=mult, gaps=gaps, best_arms=best_arms)
+    index = SlotIndex.of(instance)
+    return slot_stats(index, index.flatten(instance.means))
 
 
 def arm_stats(instance: ProblemInstance) -> ArmStats:
@@ -237,10 +305,47 @@ def arm_stats(instance: ProblemInstance) -> ArmStats:
     Requires a structurally valid instance; admissibility is not required
     (gaps may contain zeros, which callers can inspect).
     """
-    violations = _structural_violations(instance)
-    if violations:
-        raise ValueError("structurally invalid instance: " + "; ".join(violations))
+    _require_structure(instance)
     return _compute_stats(instance)
+
+
+def slot_index(instance: ProblemInstance) -> SlotIndex:
+    """Slot index of a structurally valid instance (raises otherwise)."""
+    _require_structure(instance)
+    return SlotIndex.of(instance)
+
+
+def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
+    """Arm statistics of the mean configuration ``slot_means`` (one entry per slot).
+
+    Reductions over the slot arrays: per-arm sums in client order (so the
+    means equal a client-by-client accumulation bit for bit), each client's
+    top and runner-up aggregate mean, and per-arm minima of the separations.
+    """
+    global_means = (
+        np.bincount(index.slot_arm, weights=slot_means, minlength=index.num_arms)
+        / index.multiplicities
+    )
+    g = global_means[index.slot_arm]
+    starts = index.starts[:-1]
+    top = np.maximum.reduceat(g, starts)
+    # First slot of each client holding its top mean: the argmax, ties to the lowest arm.
+    first = np.minimum.reduceat(
+        np.where(g == top[index.slot_client], np.arange(index.num_slots), index.num_slots),
+        starts,
+    )
+    rest = g.copy()
+    rest[first] = -np.inf
+    other = top[index.slot_client]  # best competitor of each slot within its client
+    other[first] = np.maximum.reduceat(rest, starts)
+    gaps = np.full(index.num_arms, np.inf)
+    np.minimum.at(gaps, index.slot_arm, np.abs(g - other))
+    return ArmStats(
+        global_means=global_means,
+        multiplicities=index.multiplicities,
+        gaps=gaps,
+        best_arms=index.slot_arm[first],
+    )
 
 
 def confusion_pairs(instance: ProblemInstance, stats: ArmStats | None = None) -> ConfusionPairs:
@@ -276,28 +381,30 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
+def _partition(num_arms: int, arm_sets: Sequence[Sequence[int]]) -> ArmPartition:
+    uf = _UnionFind(num_arms)
+    for arms in arm_sets:
+        for other in arms[1:]:
+            uf.union(arms[0], other)
+    groups: dict[int, list[int]] = {}
+    for i in range(num_arms):
+        groups.setdefault(uf.find(i), []).append(i)
+    classes = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
+    class_of = [0] * num_arms
+    for j, cls in enumerate(classes):
+        for i in cls:
+            class_of[i] = j
+    return ArmPartition(classes=classes, class_of=tuple(class_of))
+
+
 def partition_arms(instance: ProblemInstance) -> ArmPartition:
     """Connected components of arms linked by co-residence in some arm set.
 
     Classes are reported in ascending order of their smallest member, each
     class sorted ascending.
     """
-    violations = _structural_violations(instance)
-    if violations:
-        raise ValueError("structurally invalid instance: " + "; ".join(violations))
-    uf = _UnionFind(instance.num_arms)
-    for arms in instance.arm_sets:
-        for other in arms[1:]:
-            uf.union(arms[0], other)
-    groups: dict[int, list[int]] = {}
-    for i in range(instance.num_arms):
-        groups.setdefault(uf.find(i), []).append(i)
-    classes = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-    class_of = [0] * instance.num_arms
-    for j, cls in enumerate(classes):
-        for i in cls:
-            class_of[i] = j
-    return ArmPartition(classes=classes, class_of=tuple(class_of))
+    _require_structure(instance)
+    return _partition(instance.num_arms, instance.arm_sets)
 
 
 # The four 5-arm / 5-client overlap layouts used by the synthetic benchmark,
@@ -348,9 +455,7 @@ def gen_hardness_instance(
     scale = 1.0 / math.sqrt(rho)
     means = {(m, i): (i + 1) * scale for m, s in enumerate(sets) for i in s}
     instance = ProblemInstance.from_means(sets, means, num_arms=num_arms)
-    violations = _structural_violations(instance)
-    if violations:
-        raise ValueError("structurally invalid instance: " + "; ".join(violations))
+    _require_structure(instance)
     return instance
 
 

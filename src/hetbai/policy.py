@@ -16,19 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import global_vector
-from .instance import ArmStats, ProblemInstance, arm_stats, confusion_pairs, validate
+from .allocation import slot_global_vector
+from .instance import ArmStats, ProblemInstance, SlotIndex, arm_stats, slot_index, slot_stats
 
 __all__ = [
     "CommSchedule",
     "comm_schedule",
     "ClientState",
-    "ServerState",
     "select_arm",
     "observe",
     "uniform_select",
     "server_global_vector",
+    "slot_server_vector",
     "z_statistic",
+    "slot_z_statistic",
     "f_eval",
     "f_inverse",
     "should_stop",
@@ -179,24 +180,6 @@ class ClientState:
         return out
 
 
-@dataclass
-class ServerState:
-    """Server-side bookkeeping across communication rounds.
-
-    ``latest_means[m]`` mirrors the last empirical means uploaded by client
-    ``m`` (aligned with its arm set).  Stopping is only ever declared at a
-    schedule instant with ``t >= num_arms``.
-    """
-
-    delta: float
-    kprime: int
-    num_arms: int
-    latest_means: tuple[tuple[float, ...], ...] | None = None
-    round_index: int = 0
-    stopped: bool = False
-    recommendation: tuple[int, ...] | None = None
-
-
 def select_arm(
     state: ClientState, t: int, weights: np.ndarray, rng: np.random.Generator
 ) -> int:
@@ -231,96 +214,127 @@ def uniform_select(state: ClientState, rng: np.random.Generator) -> int:
     return state.arm_set[int(rng.integers(len(state.arm_set)))]
 
 
+def _empirical_slots(empirical: ProblemInstance) -> tuple[SlotIndex, ArmStats]:
+    index = slot_index(empirical)
+    return index, slot_stats(index, index.flatten(empirical.means))
+
+
+def slot_server_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
+    """Global vector to broadcast for empirical ``stats``; all-ones when inadmissible."""
+    if not stats.is_admissible():
+        return np.ones(index.num_arms)
+    return slot_global_vector(index, stats)
+
+
 def server_global_vector(empirical: ProblemInstance) -> np.ndarray:
     """Global vector of the empirical instance; all-ones when inadmissible."""
-    report = validate(empirical)
-    if not report.admissible:
-        return np.ones(empirical.num_arms)
-    return global_vector(empirical).entries
+    return slot_server_vector(*_empirical_slots(empirical))
+
+
+def slot_z_statistic(index: SlotIndex, stats: ArmStats, slot_counts: np.ndarray) -> float:
+    """Distance of the empirical configuration from the nearest alternative.
+
+    Evaluated on raw pull counts (one per slot): the minimum over confusion
+    pairs (each client's best arm against every other arm it owns) of
+    ``(mu1 - mu2)^2 / 2`` divided by the two arms' reciprocal-count sums
+    (scaled by squared multiplicities).  Zero when the empirical
+    configuration has a tied best arm or when any count entering a pair is
+    zero.
+    """
+    if not stats.is_admissible():
+        return 0.0
+    n = np.asarray(slot_counts, dtype=float)
+    recip = np.full(len(n), np.inf)
+    np.divide(1.0, n, out=recip, where=n > 0)
+    T = (
+        np.bincount(index.slot_arm, weights=recip, minlength=index.num_arms)
+        / stats.multiplicities.astype(float) ** 2
+    )
+    best = stats.best_arms[index.slot_client]
+    pair = index.slot_arm != best
+    i1, i2 = best[pair], index.slot_arm[pair]
+    gap = stats.global_means[i1] - stats.global_means[i2]
+    return float(np.min(gap * gap / 2.0 / (T[i1] + T[i2])))
 
 
 def z_statistic(empirical: ProblemInstance, counts: list[np.ndarray]) -> float:
-    """Distance of the empirical configuration from the nearest alternative.
+    """:func:`slot_z_statistic` of an empirical instance and per-client counts."""
+    index, stats = _empirical_slots(empirical)
+    return slot_z_statistic(index, stats, index.flatten(counts))
 
-    Evaluated on raw pull counts: the minimum over confusion pairs of
-    ``(mu1 - mu2)^2 / 2`` divided by the two arms' reciprocal-count sums
-    (scaled by squared multiplicities).  Zero when the empirical instance has
-    a tied best arm or when any count entering a pair is zero.
+
+def _log_tail(x: float, log_factorials: np.ndarray) -> tuple[float, float]:
+    """``log f(x)`` and its derivative in ``x``, with ``K' = len(log_factorials)``.
+
+    ``log f(x) = log sum_{i<K'} exp(i log x - x - log i!)`` by log-sum-exp;
+    the derivative is ``-exp(last term - log f(x))``.
     """
-    stats = arm_stats(empirical)
-    if not stats.is_admissible():
-        return 0.0
-    recip = np.zeros(empirical.num_arms)
-    for m, arms in enumerate(empirical.arm_sets):
-        n = np.asarray(counts[m], dtype=float)
-        with np.errstate(divide="ignore"):
-            contrib = np.where(n > 0, 1.0 / n, np.inf)
-        for k, i in enumerate(arms):
-            recip[i] += contrib[k]
-    mult = stats.multiplicities.astype(float)
-    T = recip / mult**2
-    best = math.inf
-    for i1, i2 in confusion_pairs(empirical, stats).pairs:
-        denom = T[i1] + T[i2]
-        gap = stats.global_means[i1] - stats.global_means[i2]
-        term = 0.0 if math.isinf(denom) else (gap * gap / 2.0) / denom
-        best = min(best, term)
-    return float(best)
+    terms = np.arange(len(log_factorials)) * math.log(x) - x - log_factorials
+    top = float(terms.max())
+    value = top + math.log(float(np.exp(terms - top).sum()))
+    return value, -math.exp(float(terms[-1]) - value)
+
+
+def _log_factorials(kprime: int) -> np.ndarray:
+    return np.array([math.lgamma(i + 1) for i in range(kprime)])
 
 
 def f_eval(x: float, kprime: int) -> float:
-    """Tail weight ``sum_{i=1}^{K'} x^(i-1) e^(-x) / (i-1)!``; decreasing in x."""
+    """Tail weight ``sum_{i=1}^{K'} x^(i-1) e^(-x) / (i-1)!``; decreasing in x.
+
+    Evaluated in log space, so it stays accurate where ``e^(-x)`` underflows
+    (large ``K'``); it returns 0 only where the tail itself underflows.
+    """
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     if not (x > 0.0):
         raise ValueError("x must be positive")
-    term = math.exp(-x)
-    total = term
-    for i in range(1, kprime):
-        term *= x / i
-        total += term
-    return total
+    return math.exp(_log_tail(x, _log_factorials(kprime))[0])
 
 
 def f_inverse(delta: float, kprime: int) -> float:
-    """Unique ``x`` with ``f_eval(x, kprime) == delta``, by bracketed bisection.
+    """Unique ``x`` with ``f_eval(x, kprime) == delta``, by Newton's method on ``log f``.
 
-    The lower end ``log(1/delta)`` is exact for ``kprime == 1`` and always a
-    valid lower bound; the upper end is widened by doubling until the value
-    crosses ``delta``.
+    ``log(1/delta)`` is exact for ``kprime == 1`` and a lower bound
+    otherwise.  The start is widened by doubling until the tail is below
+    ``delta``.  ``f`` is the survival function of a Gamma(K') law, which is
+    log-concave, so Newton steps from the right of the root decrease
+    monotonically onto it.
     """
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
-    lo = math.log(1.0 / delta)
+    base = math.log(1.0 / delta)
     if kprime == 1:
-        return lo
-    span = 2.0 * kprime * (math.log(lo + 3.0) + kprime)
-    hi = lo + span
-    while f_eval(hi, kprime) >= delta:
+        return base
+    log_delta = math.log(delta)
+    log_factorials = _log_factorials(kprime)
+    span = 2.0 * kprime * (math.log(base + 3.0) + kprime)
+    x = base + span
+    while _log_tail(x, log_factorials)[0] >= log_delta:
         span *= 2.0
-        hi = lo + span
-    tol = 1e-12 * delta
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        value = f_eval(mid, kprime)
-        if abs(value - delta) <= tol:
-            return mid
-        if value > delta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, mid):
-            return mid
-    return 0.5 * (lo + hi)
+        x = base + span
+    for _ in range(100):
+        value, slope = _log_tail(x, log_factorials)
+        step = (value - log_delta) / slope
+        x -= step
+        if abs(value - log_delta) <= 1e-12 or abs(step) <= 1e-15 * x:
+            return x
+    return x
 
 
 def should_stop(
-    z: float, t: int, delta: float, kprime: int, num_arms: int
+    z: float, t: int, delta: float, kprime: int, num_arms: int, offset: float | None = None
 ) -> tuple[bool, float]:
-    """Stopping decision and threshold ``beta(t, delta)`` at instant ``t``."""
-    beta = kprime * math.log(t * t + t) + f_inverse(delta, kprime)
+    """Stopping decision and threshold ``beta(t, delta)`` at instant ``t``.
+
+    ``offset`` is ``f_inverse(delta, kprime)``, which depends on neither
+    ``t`` nor the data: an episode computes it once and passes it here.
+    """
+    if offset is None:
+        offset = f_inverse(delta, kprime)
+    beta = kprime * math.log(t * t + t) + offset
     return (t >= num_arms and z > beta), beta
 
 
@@ -328,8 +342,4 @@ def recommend(empirical: ProblemInstance, stats: ArmStats | None = None) -> tupl
     """Per-client argmax of the aggregated empirical means (ties: lowest arm)."""
     if stats is None:
         stats = arm_stats(empirical)
-    out = []
-    for arms in empirical.arm_sets:
-        mus = stats.global_means[np.array(arms)]
-        out.append(arms[int(np.argmax(mus))])
-    return tuple(out)
+    return tuple(int(a) for a in stats.best_arms)

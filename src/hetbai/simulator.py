@@ -16,18 +16,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import ProblemInstance, arm_stats, validate
+from .instance import ProblemInstance, SlotIndex, slot_stats, validate
 from .policy import (
     ClientState,
     CommSchedule,
-    ServerState,
+    f_inverse,
     observe,
-    recommend,
     select_arm,
-    server_global_vector,
     should_stop,
+    slot_server_vector,
+    slot_z_statistic,
     uniform_select,
-    z_statistic,
 )
 
 __all__ = [
@@ -39,6 +38,7 @@ __all__ = [
     "StepCapExceeded",
     "run_episode",
     "sweep",
+    "pool_size",
     "aggregate",
     "export_records",
     "write_records",
@@ -146,8 +146,10 @@ def run_episode(
     report = validate(instance)
     if not report.admissible:
         raise ValueError("inadmissible instance: " + "; ".join(report.violations))
-    truth = arm_stats(instance)
-    true_best = tuple(int(a) for a in truth.best_arms)
+    index = SlotIndex.of(instance)
+    true_best = tuple(int(a) for a in slot_stats(index, index.flatten(instance.means)).best_arms)
+    kprime = index.num_slots
+    offset = f_inverse(delta, kprime)
 
     schedule = CommSchedule(lam)
     clients = [ClientState.fresh(instance, m) for m in range(instance.num_clients)]
@@ -155,9 +157,6 @@ def run_episode(
     reward_rngs = [np.random.default_rng((seed, m, 1)) for m in range(instance.num_clients)]
     mean_rows = [np.asarray(row) for row in instance.means]
     weights = [state.weights() for state in clients]
-    server = ServerState(
-        delta=delta, kprime=instance.total_arm_slots, num_arms=instance.num_arms
-    )
     uniform = policy == "uniform"
 
     t = 0
@@ -175,36 +174,32 @@ def run_episode(
                     arm = select_arm(state, t, weights[m], select_rngs[m])
                 reward = reward_rngs[m].normal(mean_rows[m][state._pos[arm]], 1.0)
                 observe(state, arm, float(reward))
-        server.latest_means = tuple(
-            tuple(float(x) for x in state.empirical_means()) for state in clients
+        # The server's view: every client's counts and empirical means, in slot order.
+        counts = np.concatenate([state.counts for state in clients])
+        means = np.zeros(kprime)
+        np.divide(
+            np.concatenate([state.reward_sums for state in clients]), counts,
+            out=means, where=counts > 0,
         )
-        server.round_index = schedule.round_exponent(t)
-        empirical = ProblemInstance(
-            num_arms=instance.num_arms,
-            num_clients=instance.num_clients,
-            arm_sets=instance.arm_sets,
-            means=server.latest_means,
-        )
-        counts = [state.counts for state in clients]
-        z = z_statistic(empirical, counts)
-        stop, beta = should_stop(z, t, server.delta, server.kprime, server.num_arms)
+        stats = slot_stats(index, means)
+        z = slot_z_statistic(index, stats, counts)
+        stop, beta = should_stop(z, t, delta, kprime, instance.num_arms, offset=offset)
         if trace is not None:
             trace.append(InstantLog(t=t, z=z, beta=beta, stopped=stop))
         if stop:
-            server.stopped = True
-            server.recommendation = recommend(empirical)
+            recommendation = tuple(int(a) for a in stats.best_arms)
             return RunRecord(
                 policy=policy,
                 lam=lam,
                 delta=delta,
                 seed=seed,
                 tau=t,
-                rounds=server.round_index,
-                correct=server.recommendation == true_best,
-                recommendation=server.recommendation,
+                rounds=schedule.round_exponent(t),
+                correct=recommendation == true_best,
+                recommendation=recommendation,
             )
         if not uniform:
-            gvec = server_global_vector(empirical)
+            gvec = slot_server_vector(index, stats)
             for m, state in enumerate(clients):
                 state.global_vec = gvec
                 weights[m] = state.weights()
@@ -235,10 +230,20 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
                     config.step_cap,
                 )
             )
-    if config.workers == 1:
+    workers = pool_size(config.workers, len(tasks))
+    if workers == 1:
         return [run_episode(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_episode_task, tasks))
+
+
+def pool_size(workers: int, num_tasks: int) -> int:
+    """Worker processes for a sweep: never more than there are episodes.
+
+    The default ``fork`` start method launches every worker up front,
+    whatever the task count, so an unclamped request forks idle processes.
+    """
+    return min(workers, num_tasks)
 
 
 def aggregate(records: Sequence[RunRecord]) -> list[SummaryRow]:

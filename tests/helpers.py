@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hetbai import Allocation, ArmStats, ProblemInstance, validate
@@ -71,3 +73,96 @@ def random_positive_allocation(rng: np.random.Generator, instance: ProblemInstan
         w = w / w.sum()
         rows.append(w)
     return Allocation.from_rows(instance, rows)
+
+
+def loop_arm_stats(instance: ProblemInstance) -> ArmStats:
+    """Reference for the slot reductions: arm statistics by a per-client loop."""
+    K = instance.num_arms
+    sums = np.zeros(K)
+    mult = np.zeros(K, dtype=np.int64)
+    for arms, mus in zip(instance.arm_sets, instance.means):
+        for i, mu in zip(arms, mus):
+            sums[i] += mu
+            mult[i] += 1
+    global_means = sums / mult
+    best_arms = np.empty(instance.num_clients, dtype=np.int64)
+    gaps = np.full(K, np.inf)
+    for m, arms in enumerate(instance.arm_sets):
+        idx = np.array(arms)
+        mus = global_means[idx]
+        best_arms[m] = arms[int(np.argmax(mus))]
+        for k, i in enumerate(arms):
+            others = np.delete(mus, k)
+            gaps[i] = min(gaps[i], abs(mus[k] - others.max()))
+    return ArmStats(global_means=global_means, multiplicities=mult, gaps=gaps, best_arms=best_arms)
+
+
+def loop_z_statistic(instance: ProblemInstance, counts) -> float:
+    """Reference for the slot reductions: ``Z`` by a loop over the confusion pairs."""
+    stats = loop_arm_stats(instance)
+    if not stats.is_admissible():
+        return 0.0
+    recip = np.zeros(instance.num_arms)
+    for m, arms in enumerate(instance.arm_sets):
+        n = np.asarray(counts[m], dtype=float)
+        with np.errstate(divide="ignore"):
+            contrib = np.where(n > 0, 1.0 / n, np.inf)
+        for k, i in enumerate(arms):
+            recip[i] += contrib[k]
+    T = recip / stats.multiplicities.astype(float) ** 2
+    best = math.inf
+    for m, arms in enumerate(instance.arm_sets):
+        i1 = int(stats.best_arms[m])
+        for i2 in arms:
+            if i2 != i1:
+                denom = T[i1] + T[i2]
+                gap = stats.global_means[i1] - stats.global_means[i2]
+                best = min(best, 0.0 if math.isinf(denom) else (gap * gap / 2.0) / denom)
+    return float(best)
+
+
+def random_structural_instance(rng: np.random.Generator, max_arms: int = 6, max_clients: int = 5) -> ProblemInstance:
+    """Random structurally valid instance, admissible or not.
+
+    Half of the instances draw means from {0, 0.5, 1}, which produces tied
+    tops and zero means (the empirical mean of an arm never pulled).
+    """
+    while True:
+        K = int(rng.integers(2, max_arms + 1))
+        M = int(rng.integers(1, max_clients + 1))
+        sets = []
+        for _ in range(M):
+            size = int(rng.integers(2, K + 1))
+            sets.append(tuple(sorted(rng.choice(K, size=size, replace=False).tolist())))
+        if set().union(*sets) == set(range(K)):
+            break
+    coarse = rng.random() < 0.5
+    means = {
+        (m, i): float(rng.choice([0.0, 0.5, 1.0]) if coarse else rng.normal(0.0, 1.0))
+        for m, s in enumerate(sets)
+        for i in s
+    }
+    return make_instance(sets, means, num_arms=K)
+
+
+def wide_gap_instance(rng: np.random.Generator) -> ProblemInstance:
+    """Random admissible instance whose consecutive aggregate means are 1 to 1e-12 apart.
+
+    The matrix ``H`` then scales its rows by up to ``1e24``, which leaves the
+    small entries of a plain symmetric eigensolver's vector with no relative
+    accuracy.
+    """
+    while True:
+        K = int(rng.integers(3, 7))
+        M = int(rng.integers(2, 6))
+        sets = [
+            tuple(sorted(rng.choice(K, size=int(rng.integers(2, K + 1)), replace=False).tolist()))
+            for _ in range(M)
+        ]
+        if set().union(*sets) != set(range(K)):
+            continue
+        levels = np.cumsum(10.0 ** -rng.uniform(0.0, 12.0, size=K))
+        means = {(m, i): float(levels[i]) for m, s in enumerate(sets) for i in s}
+        instance = make_instance(sets, means, num_arms=K)
+        if validate(instance).admissible:
+            return instance

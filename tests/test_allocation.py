@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
 
 from hetbai import (
     Allocation,
+    PowerIterationError,
     allocation_from_global,
     arm_stats,
     balance_residuals,
@@ -22,6 +24,8 @@ from hetbai import (
     optimal_allocation,
     partition_arms,
     perron_positive_eigenvector,
+    slot_index,
+    slot_stats,
     transport_cost,
 )
 
@@ -33,7 +37,24 @@ from helpers import (
     single_client_two_arm,
     symmetric_two_arm,
     synthetic_stats_gap_1_2,
+    wide_gap_instance,
 )
+
+
+def perron_reference(co: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Positive unit eigenvector of ``diag(scale) @ co`` from a 60-digit symmetric solve."""
+    with mpmath.workdps(60):
+        root = [mpmath.sqrt(mpmath.mpf(float(d))) for d in scale]
+        n = len(root)
+        S = mpmath.matrix(n, n)
+        for a in range(n):
+            for b in range(n):
+                S[a, b] = root[a] * mpmath.mpf(float(co[a, b])) * root[b]
+        values, vectors = mpmath.eigsy(S)
+        top = max(range(n), key=lambda j: values[j])
+        x = [abs(root[a] * vectors[a, top]) for a in range(n)]
+        norm = mpmath.sqrt(mpmath.fsum(v * v for v in x))
+        return np.array([float(v / norm) for v in x])
 
 
 def pairwise_rate_oracle(instance, stats, allocation, pair):
@@ -132,6 +153,28 @@ class TestPowerIteration:
         with pytest.raises(ValueError):
             perron_positive_eigenvector(np.ones((2, 3)))
 
+    def test_reducible_block_fails_loudly(self):
+        # the iterate tends to (1, 0), which is never positive
+        with pytest.raises(PowerIterationError, match="no certified positive eigenvector"):
+            perron_positive_eigenvector(np.diag([2.0, 1.0]))
+
+    def test_start_sign_is_dropped(self):
+        u, lam = perron_positive_eigenvector(
+            np.array([[1.0, 1.0], [0.25, 0.25]]), start=np.array([-4.0, -1.0])
+        )
+        np.testing.assert_allclose(u, np.array([4.0, 1.0]) / np.linalg.norm([4.0, 1.0]), rtol=1e-15)
+        assert math.isclose(lam, 1.25, rel_tol=1e-12)
+
+    def test_identical_rows_give_equal_entries(self):
+        # arms 0 and 1 have the same owners and the same gap; a start that
+        # breaks their symmetry in the last bit is made exact by the step
+        B = np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 1.0], [0.5, 0.5, 3.0]])
+        values, vectors = np.linalg.eig(B)
+        start = np.abs(vectors[:, np.argmax(values.real)].real)
+        start[1] = np.nextafter(start[0], 1.0)
+        u, _ = perron_positive_eigenvector(B, start=start)
+        assert u[0] == u[1]
+
     def test_residual_bound_on_random_blocks(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -174,6 +217,22 @@ class TestGlobalVector:
                 assert math.isclose(
                     float(np.linalg.norm(gv.entries[np.array(cls)])), 1.0, rel_tol=1e-10
                 )
+
+    def test_certified_on_wide_gaps(self):
+        # gaps spread over 12 decades scale the rows of H by up to 1e24; a
+        # plain symmetric eigensolver loses the relative accuracy of the
+        # small entries (errors up to 5e-5 on these instances)
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            v = wide_gap_instance(rng)
+            index = slot_index(v)
+            stats = slot_stats(index, index.flatten(v.means))
+            scale = 1.0 / (stats.gaps**2 * stats.multiplicities.astype(float) ** 2)
+            entries = global_vector(v, stats).entries
+            assert np.min(entries) > 0.0
+            for arms, co in index.class_blocks:
+                want = perron_reference(co, scale[arms])
+                assert np.max(np.abs(entries[arms] - want) / want) <= 1e-9
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)

@@ -12,12 +12,27 @@ from hetbai import (
     gen_hardness_instance,
     gen_overlap_instance,
     partition_arms,
+    slot_index,
+    slot_stats,
     to_json,
     validate,
 )
 from hetbai.instance import OVERLAP_PATTERNS
 
-from helpers import make_instance, random_admissible_instance, symmetric_two_arm
+from helpers import (
+    loop_arm_stats,
+    make_instance,
+    random_admissible_instance,
+    random_structural_instance,
+    symmetric_two_arm,
+)
+
+
+def assert_stats_equal(got, want):
+    for field in ("global_means", "multiplicities", "gaps", "best_arms"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
 
 
 class TestValidate:
@@ -86,6 +101,61 @@ class TestArmStats:
         v = ProblemInstance(num_arms=2, num_clients=1, arm_sets=((0,),), means=((1.0,),))
         with pytest.raises(ValueError, match="structurally invalid"):
             arm_stats(v)
+
+
+class TestSlotReductions:
+    def test_match_per_client_loop_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            v = random_structural_instance(rng)
+            assert_stats_equal(arm_stats(v), loop_arm_stats(v))
+
+    def test_tied_tops_bitwise(self):
+        v = make_instance(
+            [(0, 1, 2), (1, 2), (0, 3)],
+            {(0, 0): 1.0, (0, 1): 1.0, (0, 2): 0.2, (1, 1): 1.0, (1, 2): 0.2, (2, 0): 1.0, (2, 3): 1.0},
+        )
+        stats = arm_stats(v)
+        assert_stats_equal(stats, loop_arm_stats(v))
+        assert stats.best_arms.tolist() == [0, 1, 0]
+        assert stats.gaps[0] == stats.gaps[1] == stats.gaps[3] == 0.0
+
+    def test_unpulled_zero_means_bitwise(self):
+        # empirical instance early in an episode: arms never pulled read 0
+        v = make_instance(
+            [(0, 1, 2), (1, 2), (0, 2)],
+            {(0, 0): 0.7, (0, 1): 0.0, (0, 2): 0.0, (1, 1): 0.0, (1, 2): 0.0, (2, 0): -0.3, (2, 2): 0.0},
+        )
+        assert_stats_equal(arm_stats(v), loop_arm_stats(v))
+
+    def test_slot_stats_on_flat_means(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            v = random_structural_instance(rng)
+            index = slot_index(v)
+            flat = np.concatenate([np.asarray(row) for row in v.means])
+            assert_stats_equal(slot_stats(index, flat), loop_arm_stats(v))
+            assert index.num_slots == v.total_arm_slots
+            for m, arms in enumerate(v.arm_sets):
+                lo, hi = index.starts[m], index.starts[m + 1]
+                assert index.slot_arm[lo:hi].tolist() == list(arms)
+                assert set(index.slot_client[lo:hi].tolist()) == {m}
+
+    def test_index_co_ownership_and_partition(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            v = random_structural_instance(rng)
+            index = slot_index(v)
+            want = np.zeros((v.num_arms, v.num_arms))
+            for arms in v.arm_sets:
+                want[np.ix_(arms, arms)] += 1.0
+            assert np.array_equal(index.co_ownership, want)
+            assert index.partition == partition_arms(v)
+
+    def test_index_rejects_structurally_invalid(self):
+        v = ProblemInstance(num_arms=2, num_clients=1, arm_sets=((0,),), means=((1.0,),))
+        with pytest.raises(ValueError, match="structurally invalid"):
+            slot_index(v)
 
 
 class TestConfusionPairs:

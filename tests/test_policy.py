@@ -22,7 +22,13 @@ from hetbai import (
     z_statistic,
 )
 
-from helpers import make_instance, random_admissible_instance, symmetric_two_arm
+from helpers import (
+    loop_z_statistic,
+    make_instance,
+    random_admissible_instance,
+    random_structural_instance,
+    symmetric_two_arm,
+)
 
 
 def exact_ratio_leq(numer: int, denom: int, bound: float) -> bool:
@@ -194,6 +200,13 @@ class TestZStatistic:
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0})
         assert z_statistic(v, [np.array([10, 10])]) == 0.0
 
+    def test_matches_pair_loop_bitwise(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            v = random_structural_instance(rng)
+            counts = [rng.integers(0, 4, size=len(s)) for s in v.arm_sets]
+            assert z_statistic(v, counts) == loop_z_statistic(v, counts)
+
     def test_matches_time_scaled_rate(self):
         # algebraic identity: z on raw counts equals t * g_exact evaluated at
         # the pull fractions counts/t, for lockstep counts (common t)
@@ -261,6 +274,19 @@ class TestFMachinery:
         for k in (1, 2, 5, 7):
             assert math.log(1e40) / f_inverse(1e-40, k) >= 0.8
 
+    def test_large_kprime_against_incomplete_gamma(self):
+        # exp(-x) underflows past x ~ 745, so the tail is evaluated in log
+        # space; Q(K', x) = delta is the independent route
+        for k in (2, 20, 700, 1000, 3000, 10_000):
+            for delta in (0.1, 1e-6, 1e-40, 1e-300):
+                x = f_inverse(delta, k)
+                assert math.isclose(float(special.gammaincc(k, x)), delta, rel_tol=1e-9), (k, delta)
+                assert math.isclose(x, float(special.gammainccinv(k, delta)), rel_tol=1e-9), (k, delta)
+                assert math.isclose(f_eval(x, k), delta, rel_tol=1e-9), (k, delta)
+        assert math.isclose(f_inverse(0.1, 1000), 1040.734, rel_tol=1e-6)
+        assert math.isclose(f_inverse(1e-6, 3000), 3267.591, rel_tol=1e-6)
+        assert math.isclose(f_inverse(1e-300, 10_000), 14175.24, rel_tol=1e-6)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             f_eval(0.0, 2)
@@ -285,6 +311,11 @@ class TestShouldStop:
     def test_never_fires_before_k_arms(self):
         stop, _ = should_stop(1e9, 1, 0.1, 2, num_arms=2)
         assert not stop
+
+    def test_precomputed_offset_gives_same_threshold(self):
+        offset = f_inverse(0.1, 2)
+        for t in (2, 20, 2000):
+            assert should_stop(16.5, t, 0.1, 2, 2, offset=offset) == should_stop(16.5, t, 0.1, 2, 2)
 
 
 class TestRecommend:

@@ -1,9 +1,12 @@
+import io
 import math
+import os
 
 import pytest
 
 from hetbai import (
     InstantLog,
+    ProblemInstance,
     RunRecord,
     StepCapExceeded,
     SweepConfig,
@@ -11,10 +14,13 @@ from hetbai import (
     comm_schedule,
     export_records,
     export_summary,
+    gen_overlap_instance,
+    pool_size,
     read_records,
     run_episode,
     sweep,
 )
+from hetbai.simulator import write_records
 
 from helpers import chain_three_arm, make_instance, symmetric_two_arm
 
@@ -130,6 +136,50 @@ class TestSweep:
             SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), lam=0.0)
         with pytest.raises(ValueError):
             SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), repetitions=0)
+
+
+class TestPoolSize:
+    def test_never_more_workers_than_episodes(self):
+        assert pool_size(2, 128) == 2
+        assert pool_size(64, 3) == 3
+        assert pool_size(10**6, 1) == 1
+        assert pool_size(1, 10**6) == 1
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def two_class_instance() -> ProblemInstance:
+    """K=5, M=4 with arm classes {1, 2, 3} and {4, 5}."""
+    return ProblemInstance.from_means(
+        [(0, 1), (1, 2), (3, 4), (3, 4)],
+        {(0, 0): 2.5, (0, 1): 1.2, (1, 1): 1.0, (1, 2): 0.0,
+         (2, 3): 1.5, (2, 4): 0.2, (3, 3): 1.3, (3, 4): 0.4},
+    )
+
+
+class TestGoldenRecords:
+    """Records CSVs of two fixed sweeps, checked in; they must reproduce byte for byte."""
+
+    def check(self, config, name):
+        sink = io.StringIO(newline="")
+        write_records(sweep(config), sink)
+        with open(os.path.join(DATA, name), encoding="utf-8", newline="") as fh:
+            assert sink.getvalue() == fh.read()
+
+    def test_het_ts_two_classes(self):
+        config = SweepConfig(
+            instance=two_class_instance(), deltas=(0.1, 1e-4), policy="het-ts",
+            lam=0.2, repetitions=4, base_seed=500,
+        )
+        self.check(config, "golden_het_ts_records.csv")
+
+    def test_uniform_overlap_layout_2(self):
+        config = SweepConfig(
+            instance=gen_overlap_instance(2, 3), deltas=(0.1, 1e-3), policy="uniform",
+            lam=0.2, repetitions=4, base_seed=900,
+        )
+        self.check(config, "golden_uniform_records.csv")
 
 
 class TestPiecewiseConstantStopping:
