@@ -22,7 +22,11 @@ Two rate functionals drive everything:
   the instance to the nearest configuration whose best-arm vector differs,
   and always lies within a factor of two of ``g_tilde``.
 
-Both return 0 when any owned weight is zero.
+Both return 0 when any owned weight is zero.  Every functional is an array
+expression over the instance's slots (one slot per (client, arm) pair), and
+one kernel computes ``T`` and the pairwise minimum: ``g_exact`` applies it
+to the weights, and the stopping statistic ``Z(t)`` applies it to the raw
+pull counts, so ``Z(t) = t * g_exact(N(t) / t)`` by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -110,18 +114,6 @@ class Allocation:
         )
 
     @classmethod
-    def from_map(
-        cls, instance: ProblemInstance, weights: Mapping[tuple[int, int], float]
-    ) -> "Allocation":
-        rows = []
-        for m, arms in enumerate(instance.arm_sets):
-            try:
-                rows.append(tuple(float(weights[(m, i)]) for i in arms))
-            except KeyError:
-                raise ValueError(f"missing weight for some arm of client {m + 1}") from None
-        return cls(arm_sets=instance.arm_sets, weights=tuple(rows))
-
-    @classmethod
     def from_rows(cls, instance: ProblemInstance, rows: Sequence[Sequence[float]]) -> "Allocation":
         return cls(
             arm_sets=instance.arm_sets,
@@ -154,10 +146,6 @@ class HMatrix:
 
     matrix: np.ndarray
     partition: ArmPartition
-
-    def block(self, j: int) -> np.ndarray:
-        idx = np.array(self.partition.classes[j])
-        return self.matrix[np.ix_(idx, idx)]
 
 
 class PowerIterationError(RuntimeError):
@@ -269,25 +257,40 @@ def optimal_allocation(
     return gvec, allocation_from_global(gvec, instance)
 
 
-def _reciprocal_sums(instance: ProblemInstance, allocation: Allocation) -> np.ndarray | None:
-    """Per-arm sum of reciprocal weights over owning clients; None on a zero."""
-    recip = np.zeros(instance.num_arms)
-    for arms, row in zip(allocation.arm_sets, allocation.weights):
-        for i, w in zip(arms, row):
-            if w <= ZERO_WEIGHT:
-                return None
-            recip[i] += 1.0 / w
-    return recip
+def _pair_rate(
+    index: SlotIndex, stats: ArmStats, slot_values: np.ndarray, i1: np.ndarray, i2: np.ndarray
+) -> float:
+    """``min ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)`` over the pairs ``(i1[k], i2[k])``.
+
+    ``T_i = (1 / mult_i^2) * sum 1/value`` over the slots of arm ``i``, where a
+    zero value counts as ``1/0 = inf`` (so every pair touching it has rate 0).
+    On pull counts this is ``Z(t)``; on slot-ordered weights, ``g_exact``.
+    ``inf`` when there are no pairs.
+    """
+    values = np.asarray(slot_values, dtype=float)
+    recip = np.full(len(values), np.inf)
+    np.divide(1.0, values, out=recip, where=values > 0)
+    T = (
+        np.bincount(index.slot_arm, weights=recip, minlength=index.num_arms)
+        / stats.multiplicities.astype(float) ** 2
+    )
+    gap = stats.global_means[i1] - stats.global_means[i2]
+    return float(np.min(gap * gap / 2.0 / (T[i1] + T[i2]), initial=np.inf))
+
+
+def _arm_rates(index: SlotIndex, stats: ArmStats, allocation: Allocation) -> np.ndarray | None:
+    """Per-arm ``gap^2 * mult^2 / sum_m 1/w[i, m]``; None when an owned weight is zero."""
+    w = index.flatten(allocation.weights)
+    if np.any(w <= ZERO_WEIGHT):
+        return None
+    recip = np.bincount(index.slot_arm, weights=1.0 / w, minlength=index.num_arms)
+    return stats.gaps**2 * stats.multiplicities.astype(float) ** 2 / recip
 
 
 def g_tilde(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) -> float:
     """Relaxed identification rate: worst arm of ``gap^2/2`` over ``T_i``."""
-    recip = _reciprocal_sums(instance, allocation)
-    if recip is None:
-        return 0.0
-    mult = stats.multiplicities.astype(float)
-    values = (stats.gaps**2 / 2.0) * mult**2 / recip
-    return float(values.min())
+    values = _arm_rates(SlotIndex.of(instance), stats, allocation)
+    return 0.0 if values is None else float(values.min() / 2.0)
 
 
 def g_tilde_per_class(
@@ -301,14 +304,11 @@ def g_tilde_per_class(
     The top eigenvalue of class block ``j`` equals the reciprocal of this
     value at the optimal allocation.
     """
-    recip = _reciprocal_sums(instance, allocation)
-    out = np.zeros(len(partition.classes))
-    if recip is None:
-        return out
-    mult = stats.multiplicities.astype(float)
-    values = stats.gaps**2 * mult**2 / recip
-    for j, cls in enumerate(partition.classes):
-        out[j] = values[np.array(cls)].min()
+    values = _arm_rates(SlotIndex.of(instance), stats, allocation)
+    if values is None:
+        return np.zeros(len(partition.classes))
+    out = np.full(len(partition.classes), np.inf)
+    np.minimum.at(out, np.asarray(partition.class_of), values)
     return out
 
 
@@ -319,16 +319,12 @@ def g_exact(
     allocation: Allocation,
 ) -> float:
     """Pairwise identification rate over the confusion pairs."""
-    recip = _reciprocal_sums(instance, allocation)
-    if recip is None:
+    index = SlotIndex.of(instance)
+    w = index.flatten(allocation.weights)
+    if np.any(w <= ZERO_WEIGHT):
         return 0.0
-    mult = stats.multiplicities.astype(float)
-    T = recip / mult**2
-    best = math.inf
-    for i1, i2 in pairs.pairs:
-        gap = stats.global_means[i1] - stats.global_means[i2]
-        best = min(best, (gap * gap / 2.0) / (T[i1] + T[i2]))
-    return float(best)
+    ends = np.array(pairs.pairs, dtype=np.int64).reshape(-1, 2)
+    return _pair_rate(index, stats, w, ends[:, 0], ends[:, 1])
 
 
 def closest_alternative(
@@ -344,41 +340,36 @@ def closest_alternative(
     the pair's term in ``g_exact``.
     """
     i1, i2 = pair
+    index = SlotIndex.of(instance)
+    w = index.flatten(allocation.weights)
+    on1, on2 = index.slot_arm == i1, index.slot_arm == i2
+    on = on1 | on2
+    if np.any(w[on] <= ZERO_WEIGHT):
+        raise ValueError("closest_alternative requires strictly positive owned weights")
     gap = float(stats.global_means[i1] - stats.global_means[i2])
-    denom = 0.0
-    for i in (i1, i2):
-        mult_sq = float(stats.multiplicities[i]) ** 2
-        for m, arms in enumerate(instance.arm_sets):
-            if i in arms:
-                w = allocation.weight(m, i)
-                if w <= ZERO_WEIGHT:
-                    raise ValueError("closest_alternative requires strictly positive owned weights")
-                denom += 1.0 / (w * mult_sq)
-    updates: dict[tuple[int, int], float] = {}
-    for m, arms in enumerate(instance.arm_sets):
-        if i1 in arms:
-            w = allocation.weight(m, i1)
-            updates[(m, i1)] = instance.mean(m, i1) - gap / (
-                stats.multiplicities[i1] * w * denom
-            )
-        if i2 in arms:
-            w = allocation.weight(m, i2)
-            updates[(m, i2)] = instance.mean(m, i2) + gap / (
-                stats.multiplicities[i2] * w * denom
-            )
-    return instance.with_means(updates)
+    mult = stats.multiplicities[index.slot_arm[on]].astype(float)
+    denom = float(np.sum(1.0 / (w[on] * mult**2)))
+    means = index.flatten(instance.means)
+    means[on1] -= gap / (stats.multiplicities[i1] * w[on1] * denom)
+    means[on2] += gap / (stats.multiplicities[i2] * w[on2] * denom)
+    rows = means.tolist()
+    return ProblemInstance(
+        num_arms=instance.num_arms,
+        num_clients=instance.num_clients,
+        arm_sets=instance.arm_sets,
+        means=tuple(tuple(rows[a:b]) for a, b in zip(index.starts[:-1], index.starts[1:])),
+    )
 
 
 def transport_cost(
     instance: ProblemInstance, allocation: Allocation, alternative: ProblemInstance
 ) -> float:
     """Weighted squared-distance between two mean configurations."""
-    total = 0.0
-    for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means)):
-        for i, mu in zip(arms, mus):
-            diff = mu - alternative.mean(m, i)
-            total += allocation.weight(m, i) * diff * diff / 2.0
-    return total
+    if alternative.arm_sets != instance.arm_sets:
+        raise ValueError("alternative does not have the instance's arm sets")
+    index = SlotIndex.of(instance)
+    diff = index.flatten(instance.means) - index.flatten(alternative.means)
+    return float(np.sum(index.flatten(allocation.weights) * diff * diff / 2.0))
 
 
 def c_star_interval(
@@ -411,8 +402,8 @@ def balance_residuals(
     ratios across clients sharing both arms, and the worst relative spread of
     the per-arm rate values within a class.
     """
-    recip = _reciprocal_sums(instance, allocation)
-    if recip is None:
+    values = _arm_rates(SlotIndex.of(instance), stats, allocation)
+    if values is None:
         raise ValueError("balance residuals require strictly positive owned weights")
     balanced = 0.0
     M = instance.num_clients
@@ -423,8 +414,6 @@ def balance_residuals(
                 r1 = allocation.weight(m1, i1) / allocation.weight(m1, i2)
                 r2 = allocation.weight(m2, i1) / allocation.weight(m2, i2)
                 balanced = max(balanced, abs(r1 - r2))
-    mult = stats.multiplicities.astype(float)
-    values = stats.gaps**2 * mult**2 / recip
     pseudo = 0.0
     for cls in partition.classes:
         vals = values[np.array(cls)]

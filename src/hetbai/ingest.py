@@ -1,10 +1,10 @@
 """Build problem instances from (client, arm, rating) tables.
 
 The pipeline mirrors a ratings-dataset preprocessing flow: drop sparsely
-rated (client, arm) pairs, cascade away clients left with fewer than two
-arms and arms left with no client, min-max normalize the surviving ratings
-onto a common scale, and use each surviving pair's average normalized rating
-as its ground-truth Gaussian mean.
+rated (client, arm) pairs, then clients left with fewer than two arms and
+arms left with no client, min-max normalize the surviving ratings onto a
+common scale, and use each surviving pair's average normalized rating as its
+ground-truth Gaussian mean.
 """
 
 from __future__ import annotations
@@ -94,11 +94,11 @@ def build_instance(
 ) -> IngestResult:
     """Turn a ratings table into an admissible problem instance.
 
-    Pairs with fewer than ``min_samples`` ratings are dropped first; the
-    client/arm cascade is then iterated to a fixed point; finally the
-    surviving ratings are min-max normalized onto ``normalize_range`` (one
-    global affine map, so no per-pair argmax can change) and averaged per
-    pair.  Labels are assigned indices in sorted order.
+    Pairs with fewer than ``min_samples`` ratings are dropped first, then
+    clients left with fewer than two arms and arms left with no client;
+    finally the surviving ratings are min-max normalized onto
+    ``normalize_range`` (one global affine map, so no per-pair argmax can
+    change) and averaged per pair.  Labels are assigned indices in sorted order.
     """
     if min_samples < 1:
         raise ValueError("min_samples must be at least 1")
@@ -121,21 +121,18 @@ def build_instance(
         else:
             surviving[key] = values
 
-    # Cascade to a fixed point: a client needs at least two arms; an arm with
-    # no owning client left disappears from the label set.
+    # A client needs at least two arms.  Dropping a client removes only its
+    # own pairs, so no other client's arm count changes and one pass is final;
+    # an arm with no owning client left disappears from the label set.
+    arms_of: dict[str, list[str]] = {}
+    for c, a in surviving:
+        arms_of.setdefault(c, []).append(a)
     arms_before = {a for _, a in surviving}
-    while True:
-        clients = {c for c, _ in surviving}
-        removed = False
-        for c in sorted(clients):
-            arms = [a for (cc, a) in surviving if cc == c]
-            if len(arms) < 2:
-                dropped.append(f"client {c}: fewer than 2 arms after filtering")
-                for a in arms:
-                    del surviving[(c, a)]
-                removed = True
-        if not removed:
-            break
+    for c in sorted(arms_of):
+        if len(arms_of[c]) < 2:
+            dropped.append(f"client {c}: fewer than 2 arms after filtering")
+            for a in arms_of[c]:
+                del surviving[(c, a)]
     for a in sorted(arms_before - {a for _, a in surviving}):
         dropped.append(f"arm {a}: no owning client after filtering")
     if not surviving:

@@ -479,6 +479,20 @@ def to_json(instance: ProblemInstance) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_mean(value: object) -> float:
+    """A mean must be a JSON number (not a string, bool, list or null) that fits a float."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ValueError(f"mean record mu must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"mean record mu {value} is too large for a float") from None
+
+
 def from_json(text: str) -> ProblemInstance:
     try:
         doc = json.loads(text)
@@ -493,13 +507,13 @@ def from_json(text: str) -> ProblemInstance:
     if missing:
         raise ValueError(f"missing instance fields: {sorted(missing)}")
     K, M = doc["K"], doc["M"]
-    if not isinstance(K, int) or not isinstance(M, int):
+    if not _is_int(K) or not _is_int(M):
         raise ValueError("K and M must be integers")
     if not isinstance(doc["arm_sets"], list) or len(doc["arm_sets"]) != M:
         raise ValueError("arm_sets must be a list with one entry per client")
     sets = []
     for s in doc["arm_sets"]:
-        if not isinstance(s, list) or not all(isinstance(i, int) for i in s):
+        if not isinstance(s, list) or not all(_is_int(i) for i in s):
             raise ValueError("each arm set must be a list of integers")
         sets.append(tuple(i - 1 for i in s))
     means: dict[tuple[int, int], float] = {}
@@ -513,12 +527,12 @@ def from_json(text: str) -> ProblemInstance:
             raise ValueError(f"unknown mean fields: {sorted(unknown)}")
         if set(rec) != _MEAN_FIELDS:
             raise ValueError(f"missing mean fields: {sorted(_MEAN_FIELDS - set(rec))}")
-        if not isinstance(rec["client"], int) or not isinstance(rec["arm"], int):
+        if not _is_int(rec["client"]) or not _is_int(rec["arm"]):
             raise ValueError("mean record client/arm must be integers")
         key = (rec["client"] - 1, rec["arm"] - 1)
         if key in means:
             raise ValueError(f"duplicate mean for client {rec['client']}, arm {rec['arm']}")
-        means[key] = float(rec["mu"])
+        means[key] = _json_mean(rec["mu"])
     return ProblemInstance.from_means(sets, means, num_arms=K)
 
 

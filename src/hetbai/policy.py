@@ -11,12 +11,12 @@ either stops with a recommendation or broadcasts a fresh global vector.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import slot_global_vector
+from .allocation import _pair_rate, slot_global_vector
 from .instance import ArmStats, ProblemInstance, SlotIndex, arm_stats, slot_index, slot_stats
 
 __all__ = [
@@ -83,16 +83,6 @@ class CommSchedule:
             self._grow()
         return self._instants[:count]
 
-    def instants_up_to(self, t: int) -> list[int]:
-        self._ensure_value(t)
-        return self._instants[: bisect_right(self._instants, t)]
-
-    def instant(self, position: int) -> int:
-        """Instant at 1-based position in the deduplicated sequence."""
-        if position < 1:
-            raise ValueError("position is 1-based")
-        return self.instants(position)[-1]
-
     def is_instant(self, t: int) -> bool:
         self._ensure_value(t)
         k = bisect_left(self._instants, t)
@@ -105,29 +95,6 @@ class CommSchedule:
         if k >= len(self._instants) or self._instants[k] != t:
             raise ValueError(f"{t} is not a communication instant")
         return self._exponents[k]
-
-    def position(self, t: int) -> int:
-        """1-based position of instant ``t`` in the deduplicated sequence."""
-        self._ensure_value(t)
-        k = bisect_left(self._instants, t)
-        if k >= len(self._instants) or self._instants[k] != t:
-            raise ValueError(f"{t} is not a communication instant")
-        return k + 1
-
-    def last_before(self, t: int) -> int:
-        """Largest instant strictly before ``t``; 0 when there is none."""
-        self._ensure_value(t)
-        k = bisect_left(self._instants, t)
-        return self._instants[k - 1] if k > 0 else 0
-
-    def rounds_before(self, t: int) -> int:
-        """Number of distinct instants strictly before ``t``.
-
-        This is the index of the communication round whose broadcast is in
-        force at time ``t`` (0 when no round has happened yet).
-        """
-        self._ensure_value(t)
-        return bisect_left(self._instants, t)
 
     def __iter__(self):
         k = 0
@@ -234,27 +201,19 @@ def server_global_vector(empirical: ProblemInstance) -> np.ndarray:
 def slot_z_statistic(index: SlotIndex, stats: ArmStats, slot_counts: np.ndarray) -> float:
     """Distance of the empirical configuration from the nearest alternative.
 
-    Evaluated on raw pull counts (one per slot): the minimum over confusion
-    pairs (each client's best arm against every other arm it owns) of
-    ``(mu1 - mu2)^2 / 2`` divided by the two arms' reciprocal-count sums
-    (scaled by squared multiplicities).  Zero when the empirical
+    Evaluated on raw pull counts (one per slot) by the pair-rate kernel of
+    ``allocation.g_exact``: the minimum over confusion pairs (each client's
+    best arm against every other arm it owns) of ``(mu1 - mu2)^2 / 2``
+    divided by the two arms' reciprocal-count sums (scaled by squared
+    multiplicities).  Zero when the empirical
     configuration has a tied best arm or when any count entering a pair is
     zero.
     """
     if not stats.is_admissible():
         return 0.0
-    n = np.asarray(slot_counts, dtype=float)
-    recip = np.full(len(n), np.inf)
-    np.divide(1.0, n, out=recip, where=n > 0)
-    T = (
-        np.bincount(index.slot_arm, weights=recip, minlength=index.num_arms)
-        / stats.multiplicities.astype(float) ** 2
-    )
     best = stats.best_arms[index.slot_client]
     pair = index.slot_arm != best
-    i1, i2 = best[pair], index.slot_arm[pair]
-    gap = stats.global_means[i1] - stats.global_means[i2]
-    return float(np.min(gap * gap / 2.0 / (T[i1] + T[i2])))
+    return _pair_rate(index, stats, slot_counts, best[pair], index.slot_arm[pair])
 
 
 def z_statistic(empirical: ProblemInstance, counts: list[np.ndarray]) -> float:

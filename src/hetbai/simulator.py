@@ -10,6 +10,7 @@ fixed seed regardless of how episodes are scheduled across workers.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -238,12 +239,13 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
 
 
 def pool_size(workers: int, num_tasks: int) -> int:
-    """Worker processes for a sweep: never more than there are episodes.
+    """Worker processes for a sweep: never more than there are episodes or CPUs.
 
     The default ``fork`` start method launches every worker up front,
     whatever the task count, so an unclamped request forks idle processes.
+    Records do not depend on the worker count, so clamping changes no result.
     """
-    return min(workers, num_tasks)
+    return min(workers, num_tasks, os.cpu_count() or 1)
 
 
 def aggregate(records: Sequence[RunRecord]) -> list[SummaryRow]:

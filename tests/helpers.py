@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from hetbai import Allocation, ArmStats, ProblemInstance, validate
+from hetbai.allocation import ZERO_WEIGHT
 
 
 def make_instance(arm_sets, means_map, num_arms=None) -> ProblemInstance:
@@ -166,3 +167,93 @@ def wide_gap_instance(rng: np.random.Generator) -> ProblemInstance:
         instance = make_instance(sets, means, num_arms=K)
         if validate(instance).admissible:
             return instance
+
+
+# --- Reference per-client loops for the slot-array rate functionals ---
+
+
+def loop_reciprocal_sums(instance: ProblemInstance, allocation: Allocation):
+    """Per-arm sum of reciprocal weights over owning clients; None on a zero."""
+    recip = np.zeros(instance.num_arms)
+    for arms, row in zip(allocation.arm_sets, allocation.weights):
+        for i, w in zip(arms, row):
+            if w <= ZERO_WEIGHT:
+                return None
+            recip[i] += 1.0 / w
+    return recip
+
+
+def loop_g_tilde(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) -> float:
+    recip = loop_reciprocal_sums(instance, allocation)
+    if recip is None:
+        return 0.0
+    mult = stats.multiplicities.astype(float)
+    values = (stats.gaps**2 / 2.0) * mult**2 / recip
+    return float(values.min())
+
+
+def loop_g_tilde_per_class(instance, stats, partition, allocation) -> np.ndarray:
+    recip = loop_reciprocal_sums(instance, allocation)
+    out = np.zeros(len(partition.classes))
+    if recip is None:
+        return out
+    mult = stats.multiplicities.astype(float)
+    values = stats.gaps**2 * mult**2 / recip
+    for j, cls in enumerate(partition.classes):
+        out[j] = values[np.array(cls)].min()
+    return out
+
+
+def loop_g_exact(instance, stats, pairs, allocation) -> float:
+    recip = loop_reciprocal_sums(instance, allocation)
+    if recip is None:
+        return 0.0
+    mult = stats.multiplicities.astype(float)
+    T = recip / mult**2
+    best = math.inf
+    for i1, i2 in pairs.pairs:
+        gap = stats.global_means[i1] - stats.global_means[i2]
+        best = min(best, (gap * gap / 2.0) / (T[i1] + T[i2]))
+    return float(best)
+
+
+def loop_pseudo_balance(instance, stats, partition, allocation) -> float:
+    """The ``pseudo_balanced`` half of ``balance_residuals``, by the per-client loop."""
+    recip = loop_reciprocal_sums(instance, allocation)
+    mult = stats.multiplicities.astype(float)
+    values = stats.gaps**2 * mult**2 / recip
+    pseudo = 0.0
+    for cls in partition.classes:
+        vals = values[np.array(cls)]
+        if len(vals) > 1:
+            pseudo = max(pseudo, float((vals.max() - vals.min()) / vals.mean()))
+    return pseudo
+
+
+def loop_closest_alternative(instance, stats, allocation, pair) -> ProblemInstance:
+    i1, i2 = pair
+    gap = float(stats.global_means[i1] - stats.global_means[i2])
+    denom = 0.0
+    for i in (i1, i2):
+        mult_sq = float(stats.multiplicities[i]) ** 2
+        for m, arms in enumerate(instance.arm_sets):
+            if i in arms:
+                denom += 1.0 / (allocation.weight(m, i) * mult_sq)
+    updates = {}
+    for m, arms in enumerate(instance.arm_sets):
+        if i1 in arms:
+            w = allocation.weight(m, i1)
+            updates[(m, i1)] = instance.mean(m, i1) - gap / (stats.multiplicities[i1] * w * denom)
+        if i2 in arms:
+            w = allocation.weight(m, i2)
+            updates[(m, i2)] = instance.mean(m, i2) + gap / (stats.multiplicities[i2] * w * denom)
+    return instance.with_means(updates)
+
+
+def loop_transport_cost(instance, allocation, alternative) -> float:
+    total = 0.0
+    for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means)):
+        for i, mu in zip(arms, mus):
+            diff = mu - alternative.mean(m, i)
+            total += allocation.weight(m, i) * diff * diff / 2.0
+    return total

@@ -14,6 +14,7 @@ from hetbai import (
     brute_force_g_tilde_max,
     c_star_interval,
     closest_alternative,
+    ConfusionPairs,
     confusion_pairs,
     g_exact,
     g_tilde,
@@ -28,9 +29,16 @@ from hetbai import (
     slot_stats,
     transport_cost,
 )
+from hetbai.allocation import ZERO_WEIGHT
 
 from helpers import (
     chain_three_arm,
+    loop_closest_alternative,
+    loop_g_exact,
+    loop_g_tilde,
+    loop_g_tilde_per_class,
+    loop_pseudo_balance,
+    loop_transport_cost,
     make_instance,
     random_admissible_instance,
     random_positive_allocation,
@@ -124,9 +132,9 @@ class TestHMatrix:
             v = random_admissible_instance(rng)
             H = h_matrix(v, arm_stats(v))
             stats = arm_stats(v)
-            for j in range(len(H.partition.classes)):
-                B = H.block(j)
-                idx = np.array(H.partition.classes[j])
+            for cls in H.partition.classes:
+                idx = np.array(cls)
+                B = H.matrix[np.ix_(idx, idx)]
                 scale = 1.0 / (stats.gaps[idx] ** 2 * stats.multiplicities[idx].astype(float) ** 2)
                 root = np.sqrt(scale)
                 conjugated = (1.0 / root)[:, None] * B * root[None, :]
@@ -180,8 +188,8 @@ class TestPowerIteration:
         for _ in range(20):
             v = random_admissible_instance(rng)
             H = h_matrix(v, arm_stats(v))
-            for j in range(len(H.partition.classes)):
-                B = H.block(j)
+            for cls in H.partition.classes:
+                B = H.matrix[np.ix_(cls, cls)]
                 u, lam = perron_positive_eigenvector(B)
                 assert np.min(u) > 0
                 assert math.isclose(float(np.linalg.norm(u)), 1.0, rel_tol=1e-10)
@@ -433,6 +441,60 @@ class TestBalanceResiduals:
             balance_residuals(
                 v, arm_stats(v), partition_arms(v), Allocation.from_rows(v, [(1.0, 0.0)])
             )
+
+
+class TestSlotFunctionalsMatchLoops:
+    """The slot-array rate functionals against the per-client reference loops."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        for k in range(300):
+            v = random_admissible_instance(rng, max_arms=6, max_clients=5)
+            stats = arm_stats(v)
+            alloc = optimal_allocation(v, stats)[1] if k % 3 == 0 else random_positive_allocation(rng, v)
+            yield v, stats, alloc
+
+    def test_rates_bitwise(self):
+        for v, stats, alloc in self.cases():
+            part = partition_arms(v)
+            pairs = confusion_pairs(v, stats)
+            assert g_exact(v, stats, pairs, alloc) == loop_g_exact(v, stats, pairs, alloc)
+            assert g_tilde(v, stats, alloc) == loop_g_tilde(v, stats, alloc)
+            assert np.array_equal(
+                g_tilde_per_class(v, stats, part, alloc),
+                loop_g_tilde_per_class(v, stats, part, alloc),
+            )
+            _, pseudo = balance_residuals(v, stats, part, alloc)
+            assert pseudo == loop_pseudo_balance(v, stats, part, alloc)
+
+    def test_alternative_and_cost(self):
+        for v, stats, alloc in self.cases():
+            for pair in confusion_pairs(v, stats).pairs:
+                alt = closest_alternative(v, stats, alloc, pair)
+                ref = loop_closest_alternative(v, stats, alloc, pair)
+                assert alt.arm_sets == ref.arm_sets
+                # norm-wise: a shifted mean near zero keeps only absolute accuracy
+                a, r = np.concatenate(alt.means), np.concatenate(ref.means)
+                assert np.max(np.abs(a - r)) <= 1e-14 * np.max(np.abs(r))
+                cost = transport_cost(v, alloc, alt)
+                assert math.isclose(cost, loop_transport_cost(v, alloc, ref), rel_tol=1e-14)
+
+    def test_tiny_owned_weight_gives_zero(self):
+        # a weight at the ZERO_WEIGHT threshold is positive but counts as zero
+        v = chain_three_arm()
+        stats = arm_stats(v)
+        alloc = Allocation.from_rows(v, [(1.0, ZERO_WEIGHT), (0.5, 0.5)])
+        assert g_tilde(v, stats, alloc) == 0.0
+        assert g_exact(v, stats, confusion_pairs(v, stats), alloc) == 0.0
+        assert np.array_equal(g_tilde_per_class(v, stats, partition_arms(v), alloc), [0.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            closest_alternative(v, stats, alloc, (0, 1))
+
+    def test_no_pairs_give_infinite_rate(self):
+        v = chain_three_arm()
+        stats = arm_stats(v)
+        assert g_exact(v, stats, ConfusionPairs(pairs=()), Allocation.uniform(v)) == math.inf
 
 
 class TestBruteForceOracle:

@@ -59,6 +59,14 @@ class TestValidate:
         path.write_text('{"K": 2}')
         assert dispatch(["validate", str(path)]) == 2
 
+    def test_non_number_mean_exits_two_with_message(self, instance_file, capsys):
+        doc = json.loads(open(instance_file).read())
+        doc["means"][0]["mu"] = [1.0]
+        with open(instance_file, "w") as fh:
+            json.dump(doc, fh)
+        assert dispatch(["validate", instance_file]) == 2
+        assert "mu must be a number" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_symmetric_fixture(self, instance_file, capsys):

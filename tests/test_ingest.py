@@ -96,6 +96,26 @@ class TestBuildInstance:
         assert any("client b: fewer than 2 arms" in msg for msg in result.dropped)
         assert any("arm w" not in label for label in result.arm_labels)
 
+    def test_dropped_clients_and_orphaned_arm_reported_in_order(self):
+        # b and c each lose a sparse pair and keep one arm; dropping them
+        # orphans arm v, and no other client's arm count changes
+        table = RatingsTable(
+            rows=rows(*([("a", "x", 4)] * 10 + [("a", "y", 2)] * 10
+                        + [("b", "x", 3)] * 10 + [("b", "w", 1)] * 5
+                        + [("c", "v", 5)] * 10 + [("c", "z", 1)] * 3)),
+            skipped=(),
+        )
+        result = build_instance(table, min_samples=10)
+        assert result.client_labels == ("a",)
+        assert result.arm_labels == ("x", "y")
+        assert result.dropped == (
+            "pair b/w: 5 samples (fewer than 10)",
+            "pair c/z: 3 samples (fewer than 10)",
+            "client b: fewer than 2 arms after filtering",
+            "client c: fewer than 2 arms after filtering",
+            "arm v: no owning client after filtering",
+        )
+
     def test_nothing_survives_is_an_error(self):
         table = RatingsTable(rows=rows(("a", "x", 1), ("a", "y", 2)), skipped=())
         with pytest.raises(ValueError, match="survive"):

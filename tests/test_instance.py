@@ -337,6 +337,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_json("not json at all")
 
+    @pytest.mark.parametrize("mu", [[1.0], None, 10**400, "1.0", True], ids=["list", "null", "huge-int", "string", "bool"])
+    def test_non_number_mean_rejected(self, mu):
+        doc = json.loads(to_json(symmetric_two_arm()))
+        doc["means"][0]["mu"] = mu
+        with pytest.raises(ValueError, match="mu"):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["client", "arm"])
+    def test_bool_index_rejected(self, field):
+        doc = json.loads(to_json(symmetric_two_arm()))
+        doc["means"][0][field] = True  # would otherwise read as index 1
+        with pytest.raises(ValueError, match="client/arm must be integers"):
+            from_json(json.dumps(doc))
+
+    def test_integer_mean_accepted(self):
+        doc = json.loads(to_json(symmetric_two_arm()))
+        doc["means"][0]["mu"] = 1
+        assert from_json(json.dumps(doc)) == symmetric_two_arm()
+
 
 class TestProblemInstanceApi:
     def test_mean_lookup(self):

@@ -50,7 +50,6 @@ class TestCommSchedule:
         # ceil(1.01^r) == 2 for r = 1..69; the first exponent producing 3 is 70
         assert sched.round_exponent(2) == 1
         assert sched.round_exponent(3) == 70
-        assert sched.position(3) == 2
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
@@ -69,18 +68,8 @@ class TestCommSchedule:
         sched = comm_schedule(0.5)
         assert sched.is_instant(6)
         assert not sched.is_instant(5)
-        assert sched.last_before(2) == 0
-        assert sched.last_before(7) == 6
-        assert sched.instant(4) == 6
         with pytest.raises(ValueError):
             sched.round_exponent(5)
-
-    def test_rounds_before(self):
-        sched = comm_schedule(0.5)  # instants 2, 3, 4, 6, 8, ...
-        assert sched.rounds_before(2) == 0
-        assert sched.rounds_before(3) == 1
-        assert sched.rounds_before(8) == 4
-        assert sched.rounds_before(9) == 5
 
     def test_iteration_is_lazy_and_unbounded(self):
         it = iter(comm_schedule(1.0))

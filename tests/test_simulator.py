@@ -62,7 +62,9 @@ class TestRunEpisode:
         sched = comm_schedule(0.1)
         rec = run_episode(chain_three_arm(), "het-ts", math.exp(-8), 0.1, seed=5)
         assert rec.rounds == sched.round_exponent(rec.tau)
-        assert rec.rounds > sched.position(rec.tau)
+        # the k-th instant has exponent >= k, so tau is among the first `rounds`
+        position = sched.instants(rec.rounds).index(rec.tau) + 1
+        assert rec.rounds > position
         assert math.isclose(rec.rounds, math.log(rec.tau) / math.log(1.1), abs_tol=1.5)
 
     def test_correct_flag_against_truth(self):
@@ -139,11 +141,20 @@ class TestSweep:
 
 
 class TestPoolSize:
-    def test_never_more_workers_than_episodes(self):
+    def test_never_more_workers_than_episodes(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
         assert pool_size(2, 128) == 2
         assert pool_size(64, 3) == 3
         assert pool_size(10**6, 1) == 1
         assert pool_size(1, 10**6) == 1
+
+    def test_never_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert pool_size(10_000, 10_000) == 4
+        assert pool_size(3, 10_000) == 3
+        assert pool_size(10_000, 2) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown count
+        assert pool_size(8, 100) == 1
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
