@@ -48,19 +48,17 @@ from .allocation import (
     transport_cost,
 )
 from .policy import (
-    ClientState,
     CommSchedule,
     comm_schedule,
     f_eval,
     f_inverse,
-    observe,
     recommend,
-    select_arm,
     server_global_vector,
     should_stop,
     slot_server_vector,
     slot_z_statistic,
-    uniform_select,
+    track_pulls,
+    uniform_pulls,
     z_statistic,
 )
 from .simulator import (

@@ -2,17 +2,19 @@
 
 Clients pull arms with a D-tracking rule steered by the latest broadcast
 global vector (falling back to forced exploration whenever some arm's pull
-count drops below ``sqrt((t-1)/|S_m|)``).  The server, at exponentially
-spaced communication instants, evaluates a generalized-likelihood-ratio
-statistic against the threshold ``K' * log(t^2 + t) + f_inverse(delta)`` and
-either stops with a recommendation or broadcasts a fresh global vector.
+count drops below ``sqrt((t-1)/|S_m|)``), or uniformly for the baseline.
+Neither rule looks at rewards, so a client advances a whole block between
+two communication instants in one call (:func:`track_pulls`,
+:func:`uniform_pulls`).  The server, at exponentially spaced communication
+instants, evaluates a generalized-likelihood-ratio statistic against the
+threshold ``K' * log(t^2 + t) + f_inverse(delta)`` and either stops with a
+recommendation or broadcasts a fresh global vector.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +24,8 @@ from .instance import ArmStats, ProblemInstance, SlotIndex, arm_stats, slot_inde
 __all__ = [
     "CommSchedule",
     "comm_schedule",
-    "ClientState",
-    "select_arm",
-    "observe",
-    "uniform_select",
+    "track_pulls",
+    "uniform_pulls",
     "server_global_vector",
     "slot_server_vector",
     "z_statistic",
@@ -109,76 +109,50 @@ def comm_schedule(lam: float) -> CommSchedule:
     return CommSchedule(lam)
 
 
-@dataclass
-class ClientState:
-    """Mutable per-client bookkeeping, single-owner within an episode."""
+def track_pulls(
+    counts: list[int], weights: list[float], t: int, stop: int, rng: np.random.Generator
+) -> list[int]:
+    """Advance one client's D-tracking pull ``counts`` over steps ``t+1..stop``, in place.
 
-    client: int
-    arm_set: tuple[int, ...]
-    num_arms: int
-    counts: np.ndarray
-    reward_sums: np.ndarray
-    global_vec: np.ndarray
-    t: int = 0
-    _pos: dict[int, int] = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def fresh(cls, instance: ProblemInstance, client: int) -> "ClientState":
-        arms = instance.arm_sets[client]
-        return cls(
-            client=client,
-            arm_set=arms,
-            num_arms=instance.num_arms,
-            counts=np.zeros(len(arms), dtype=np.int64),
-            reward_sums=np.zeros(len(arms)),
-            global_vec=np.ones(instance.num_arms),
-            _pos={i: k for k, i in enumerate(arms)},
-        )
-
-    def weights(self) -> np.ndarray:
-        """Sampling target from the cached global vector, normalized locally."""
-        g = self.global_vec[np.array(self.arm_set)]
-        return g / g.sum()
-
-    def empirical_means(self) -> np.ndarray:
-        """Per-arm empirical means, zero for arms never pulled."""
-        out = np.zeros(len(self.arm_set))
-        np.divide(self.reward_sums, self.counts, out=out, where=self.counts > 0)
-        return out
-
-
-def select_arm(
-    state: ClientState, t: int, weights: np.ndarray, rng: np.random.Generator
-) -> int:
-    """D-tracking choice at time ``t`` given target ``weights`` over the arm set.
-
-    Forced exploration returns a least-pulled arm whenever the minimum count
-    is below ``sqrt((t-1)/|S_m|)``; otherwise the arm minimizing
-    ``count - t * weight`` is chosen.  Ties are broken uniformly at random.
+    At step ``s`` the client pulls a least-pulled arm whenever the minimum
+    count is below ``sqrt((s-1)/|S_m|)`` (forced exploration), and otherwise
+    the arm minimizing ``count - s * weight``; ties are broken uniformly by
+    ``rng.integers(number of tied arms)``, drawn only when there is a tie.
+    No reward enters the rule, so a whole block between two communication
+    instants is one call.  The forced check is skipped while
+    ``s - 1 < low^2 * |S_m|`` for a minimum ``low`` seen earlier: counts only
+    grow, and ``/`` and ``sqrt`` are correctly rounded, so the check could
+    not fire there.
     """
-    counts = state.counts
-    if counts.min() < math.sqrt((t - 1) / len(state.arm_set)):
-        scores = counts
-    else:
-        scores = counts - t * np.asarray(weights)
-    candidates = np.flatnonzero(scores == scores.min())
-    k = int(candidates[0]) if len(candidates) == 1 else int(candidates[rng.integers(len(candidates))])
-    return state.arm_set[k]
+    size = len(counts)
+    arms = range(size)
+    floor = 0  # the forced check cannot fire while step - 1 < floor
+    while t < stop:
+        t += 1
+        if t - 1 >= floor:
+            low = min(counts)
+            floor = low * low * size
+            if low < math.sqrt((t - 1) / size):
+                ties = [k for k in arms if counts[k] == low]
+                counts[ties[0] if len(ties) == 1 else ties[rng.integers(len(ties))]] += 1
+                continue
+        best = math.inf
+        for k in arms:
+            score = counts[k] - t * weights[k]
+            if score < best:
+                best, pick, tied = score, k, False
+            elif score == best:
+                tied = True
+        if tied:
+            ties = [k for k in arms if counts[k] - t * weights[k] == best]
+            pick = ties[rng.integers(len(ties))]
+        counts[pick] += 1
+    return counts
 
 
-def observe(state: ClientState, arm: int, reward: float) -> ClientState:
-    """Record one pull; returns the (mutated) state."""
-    k = state._pos.get(arm)
-    if k is None:
-        raise ValueError(f"arm {arm + 1} not accessible to client {state.client + 1}")
-    state.counts[k] += 1
-    state.reward_sums[k] += reward
-    state.t += 1
-    return state
-
-
-def uniform_select(state: ClientState, rng: np.random.Generator) -> int:
-    return state.arm_set[int(rng.integers(len(state.arm_set)))]
+def uniform_pulls(size: int, pulls: int, rng: np.random.Generator) -> np.ndarray:
+    """Pull counts of ``pulls`` uniform choices over ``size`` arms: one multinomial draw."""
+    return rng.multinomial(pulls, np.full(size, 1.0 / size))
 
 
 def _empirical_slots(empirical: ProblemInstance) -> tuple[SlotIndex, ArmStats]:

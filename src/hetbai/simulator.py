@@ -1,10 +1,16 @@
 """Deterministic episode execution, sweeps, and result aggregation.
 
 All clients advance in lockstep discrete time.  Rewards are unit-variance
-Gaussians around the instance means.  Randomness is split per
-(episode seed, client, stream): stream 0 drives tie-breaking in the arm
-selection rules, stream 1 drives rewards, so a run is bit-reproducible for a
-fixed seed regardless of how episodes are scheduled across workers.
+Gaussians around the instance means.  Between two communication instants
+neither selection rule looks at a reward, and the server sees only counts
+and sums at the instants, so an episode runs one block per instant: each
+client advances its counts over the block in one call, then one Gaussian
+draw per (client, arm) slot gives the block's reward total, ``N(n mu, n)``
+for a slot pulled ``n`` times.  Randomness is split per episode seed:
+stream ``(seed, m, 0)`` drives client ``m``'s selection (D-tracking
+tie-breaks, or the uniform block counts) and stream ``(seed, 0, 1)`` the
+rewards, so a run is bit-reproducible for a fixed seed regardless of how
+episodes are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -13,21 +19,20 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .instance import ProblemInstance, SlotIndex, slot_stats, validate
 from .policy import (
-    ClientState,
     CommSchedule,
     f_inverse,
-    observe,
-    select_arm,
     should_stop,
     slot_server_vector,
     slot_z_statistic,
-    uniform_select,
+    track_pulls,
+    uniform_pulls,
 )
 
 __all__ = [
@@ -134,10 +139,11 @@ def run_episode(
 ) -> RunRecord:
     """Execute one episode of the client/server protocol.
 
-    At every time step each client pulls one arm; at every communication
-    instant the server receives all empirical means and counts, checks the
-    stopping rule first, and only if it does not fire recomputes and
-    broadcasts the global vector.  Raises :class:`StepCapExceeded` instead of
+    At every time step each client pulls one arm, and the steps up to the
+    next communication instant run as one block; at every instant the
+    server receives all empirical means and counts, checks the stopping
+    rule first, and only if it does not fire recomputes and broadcasts the
+    global vector.  Raises :class:`StepCapExceeded` instead of
     running forever when ``delta`` and the instance are miscalibrated.
     """
     if policy not in POLICIES:
@@ -148,16 +154,19 @@ def run_episode(
     if not report.admissible:
         raise ValueError("inadmissible instance: " + "; ".join(report.violations))
     index = SlotIndex.of(instance)
-    true_best = tuple(int(a) for a in slot_stats(index, index.flatten(instance.means)).best_arms)
+    slot_means = index.flatten(instance.means)
+    true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
     kprime = index.num_slots
     offset = f_inverse(delta, kprime)
 
     schedule = CommSchedule(lam)
-    clients = [ClientState.fresh(instance, m) for m in range(instance.num_clients)]
+    sizes = [len(arms) for arms in instance.arm_sets]
     select_rngs = [np.random.default_rng((seed, m, 0)) for m in range(instance.num_clients)]
-    reward_rngs = [np.random.default_rng((seed, m, 1)) for m in range(instance.num_clients)]
-    mean_rows = [np.asarray(row) for row in instance.means]
-    weights = [state.weights() for state in clients]
+    reward_rng = np.random.default_rng((seed, 0, 1))
+    tracked = [[0] * size for size in sizes]  # het-ts pull counts, one list per client
+    weights = [[1.0 / size] * size for size in sizes]
+    counts = np.zeros(kprime, dtype=np.int64)
+    sums = np.zeros(kprime)
     uniform = policy == "uniform"
 
     t = 0
@@ -166,22 +175,21 @@ def run_episode(
             raise StepCapExceeded(
                 f"no stop by step cap {step_cap} (policy={policy}, delta={delta}, seed={seed})"
             )
-        while t < instant:
-            t += 1
-            for m, state in enumerate(clients):
-                if uniform:
-                    arm = uniform_select(state, select_rngs[m])
-                else:
-                    arm = select_arm(state, t, weights[m], select_rngs[m])
-                reward = reward_rngs[m].normal(mean_rows[m][state._pos[arm]], 1.0)
-                observe(state, arm, float(reward))
+        if uniform:
+            block = np.concatenate(
+                [uniform_pulls(size, instant - t, rng) for size, rng in zip(sizes, select_rngs)]
+            )
+        else:
+            for row, w, rng in zip(tracked, weights, select_rngs):
+                track_pulls(row, w, t, instant, rng)
+            block = np.fromiter(chain.from_iterable(tracked), dtype=np.int64, count=kprime) - counts
+        # The block's reward total on a slot pulled n times is N(n * mu, n); n = 0 adds 0.
+        sums += reward_rng.normal(block * slot_means, np.sqrt(block))
+        counts += block
+        t = instant
         # The server's view: every client's counts and empirical means, in slot order.
-        counts = np.concatenate([state.counts for state in clients])
         means = np.zeros(kprime)
-        np.divide(
-            np.concatenate([state.reward_sums for state in clients]), counts,
-            out=means, where=counts > 0,
-        )
+        np.divide(sums, counts, out=means, where=counts > 0)
         stats = slot_stats(index, means)
         z = slot_z_statistic(index, stats, counts)
         stop, beta = should_stop(z, t, delta, kprime, instance.num_arms, offset=offset)
@@ -200,10 +208,11 @@ def run_episode(
                 recommendation=recommendation,
             )
         if not uniform:
-            gvec = slot_server_vector(index, stats)
-            for m, state in enumerate(clients):
-                state.global_vec = gvec
-                weights[m] = state.weights()
+            gvec = slot_server_vector(index, stats)[index.slot_arm]
+            weights = [
+                (g / g.sum()).tolist()
+                for g in (gvec[a:b] for a, b in zip(index.starts[:-1], index.starts[1:]))
+            ]
     raise AssertionError("unreachable: the schedule is unbounded")
 
 

@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from hetbai import Allocation, ArmStats, ProblemInstance, validate
+from hetbai import (
+    Allocation,
+    ArmStats,
+    CommSchedule,
+    ProblemInstance,
+    RunRecord,
+    SlotIndex,
+    f_inverse,
+    should_stop,
+    slot_server_vector,
+    slot_stats,
+    slot_z_statistic,
+    validate,
+)
 from hetbai.allocation import ZERO_WEIGHT
 
 
@@ -257,3 +271,123 @@ def loop_transport_cost(instance, allocation, alternative) -> float:
             diff = mu - alternative.mean(m, i)
             total += allocation.weight(m, i) * diff * diff / 2.0
     return total
+
+
+# --- Reference per-pull client rules and episode loop ---
+
+
+@dataclass
+class ClientState:
+    """Mutable per-client bookkeeping of the per-pull reference loop."""
+
+    client: int
+    arm_set: tuple[int, ...]
+    num_arms: int
+    counts: np.ndarray
+    reward_sums: np.ndarray
+    global_vec: np.ndarray
+    t: int = 0
+    _pos: dict[int, int] = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def fresh(cls, instance: ProblemInstance, client: int) -> "ClientState":
+        arms = instance.arm_sets[client]
+        return cls(
+            client=client,
+            arm_set=arms,
+            num_arms=instance.num_arms,
+            counts=np.zeros(len(arms), dtype=np.int64),
+            reward_sums=np.zeros(len(arms)),
+            global_vec=np.ones(instance.num_arms),
+            _pos={i: k for k, i in enumerate(arms)},
+        )
+
+    def weights(self) -> np.ndarray:
+        """Sampling target from the cached global vector, normalized locally."""
+        g = self.global_vec[np.array(self.arm_set)]
+        return g / g.sum()
+
+    def empirical_means(self) -> np.ndarray:
+        """Per-arm empirical means, zero for arms never pulled."""
+        out = np.zeros(len(self.arm_set))
+        np.divide(self.reward_sums, self.counts, out=out, where=self.counts > 0)
+        return out
+
+
+def select_arm(state: ClientState, t: int, weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Reference D-tracking choice at time ``t``, one pull at a time."""
+    counts = state.counts
+    if counts.min() < math.sqrt((t - 1) / len(state.arm_set)):
+        scores = counts
+    else:
+        scores = counts - t * np.asarray(weights)
+    candidates = np.flatnonzero(scores == scores.min())
+    k = int(candidates[0]) if len(candidates) == 1 else int(candidates[rng.integers(len(candidates))])
+    return state.arm_set[k]
+
+
+def observe(state: ClientState, arm: int, reward: float) -> ClientState:
+    """Record one pull; returns the (mutated) state."""
+    k = state._pos.get(arm)
+    if k is None:
+        raise ValueError(f"arm {arm + 1} not accessible to client {state.client + 1}")
+    state.counts[k] += 1
+    state.reward_sums[k] += reward
+    state.t += 1
+    return state
+
+
+def uniform_select(state: ClientState, rng: np.random.Generator) -> int:
+    return state.arm_set[int(rng.integers(len(state.arm_set)))]
+
+
+def loop_run_episode(instance: ProblemInstance, policy: str, delta: float, lam: float, seed: int) -> RunRecord:
+    """Reference episode: one select, one reward draw and one observe per client per step.
+
+    Streams: ``(seed, m, 0)`` selects and ``(seed, m, 1)`` draws client
+    ``m``'s rewards, one ``normal(mu, 1)`` per pull.
+    """
+    index = SlotIndex.of(instance)
+    true_best = tuple(int(a) for a in slot_stats(index, index.flatten(instance.means)).best_arms)
+    kprime = index.num_slots
+    offset = f_inverse(delta, kprime)
+    schedule = CommSchedule(lam)
+    clients = [ClientState.fresh(instance, m) for m in range(instance.num_clients)]
+    select_rngs = [np.random.default_rng((seed, m, 0)) for m in range(instance.num_clients)]
+    reward_rngs = [np.random.default_rng((seed, m, 1)) for m in range(instance.num_clients)]
+    mean_rows = [np.asarray(row) for row in instance.means]
+    weights = [state.weights() for state in clients]
+    uniform = policy == "uniform"
+    t = 0
+    for instant in schedule:
+        while t < instant:
+            t += 1
+            for m, state in enumerate(clients):
+                if uniform:
+                    arm = uniform_select(state, select_rngs[m])
+                else:
+                    arm = select_arm(state, t, weights[m], select_rngs[m])
+                reward = reward_rngs[m].normal(mean_rows[m][state._pos[arm]], 1.0)
+                observe(state, arm, float(reward))
+        counts = np.concatenate([state.counts for state in clients])
+        means = np.zeros(kprime)
+        np.divide(
+            np.concatenate([state.reward_sums for state in clients]), counts,
+            out=means, where=counts > 0,
+        )
+        stats = slot_stats(index, means)
+        z = slot_z_statistic(index, stats, counts)
+        stop, _ = should_stop(z, t, delta, kprime, instance.num_arms, offset=offset)
+        if stop:
+            recommendation = tuple(int(a) for a in stats.best_arms)
+            return RunRecord(
+                policy=policy, lam=lam, delta=delta, seed=seed, tau=t,
+                rounds=schedule.round_exponent(t), correct=recommendation == true_best,
+                recommendation=recommendation,
+            )
+        if not uniform:
+            gvec = slot_server_vector(index, stats)
+            for m, state in enumerate(clients):
+                state.global_vec = gvec
+                weights[m] = state.weights()
+    raise AssertionError("unreachable: the schedule is unbounded")

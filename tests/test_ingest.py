@@ -86,7 +86,7 @@ class TestBuildInstance:
     def test_client_reduced_to_one_arm_dropped(self):
         table = RatingsTable(
             rows=rows(*([("a", "x", i) for i in range(1, 11)]
-                        + [("a", "y", 11 - i) for i in range(1, 11)]
+                        + [("a", "y", 12 - i) for i in range(1, 11)]
                         + [("b", "x", 3)] * 10
                         + [("b", "w", 4)] * 5)),
             skipped=(),
@@ -94,7 +94,8 @@ class TestBuildInstance:
         result = build_instance(table, min_samples=10)
         assert result.client_labels == ("a",)
         assert any("client b: fewer than 2 arms" in msg for msg in result.dropped)
-        assert any("arm w" not in label for label in result.arm_labels)
+        assert result.arm_labels == ("x", "y")
+        assert validate(result.instance).admissible
 
     def test_dropped_clients_and_orphaned_arm_reported_in_order(self):
         # b and c each lose a sparse pair and keep one arm; dropping them

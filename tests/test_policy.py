@@ -6,27 +6,28 @@ from scipy import special, stats as sps
 
 from hetbai import (
     Allocation,
-    ClientState,
     arm_stats,
     comm_schedule,
     confusion_pairs,
     f_eval,
     f_inverse,
     g_exact,
-    observe,
     recommend,
-    select_arm,
     server_global_vector,
     should_stop,
-    uniform_select,
+    track_pulls,
+    uniform_pulls,
     z_statistic,
 )
 
 from helpers import (
+    ClientState,
     loop_z_statistic,
     make_instance,
+    observe,
     random_admissible_instance,
     random_structural_instance,
+    select_arm,
     symmetric_two_arm,
 )
 
@@ -77,60 +78,96 @@ class TestCommSchedule:
 
 
 class TestSelectArm:
-    def make_state(self, counts, arm_set=(0, 1)):
-        v = make_instance([arm_set], {(0, i): float(-i) for i in arm_set})
-        state = ClientState.fresh(v, 0)
-        state.counts = np.asarray(counts, dtype=np.int64)
-        state.t = int(state.counts.sum())
-        return state
+    """D-tracking through :func:`track_pulls`, one step or one block at a time."""
 
     def test_first_step_uniform_over_all_arms(self):
         seen = set()
         for seed in range(40):
-            state = self.make_state([0, 0])
-            rng = np.random.default_rng(seed)
-            seen.add(select_arm(state, 1, np.array([0.5, 0.5]), rng))
+            counts = track_pulls([0, 0], [0.5, 0.5], 0, 1, np.random.default_rng(seed))
+            seen.add(counts.index(1))
         assert seen == {0, 1}
 
     def test_forced_branch_picks_least_pulled(self):
-        state = self.make_state([3, 97])
         # min count 3 < sqrt(100/2) ~ 7.07 forces exploration
-        arm = select_arm(state, 101, np.array([0.5, 0.5]), np.random.default_rng(0))
-        assert arm == 0
+        counts = track_pulls([3, 97], [0.5, 0.5], 100, 101, np.random.default_rng(0))
+        assert counts == [4, 97]
 
     def test_tracking_branch_follows_deficit(self):
-        state = self.make_state([50, 50])
         # 50 - 101*0.8 < 50 - 101*0.2
-        arm = select_arm(state, 101, np.array([0.8, 0.2]), np.random.default_rng(0))
-        assert arm == 0
+        counts = track_pulls([50, 50], [0.8, 0.2], 100, 101, np.random.default_rng(0))
+        assert counts == [51, 50]
 
     def test_forced_exploration_keeps_counts_above_floor(self):
-        v = make_instance([(0, 1, 2)], {(0, 0): 2.0, (0, 1): 1.0, (0, 2): 0.0})
-        state = ClientState.fresh(v, 0)
+        counts = [0, 0, 0]
         rng = np.random.default_rng(1)
-        weights = np.array([0.9, 0.05, 0.05])
+        weights = [0.9, 0.05, 0.05]
         for t in range(1, 5001):
-            forced = state.counts.min() < math.sqrt((t - 1) / 3)
-            arm = select_arm(state, t, weights, rng)
+            forced = min(counts) < math.sqrt((t - 1) / 3)
+            before = list(counts)
+            track_pulls(counts, weights, t - 1, t, rng)
             if forced:
-                k = state.arm_set.index(arm)
-                assert state.counts[k] == state.counts.min()
-            observe(state, arm, 0.0)
-            assert np.all(state.counts >= math.sqrt((t - 1) / 3) - 1)
+                k = next(k for k in range(3) if counts[k] != before[k])
+                assert before[k] == min(before)
+            assert min(counts) >= math.sqrt((t - 1) / 3) - 1
 
     def test_tracking_converges_to_target(self):
-        v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 0.0})
-        state = ClientState.fresh(v, 0)
-        rng = np.random.default_rng(2)
-        weights = np.array([0.8, 0.2])
+        weights = [0.8, 0.2]
         horizon = 100_000
-        for t in range(1, horizon + 1):
-            observe(state, select_arm(state, t, weights, rng), 0.0)
-        fractions = state.counts / horizon
+        counts = track_pulls([0, 0], weights, 0, horizon, np.random.default_rng(2))
+        fractions = np.array(counts) / horizon
         assert np.max(np.abs(fractions - weights)) <= 0.05
+
+    def test_block_is_deterministic(self):
+        runs = [
+            track_pulls([0, 0, 0], [1 / 3] * 3, 0, 500, np.random.default_rng(4)) for _ in range(2)
+        ]
+        assert runs[0] == runs[1] and sum(runs[0]) == 500
+
+
+def per_pull_block(counts, weights, t, stop, rng) -> list[int]:
+    """The block advance by the per-pull reference: ``select_arm`` and ``observe`` each step."""
+    v = make_instance([tuple(range(len(counts)))], {(0, k): 0.0 for k in range(len(counts))})
+    state = ClientState.fresh(v, 0)
+    state.counts = np.array(counts, dtype=np.int64)
+    for s in range(t + 1, stop + 1):
+        observe(state, select_arm(state, s, np.asarray(weights), rng), 0.0)
+    return state.counts.tolist()
+
+
+class TestBlockAdvanceMatchesPerPullLoop:
+    def test_counts_and_stream_bitwise_equal(self):
+        # Random block advances against the per-pull reference: the same
+        # final counts and the same next draw from the tie-breaking stream.
+        rng = np.random.default_rng(2024)
+        forced_starts = 0
+        for case in range(1000):
+            size = int(rng.integers(2, 7))
+            kind = case % 3
+            if kind == 0:
+                weights = np.full(size, 1.0 / size)
+            elif kind == 1:
+                weights = rng.dirichlet(np.full(size, 0.5))
+            else:  # repeated values, so scores tie exactly
+                g = rng.choice([1.0, 2.0, 3.0], size=size)
+                weights = g / g.sum()
+            t = int(rng.integers(0, 4000))
+            # a skewed split starves some arm below sqrt((t-1)/|S|) in about a third of the cases
+            split = rng.dirichlet(np.full(size, 0.3 if case % 2 else 5.0))
+            start = rng.multinomial(t, split).tolist()
+            forced_starts += t > 0 and min(start) < math.sqrt((t - 1) / size)
+            stop = t + int(rng.integers(1, 301))
+            seed = int(rng.integers(2**32))
+            ref_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = per_pull_block(start, weights, t, stop, ref_rng)
+            got = track_pulls(list(start), weights.tolist(), t, stop, block_rng)
+            assert got == expected, (case, size, t, stop)
+            assert block_rng.integers(2**62) == ref_rng.integers(2**62), case
+        assert 250 <= forced_starts <= 750
 
 
 class TestObserve:
+    """The per-pull reference that the block advance is checked against."""
+
     def test_single_observation(self):
         state = ClientState.fresh(symmetric_two_arm(), 0)
         observe(state, 0, 1.7)
@@ -152,11 +189,13 @@ class TestObserve:
             observe(state, 7, 0.0)
 
     def test_counts_sum_to_time(self):
-        state = ClientState.fresh(symmetric_two_arm(), 0)
         rng = np.random.default_rng(0)
-        for t in range(1, 200):
-            observe(state, uniform_select(state, rng), 0.0)
-            assert state.counts.sum() == state.t == t
+        tracked, uniform, t = [0, 0, 0], np.zeros(3, dtype=np.int64), 0
+        for stop in (1, 2, 3, 7, 50, 199):
+            track_pulls(tracked, [0.5, 0.3, 0.2], t, stop, rng)
+            uniform += uniform_pulls(3, stop - t, rng)
+            t = stop
+            assert sum(tracked) == uniform.sum() == t
 
 
 class TestServerGlobalVector:
@@ -322,17 +361,13 @@ class TestRecommend:
 
 class TestUniformSelect:
     def test_frequencies_chi_square(self):
-        v = make_instance([(0, 1, 2, 3)], {(0, i): float(3 - i) for i in range(4)})
-        state = ClientState.fresh(v, 0)
-        rng = np.random.default_rng(0)
-        draws = np.array([uniform_select(state, rng) for _ in range(100_000)])
-        counts = np.bincount(draws, minlength=4)
+        counts = uniform_pulls(4, 100_000, np.random.default_rng(0))
+        assert counts.sum() == 100_000
         _, p = sps.chisquare(counts)
         assert p > 0.001
         assert np.max(np.abs(counts / 100_000 - 0.25)) <= 0.02
 
     def test_reproducible_for_fixed_seed(self):
-        state = ClientState.fresh(symmetric_two_arm(), 0)
-        a = [uniform_select(state, np.random.default_rng(5)) for _ in range(10)]
-        b = [uniform_select(state, np.random.default_rng(5)) for _ in range(10)]
-        assert a == b
+        a = uniform_pulls(2, 10, np.random.default_rng(5))
+        b = uniform_pulls(2, 10, np.random.default_rng(5))
+        np.testing.assert_array_equal(a, b)

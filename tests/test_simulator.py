@@ -3,6 +3,7 @@ import math
 import os
 
 import pytest
+from scipy import stats
 
 from hetbai import (
     InstantLog,
@@ -22,7 +23,7 @@ from hetbai import (
 )
 from hetbai.simulator import write_records
 
-from helpers import chain_three_arm, make_instance, symmetric_two_arm
+from helpers import chain_three_arm, loop_run_episode, make_instance, symmetric_two_arm
 
 
 class TestRunEpisode:
@@ -91,6 +92,25 @@ class TestRunEpisode:
         assert comm_schedule(0.5).is_instant(rec.tau)
 
 
+class TestEpisodeLaw:
+    """The block kernel against the per-pull reference loop, in distribution.
+
+    The block kernel draws each block's reward totals as one Gaussian per
+    slot and the uniform block counts as one multinomial per client; the
+    reference pulls, draws and observes one step at a time on other streams.
+    Their stopping times over disjoint fixed seeds must pass a two-sample
+    Kolmogorov-Smirnov test (deterministic, since the seeds are fixed).
+    """
+
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    @pytest.mark.parametrize("make", [symmetric_two_arm, chain_three_arm])
+    def test_stopping_times_match_per_pull_reference(self, make, policy):
+        v = make()
+        block = [run_episode(v, policy, 0.1, 0.2, seed).tau for seed in range(200)]
+        per_pull = [loop_run_episode(v, policy, 0.1, 0.2, 10_000 + seed).tau for seed in range(200)]
+        assert stats.ks_2samp(block, per_pull).pvalue > 0.01
+
+
 class TestSweep:
     def test_seed_layout(self):
         config = SweepConfig(
@@ -119,15 +139,13 @@ class TestSweep:
         assert serial == parallel
 
     def test_mean_tau_nondecreasing_in_confidence(self):
-        config = SweepConfig(
-            instance=symmetric_two_arm(),
-            deltas=(math.exp(-10), math.exp(-11)),
-            repetitions=4,
-            lam=0.5,
-        )
-        rows = aggregate(sweep(config))
-        by_delta = {row.delta: row.mean_tau for row in rows}
-        assert by_delta[math.exp(-11)] >= by_delta[math.exp(-10)]
+        # With a common seed the trajectory does not depend on delta and the
+        # threshold grows with log(1/delta), so tau is non-decreasing pathwise.
+        v = symmetric_two_arm()
+        deltas = [math.exp(-e) for e in (5, 10, 11, 15)]
+        for seed in range(50):
+            taus = [run_episode(v, "het-ts", d, 0.5, seed).tau for d in deltas]
+            assert all(b >= a for a, b in zip(taus, taus[1:])), (seed, taus)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
