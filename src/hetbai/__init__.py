@@ -52,14 +52,11 @@ from .policy import (
     comm_schedule,
     f_eval,
     f_inverse,
-    recommend,
-    server_global_vector,
     should_stop,
     slot_server_vector,
     slot_z_statistic,
     track_pulls,
     uniform_pulls,
-    z_statistic,
 )
 from .simulator import (
     InstantLog,
@@ -72,6 +69,7 @@ from .simulator import (
     export_summary,
     pool_size,
     read_records,
+    run_batch,
     run_episode,
     sweep,
 )

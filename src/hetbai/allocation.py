@@ -155,8 +155,8 @@ class PowerIterationError(RuntimeError):
 
 
 def _inverse_scale(stats: ArmStats) -> np.ndarray:
-    """Diagonal ``D`` of ``H = D C``: ``1 / (gap^2 * mult^2)`` per arm."""
-    if not stats.is_admissible():
+    """Diagonal ``D`` of ``H = D C``: ``1 / (gap^2 * mult^2)`` per arm (per row when stacked)."""
+    if not stats.gaps.min() > 0.0:
         raise ValueError("inadmissible instance: zero separation gap")
     return 1.0 / (stats.gaps**2 * stats.multiplicities.astype(float) ** 2)
 
@@ -188,23 +188,63 @@ def perron_positive_eigenvector(
     H = np.asarray(block, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("block must be a square matrix")
-    x = np.ones(H.shape[0]) if start is None else np.abs(np.asarray(start, dtype=float))
+    x = np.ones(H.shape[0]) if start is None else np.asarray(start, dtype=float)
+    vectors, values = _perron_polish(H[None], x[None])
+    return vectors[0], float(values[0])
+
+
+def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`perron_positive_eigenvector` of blocks ``(B, n, n)`` from ``(B, n)`` starts.
+
+    Every block iterates until its own certificate holds, so each result
+    equals that block's alone bit for bit: stacked ``@`` runs the same
+    matrix-vector product and the same dot product (the norm is the square
+    root of ``y . y``, as ``numpy.linalg.norm`` computes it for one vector).
+    """
+    H = blocks
+    x = np.abs(starts)[..., None]
     y = H @ x
-    residual = math.inf
+    todo = None  # original rows still iterating, once some have certified
     for _ in range(_MAX_POWER_STEPS):
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
+        norm = np.sqrt(y.transpose(0, 2, 1) @ y)
+        if norm.min() == 0.0:
             raise PowerIterationError("iterate vanished; block is not irreducible")
         x = y / norm
         y = H @ x
-        lam = float(x @ y)
-        if lam > 0.0 and x.min() > 0.0:
-            residual = float(np.max(np.abs(y - lam * x) / (lam * x)))
-            if residual <= CERTIFICATE_TOL:
-                return x, lam
+        lam = x.transpose(0, 2, 1) @ y
+        scaled = lam * x
+        # Whole-stack reductions settle the common case: every block certifies at once.
+        positive = lam.min() > 0.0 and x.min() > 0.0
+        if positive and (np.abs(y - scaled) / scaled).max() <= CERTIFICATE_TOL:
+            if todo is None:
+                return x[..., 0], lam[:, 0, 0]
+            vectors[todo], values[todo] = x[..., 0], lam[:, 0, 0]
+            return vectors, values
+        if len(H) == 1:  # the whole-stack check was this block's own
+            continue
+        done = _residuals(x, y, lam) <= CERTIFICATE_TOL
+        if done.any():
+            if todo is None:
+                todo, vectors, values = np.arange(len(H)), np.empty(x.shape[:2]), np.empty(len(H))
+            vectors[todo[done]], values[todo[done]] = x[done, :, 0], lam[done, 0, 0]
+            keep = ~done
+            H, x, y, todo = H[keep], x[keep], y[keep], todo[keep]
     raise PowerIterationError(
-        f"no certified positive eigenvector within {_MAX_POWER_STEPS} power steps", residual
+        f"no certified positive eigenvector within {_MAX_POWER_STEPS} power steps",
+        float(_residuals(x, y, lam).max()),
     )
+
+
+def _residuals(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per block, ``max_i |y_i - lam x_i| / (lam x_i)``.
+
+    ``inf`` unless ``lam`` and every ``x_i`` are positive.
+    """
+    scaled = lam * x
+    ratio = np.full(scaled.shape, np.inf)
+    positive = (lam > 0.0) & (x.min(axis=1, keepdims=True) > 0.0)
+    np.divide(np.abs(y - scaled), scaled, out=ratio, where=positive)
+    return ratio.max(axis=(1, 2))
 
 
 def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
@@ -213,15 +253,19 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     Per class, ``numpy.linalg.eigh`` on the symmetric ``D^(1/2) C D^(1/2)``
     gives ``x = D^(1/2) v`` for its top eigenvector ``v``; the Perron
     iteration then polishes ``x`` until it certifies (one step as a rule).
+    Stacked stats (admissible in every row) give one vector per row: the
+    eigensolver and the polish run once per class over the whole stack,
+    and each row equals that configuration's vector alone bit for bit.
     """
     scale = _inverse_scale(stats)
-    entries = np.zeros(index.num_arms)
+    rows = scale.reshape(-1, index.num_arms)
+    entries = np.zeros(rows.shape)
     for arms, co in index.class_blocks:
-        d = scale[arms]
+        d = rows[:, arms]
         root = np.sqrt(d)
-        _, vectors = np.linalg.eigh(root[:, None] * co * root)
-        entries[arms], _ = perron_positive_eigenvector(d[:, None] * co, start=root * vectors[:, -1])
-    return entries
+        _, vectors = np.linalg.eigh(root[:, :, None] * co * root[:, None, :])
+        entries[:, arms] = _perron_polish(d[:, :, None] * co, root * vectors[:, :, -1])[0]
+    return entries.reshape(scale.shape)
 
 
 def global_vector(instance: ProblemInstance, stats: ArmStats | None = None) -> GlobalVector:
@@ -258,24 +302,38 @@ def optimal_allocation(
 
 
 def _pair_rate(
-    index: SlotIndex, stats: ArmStats, slot_values: np.ndarray, i1: np.ndarray, i2: np.ndarray
-) -> float:
+    index: SlotIndex,
+    stats: ArmStats,
+    slot_values: np.ndarray,
+    i1: np.ndarray,
+    i2: np.ndarray,
+    pairs: np.ndarray | bool = True,
+) -> np.ndarray:
     """``min ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)`` over the pairs ``(i1[k], i2[k])``.
 
     ``T_i = (1 / mult_i^2) * sum 1/value`` over the slots of arm ``i``, where a
     zero value counts as ``1/0 = inf`` (so every pair touching it has rate 0).
     On pull counts this is ``Z(t)``; on slot-ordered weights, ``g_exact``.
-    ``inf`` when there are no pairs.
+    ``inf`` when there are no pairs.  ``slot_values`` may stack configurations
+    as ``(B, K')`` rows (with ``stats`` stacked alike); the pair ends then
+    index the flattened per-arm arrays (arm ``i`` of row ``b`` is
+    ``b * K + i``), shaped ``(B, P)``, and the minimum over the entries where
+    ``pairs`` holds is taken per row.
     """
-    values = np.asarray(slot_values, dtype=float)
+    values = np.asarray(slot_values, dtype=float).ravel()
+    rows = len(values) // index.num_slots
+    stack = index.stacked(rows)
     recip = np.full(len(values), np.inf)
     np.divide(1.0, values, out=recip, where=values > 0)
+    bins = rows * index.num_arms
     T = (
-        np.bincount(index.slot_arm, weights=recip, minlength=index.num_arms)
-        / stats.multiplicities.astype(float) ** 2
+        np.bincount(stack.arm_bin[: len(values)], weights=recip, minlength=bins)
+        / stack.squared_multiplicities[:bins]
     )
-    gap = stats.global_means[i1] - stats.global_means[i2]
-    return float(np.min(gap * gap / 2.0 / (T[i1] + T[i2]), initial=np.inf))
+    means = stats.global_means.ravel()
+    gap = means[i1] - means[i2]
+    rates = gap * gap / 2.0 / (T[i1] + T[i2])
+    return np.minimum.reduce(rates, axis=-1, initial=np.inf, where=pairs)
 
 
 def _arm_rates(index: SlotIndex, stats: ArmStats, allocation: Allocation) -> np.ndarray | None:
@@ -324,7 +382,7 @@ def g_exact(
     if np.any(w <= ZERO_WEIGHT):
         return 0.0
     ends = np.array(pairs.pairs, dtype=np.int64).reshape(-1, 2)
-    return _pair_rate(index, stats, w, ends[:, 0], ends[:, 1])
+    return float(_pair_rate(index, stats, w, ends[:, 0], ends[:, 1]))
 
 
 def closest_alternative(

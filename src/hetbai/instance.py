@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -94,31 +94,6 @@ class ProblemInstance:
             raise ValueError(f"mean given for inaccessible pair: client {m + 1}, arm {i + 1}")
         return cls(num_arms=num_arms, num_clients=len(sets), arm_sets=sets, means=tuple(rows))
 
-    def mean(self, client: int, arm: int) -> float:
-        """Mean of ``arm`` at ``client``; raises if the client lacks the arm."""
-        try:
-            k = self.arm_sets[client].index(arm)
-        except ValueError:
-            raise ValueError(f"arm {arm + 1} not accessible to client {client + 1}") from None
-        return self.means[client][k]
-
-    def means_map(self) -> dict[tuple[int, int], float]:
-        return {
-            (m, i): mu
-            for m, (arms, mus) in enumerate(zip(self.arm_sets, self.means))
-            for i, mu in zip(arms, mus)
-        }
-
-    def with_means(self, new_means: Mapping[tuple[int, int], float]) -> "ProblemInstance":
-        """Copy of this instance with some (client, arm) means replaced."""
-        merged = self.means_map()
-        for key, mu in new_means.items():
-            if key not in merged:
-                m, i = key
-                raise ValueError(f"arm {i + 1} not accessible to client {m + 1}")
-            merged[key] = float(mu)
-        return ProblemInstance.from_means(self.arm_sets, merged, num_arms=self.num_arms)
-
     @property
     def total_arm_slots(self) -> int:
         """Sum of the per-client arm set sizes (the K' of the stopping rule)."""
@@ -147,8 +122,9 @@ class ArmStats:
     gaps: np.ndarray
     best_arms: np.ndarray
 
-    def is_admissible(self) -> bool:
-        return bool(np.all(self.gaps > 0.0))
+    def is_admissible(self) -> np.bool_ | np.ndarray:
+        """Whether every gap is positive; one flag per row of stacked stats."""
+        return self.gaps.min(axis=-1) > 0.0
 
 
 @dataclass(frozen=True)
@@ -190,6 +166,7 @@ class SlotIndex:
     slot_arm: np.ndarray
     starts: np.ndarray
     multiplicities: np.ndarray
+    _stacks: list = field(default_factory=list, init=False, repr=False)  # see stacked()
 
     @classmethod
     def of(cls, instance: ProblemInstance) -> "SlotIndex":
@@ -219,6 +196,29 @@ class SlotIndex:
             (x for row in rows for x in row), dtype=float, count=self.num_slots
         )
 
+    def stacked(self, rows: int) -> "StackedSlots":
+        """Flat index arrays for ``rows`` stacked configurations (see :class:`StackedSlots`).
+
+        Built for the largest row count asked so far; a smaller stack uses
+        prefixes of the same arrays, so a batch whose episodes stop one by one
+        never rebuilds them.
+        """
+        cache = self._stacks
+        if not cache or cache[0].rows < rows:
+            cache[:] = [StackedSlots.of(self, rows)]
+        return cache[0]
+
+    @cached_property
+    def clients_by_size(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """``(clients, arms)`` per arm-set size: those clients and their ``(n, size)`` arm sets."""
+        sizes = np.diff(self.starts)
+        out = []
+        for size in np.unique(sizes).tolist():
+            clients = np.flatnonzero(sizes == size)
+            slots = self.starts[clients][:, None] + np.arange(size)
+            out.append((tuple(clients.tolist()), _frozen(self.slot_arm[slots])))
+        return tuple(out)
+
     @cached_property
     def co_ownership(self) -> np.ndarray:
         """``[i1, i2]``: number of clients owning both arms (diagonal: multiplicity)."""
@@ -231,13 +231,68 @@ class SlotIndex:
         return _partition(self.num_arms, self.arm_sets)
 
     @cached_property
-    def class_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``(arms, co-ownership block)`` of every class, in partition order."""
+    def class_blocks(self) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...]:
+        """``(arms, co-ownership block)`` of every class, in partition order.
+
+        ``arms`` indexes the class's arms along an arm axis: a slice when
+        they are consecutive (a view, no gather), an index array otherwise.
+        """
         out = []
         for cls in self.partition.classes:
             idx = _frozen(np.array(cls))
-            out.append((idx, _frozen(self.co_ownership[np.ix_(idx, idx)])))
+            consecutive = cls[-1] - cls[0] + 1 == len(cls)
+            arms = slice(cls[0], cls[-1] + 1) if consecutive else idx
+            out.append((arms, _frozen(self.co_ownership[np.ix_(idx, idx)])))
         return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class StackedSlots:
+    """Index arrays of ``rows`` configurations stacked row-major into flat arrays.
+
+    Flat slot ``b * K' + s`` is slot ``s`` of row ``b``; its arm bin is
+    ``b * K + slot_arm[s]`` and its client bin ``b * M + slot_client[s]``.
+    A ``bincount`` over the arm bins sums each row's slots of one arm in slot
+    order, exactly as a ``bincount`` over that row alone, and ``reduceat``
+    over the client starts or over the arm runs of ``arm_order`` reduces one
+    row's client or arm at a time.  The arrays for ``r <= rows`` rows are
+    the prefixes of length ``r * K'``, ``r * M`` and ``r * K``.
+    """
+
+    rows: int
+    arm_bin: np.ndarray  # flat slot -> row * K + arm
+    client_bin: np.ndarray  # flat slot -> row * M + client
+    slot_arm: np.ndarray  # flat slot -> arm
+    client_starts: np.ndarray  # row * M + client -> first flat slot
+    arm_order: np.ndarray  # flat slots, each row's stably sorted by arm
+    arm_starts: np.ndarray  # row * K + arm -> start of its run in arm_order
+    multiplicities: np.ndarray  # row * K + arm -> multiplicity of arm, as a float
+    squared_multiplicities: np.ndarray  # row * K + arm -> its square
+    countdown: np.ndarray  # flat slot -> rows * K' - flat slot
+
+    @classmethod
+    def of(cls, index: SlotIndex, rows: int) -> "StackedSlots":
+        row = np.arange(rows)[:, None]
+        # Each arm's slots form one run of the stable arm order; every arm of
+        # a structurally valid instance owns a slot, so no run is empty.
+        order = np.argsort(index.slot_arm, kind="stable")
+        arm_starts = np.cumsum(index.multiplicities) - index.multiplicities
+
+        def tile(values: np.ndarray, step: int) -> np.ndarray:
+            return _frozen((values + step * row).ravel())
+
+        return cls(
+            rows=rows,
+            arm_bin=tile(index.slot_arm, index.num_arms),
+            client_bin=tile(index.slot_client, index.num_clients),
+            slot_arm=tile(index.slot_arm, 0),
+            client_starts=tile(index.starts[:-1], index.num_slots),
+            arm_order=tile(order, index.num_slots),
+            arm_starts=tile(arm_starts, index.num_slots),
+            multiplicities=tile(index.multiplicities.astype(float), 0),
+            squared_multiplicities=tile(index.multiplicities.astype(float) ** 2, 0),
+            countdown=_frozen(np.arange(rows * index.num_slots, 0, -1)),
+        )
 
 
 def _structural_violations(instance: ProblemInstance) -> list[str]:
@@ -264,39 +319,76 @@ def _structural_violations(instance: ProblemInstance) -> list[str]:
 
 
 def validate(instance: ProblemInstance) -> ValidationReport:
-    """Check structural invariants and admissibility; never raises."""
+    """Check structural invariants and admissibility; never raises.
+
+    An instance is admissible when every client's best arm beats each other
+    arm of the client by more than the rounding error of their aggregate
+    means (see :func:`_ties`); an exact tie is the case of a zero gap.
+    """
     violations = _structural_violations(instance)
     structurally_valid = not violations
-    admissible = False
     if structurally_valid:
-        stats = _compute_stats(instance)
-        admissible = stats.is_admissible()
-        if not admissible:
-            for m in range(instance.num_clients):
-                arms = instance.arm_sets[m]
-                mus = stats.global_means[list(arms)]
-                top = mus.max()
-                if int((mus == top).sum()) > 1:
-                    violations.append(f"tied best arm at client {m + 1}")
-            if not violations:
-                # Zero gap without a top tie cannot happen; keep a guard anyway.
-                violations.append("zero separation gap at some arm")
+        index = SlotIndex.of(instance)
+        violations = _ties(index, index.flatten(instance.means))
     return ValidationReport(
         structurally_valid=structurally_valid,
-        admissible=admissible,
+        admissible=structurally_valid and not violations,
         violations=tuple(violations),
     )
+
+
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _ties(index: SlotIndex, slot_means: np.ndarray) -> list[str]:
+    """One message per client whose best arm does not beat all its other arms by a rounding error.
+
+    A mean handed in as a float is the rounding of the value it stands for
+    (an average of ratings, or a decimal read from JSON): one factor
+    ``(1 + d)`` with ``|d| <= u``, the unit roundoff.  Summing the ``mult_i``
+    means of arm ``i`` adds ``mult_i - 1`` such factors to each term, and the
+    division by ``mult_i`` one more, so each term of the computed aggregate
+    mean carries at most ``n = mult_i + 1`` of them, and (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, Lemma 3.1)
+    ``|computed - exact| <= gamma_n * sum_m |mu_m,i| / mult_i`` with
+    ``gamma_n = n u / (1 - n u)``.  When the computed means of a client's
+    best arm and another of its arms differ by no more than the sum of
+    their two bounds, the values the floats stand for may be ordered either
+    way, so the best arm is not determined: a tie (an exact one at gap 0).
+    The aggregate means and best arms are those of :func:`slot_stats`.
+    """
+    mult = index.multiplicities
+    means = np.bincount(index.slot_arm, weights=slot_means, minlength=index.num_arms) / mult
+    steps = mult + 1.0
+    magnitude = np.bincount(index.slot_arm, weights=np.abs(slot_means), minlength=index.num_arms)
+    error = steps * _UNIT_ROUNDOFF / (1.0 - steps * _UNIT_ROUNDOFF) * magnitude / mult
+    g = means[index.slot_arm]
+    top = np.maximum.reduceat(g, index.starts[:-1])[index.slot_client]
+    # First slot of each client holding its top mean: the argmax, ties to the lowest arm.
+    first = np.minimum.reduceat(
+        np.where(g == top, np.arange(index.num_slots), index.num_slots), index.starts[:-1]
+    )
+    best = index.slot_arm[first][index.slot_client]
+    gap = top - g
+    tolerance = error[best] + error[index.slot_arm]
+    messages: dict[int, str] = {}  # one per client, naming its first such arm
+    for slot in np.flatnonzero((index.slot_arm != best) & (gap <= tolerance)).tolist():
+        m, i, j = int(index.slot_client[slot]), int(best[slot]), int(index.slot_arm[slot])
+        messages.setdefault(
+            m,
+            f"tied best arm at client {m + 1}"
+            if gap[slot] == 0.0
+            else f"client {m + 1}: best arm {i + 1} and arm {j + 1} differ by {gap[slot]:.3g}, "
+            f"within the rounding error {tolerance[slot]:.3g} of their aggregate means",
+        )
+    return list(messages.values())
 
 
 def _require_structure(instance: ProblemInstance) -> None:
     violations = _structural_violations(instance)
     if violations:
         raise ValueError("structurally invalid instance: " + "; ".join(violations))
-
-
-def _compute_stats(instance: ProblemInstance) -> ArmStats:
-    index = SlotIndex.of(instance)
-    return slot_stats(index, index.flatten(instance.means))
 
 
 def arm_stats(instance: ProblemInstance) -> ArmStats:
@@ -306,7 +398,8 @@ def arm_stats(instance: ProblemInstance) -> ArmStats:
     (gaps may contain zeros, which callers can inspect).
     """
     _require_structure(instance)
-    return _compute_stats(instance)
+    index = SlotIndex.of(instance)
+    return slot_stats(index, index.flatten(instance.means))
 
 
 def slot_index(instance: ProblemInstance) -> SlotIndex:
@@ -321,30 +414,41 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
     Reductions over the slot arrays: per-arm sums in client order (so the
     means equal a client-by-client accumulation bit for bit), each client's
     top and runner-up aggregate mean, and per-arm minima of the separations.
+    A ``(B, K')`` array stacks ``B`` configurations: every field but
+    ``multiplicities`` then gains a leading batch axis, and each row equals
+    the statistics of that configuration alone bit for bit.
     """
+    means = np.asarray(slot_means, dtype=float)
+    rows = means.size // index.num_slots
+    stack = index.stacked(rows)
+    size = rows * index.num_slots
+    arm_bin, client_bin = stack.arm_bin[:size], stack.client_bin[:size]
+    starts = stack.client_starts[: rows * index.num_clients]
     global_means = (
-        np.bincount(index.slot_arm, weights=slot_means, minlength=index.num_arms)
-        / index.multiplicities
+        np.bincount(arm_bin, weights=means.ravel(), minlength=rows * index.num_arms)
+        / stack.multiplicities[: rows * index.num_arms]
     )
-    g = global_means[index.slot_arm]
-    starts = index.starts[:-1]
-    top = np.maximum.reduceat(g, starts)
-    # First slot of each client holding its top mean: the argmax, ties to the lowest arm.
-    first = np.minimum.reduceat(
-        np.where(g == top[index.slot_client], np.arange(index.num_slots), index.num_slots),
-        starts,
-    )
+    g = global_means[arm_bin]
+    other = np.maximum.reduceat(g, starts)[client_bin]  # each client's top mean, per slot
+    # First slot of each client holding its top mean (the argmax, ties to the
+    # lowest arm): the client's largest countdown among its top slots.
+    first = stack.countdown[0] - np.maximum.reduceat((g == other) * stack.countdown[:size], starts)
     rest = g.copy()
     rest[first] = -np.inf
-    other = top[index.slot_client]  # best competitor of each slot within its client
-    other[first] = np.maximum.reduceat(rest, starts)
-    gaps = np.full(index.num_arms, np.inf)
-    np.minimum.at(gaps, index.slot_arm, np.abs(g - other))
+    other[first] = np.maximum.reduceat(rest, starts)  # the lead slot competes with the runner-up
+    gaps = np.minimum.reduceat(
+        np.abs(g - other)[stack.arm_order[:size]], stack.arm_starts[: rows * index.num_arms]
+    )
+    best_arms = stack.slot_arm[first]
+    if means.ndim > 1:
+        global_means = global_means.reshape(rows, index.num_arms)
+        gaps = gaps.reshape(rows, index.num_arms)
+        best_arms = best_arms.reshape(rows, index.num_clients)
     return ArmStats(
         global_means=global_means,
         multiplicities=index.multiplicities,
         gaps=gaps,
-        best_arms=index.slot_arm[first],
+        best_arms=best_arms,
     )
 
 

@@ -15,25 +15,23 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import lru_cache
 
 import numpy as np
 
 from .allocation import _pair_rate, slot_global_vector
-from .instance import ArmStats, ProblemInstance, SlotIndex, arm_stats, slot_index, slot_stats
+from .instance import ArmStats, SlotIndex
 
 __all__ = [
     "CommSchedule",
     "comm_schedule",
     "track_pulls",
     "uniform_pulls",
-    "server_global_vector",
     "slot_server_vector",
-    "z_statistic",
     "slot_z_statistic",
     "f_eval",
     "f_inverse",
     "should_stop",
-    "recommend",
 ]
 
 
@@ -152,27 +150,39 @@ def track_pulls(
 
 def uniform_pulls(size: int, pulls: int, rng: np.random.Generator) -> np.ndarray:
     """Pull counts of ``pulls`` uniform choices over ``size`` arms: one multinomial draw."""
-    return rng.multinomial(pulls, np.full(size, 1.0 / size))
+    return rng.multinomial(pulls, _uniform_probabilities(size))
 
 
-def _empirical_slots(empirical: ProblemInstance) -> tuple[SlotIndex, ArmStats]:
-    index = slot_index(empirical)
-    return index, slot_stats(index, index.flatten(empirical.means))
+@lru_cache(maxsize=64)
+def _uniform_probabilities(size: int) -> np.ndarray:
+    probabilities = np.full(size, 1.0 / size)
+    probabilities.flags.writeable = False
+    return probabilities
 
 
 def slot_server_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
-    """Global vector to broadcast for empirical ``stats``; all-ones when inadmissible."""
-    if not stats.is_admissible():
-        return np.ones(index.num_arms)
-    return slot_global_vector(index, stats)
+    """Global vector to broadcast for empirical ``stats``; all-ones when inadmissible.
+
+    Stacked stats give one vector per row, all-ones on the inadmissible rows.
+    """
+    if stats.gaps.min() > 0.0:  # every row admissible
+        return slot_global_vector(index, stats)
+    admissible = stats.is_admissible()
+    out = np.ones(stats.gaps.shape)
+    if admissible.any():
+        rows = ArmStats(
+            global_means=stats.global_means[admissible],
+            multiplicities=stats.multiplicities,
+            gaps=stats.gaps[admissible],
+            best_arms=stats.best_arms[admissible],
+        )
+        out[admissible] = slot_global_vector(index, rows)
+    return out
 
 
-def server_global_vector(empirical: ProblemInstance) -> np.ndarray:
-    """Global vector of the empirical instance; all-ones when inadmissible."""
-    return slot_server_vector(*_empirical_slots(empirical))
-
-
-def slot_z_statistic(index: SlotIndex, stats: ArmStats, slot_counts: np.ndarray) -> float:
+def slot_z_statistic(
+    index: SlotIndex, stats: ArmStats, slot_counts: np.ndarray
+) -> float | np.ndarray:
     """Distance of the empirical configuration from the nearest alternative.
 
     Evaluated on raw pull counts (one per slot) by the pair-rate kernel of
@@ -181,19 +191,24 @@ def slot_z_statistic(index: SlotIndex, stats: ArmStats, slot_counts: np.ndarray)
     divided by the two arms' reciprocal-count sums (scaled by squared
     multiplicities).  Zero when the empirical
     configuration has a tied best arm or when any count entering a pair is
-    zero.
+    zero.  Stacked ``(B, K')`` counts with stacked ``stats`` give one value
+    per row, each equal to that row's value alone.
     """
-    if not stats.is_admissible():
-        return 0.0
-    best = stats.best_arms[index.slot_client]
-    pair = index.slot_arm != best
-    return _pair_rate(index, stats, slot_counts, best[pair], index.slot_arm[pair])
-
-
-def z_statistic(empirical: ProblemInstance, counts: list[np.ndarray]) -> float:
-    """:func:`slot_z_statistic` of an empirical instance and per-client counts."""
-    index, stats = _empirical_slots(empirical)
-    return slot_z_statistic(index, stats, index.flatten(counts))
+    counts = np.asarray(slot_counts)
+    size = counts.size
+    stack = index.stacked(size // index.num_slots)
+    # Every slot pairs its client's best arm with its own arm; the best arm's own slot is no pair.
+    best = stats.best_arms.ravel()[stack.client_bin[:size]]
+    own = stack.slot_arm[:size]
+    i2 = stack.arm_bin[:size]
+    i1 = i2 + (best - own)
+    shape = counts.shape
+    z = _pair_rate(
+        index, stats, counts, i1.reshape(shape), i2.reshape(shape), (best != own).reshape(shape)
+    )
+    if counts.ndim == 1:
+        return float(z) if stats.is_admissible() else 0.0
+    return z if stats.gaps.min() > 0.0 else np.where(stats.is_admissible(), z, 0.0)
 
 
 def _log_tail(x: float, log_factorials: np.ndarray) -> tuple[float, float]:
@@ -263,21 +278,23 @@ def f_inverse(delta: float, kprime: int) -> float:
 
 
 def should_stop(
-    z: float, t: int, delta: float, kprime: int, num_arms: int, offset: float | None = None
-) -> tuple[bool, float]:
+    z: float | np.ndarray,
+    t: int,
+    delta: float | None,
+    kprime: int,
+    num_arms: int,
+    offset: float | np.ndarray | None = None,
+) -> tuple:
     """Stopping decision and threshold ``beta(t, delta)`` at instant ``t``.
 
     ``offset`` is ``f_inverse(delta, kprime)``, which depends on neither
-    ``t`` nor the data: an episode computes it once and passes it here.
+    ``t`` nor the data: an episode computes it once and passes it here
+    (``delta`` is then not read).  A batch passes ``z`` and ``offset`` as
+    arrays with one entry per episode, each episode with its own ``delta``,
+    and gets arrays back.
     """
     if offset is None:
         offset = f_inverse(delta, kprime)
     beta = kprime * math.log(t * t + t) + offset
-    return (t >= num_arms and z > beta), beta
-
-
-def recommend(empirical: ProblemInstance, stats: ArmStats | None = None) -> tuple[int, ...]:
-    """Per-client argmax of the aggregated empirical means (ties: lowest arm)."""
-    if stats is None:
-        stats = arm_stats(empirical)
-    return tuple(int(a) for a in stats.best_arms)
+    stop = z > beta
+    return (stop if t >= num_arms else stop & False), beta

@@ -10,7 +10,14 @@ for a slot pulled ``n`` times.  Randomness is split per episode seed:
 stream ``(seed, m, 0)`` drives client ``m``'s selection (D-tracking
 tie-breaks, or the uniform block counts) and stream ``(seed, 0, 1)`` the
 rewards, so a run is bit-reproducible for a fixed seed regardless of how
-episodes are scheduled across workers.
+episodes are batched or scheduled across workers.
+
+Episodes of one instance, policy and ``lambda`` share the communication
+instants, so :func:`run_batch` runs many in lockstep: each advances its own
+clients and draws its own rewards, and at every instant the server work of
+all running episodes is one stacked computation whose rows equal a lone
+episode's values bit for bit.  :func:`run_episode` is the batch of one, and
+:func:`sweep` hands each worker one contiguous batch of its task list.
 """
 
 from __future__ import annotations
@@ -19,12 +26,11 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import ProblemInstance, SlotIndex, slot_stats, validate
+from .instance import ArmStats, ProblemInstance, SlotIndex, slot_stats, validate
 from .policy import (
     CommSchedule,
     f_inverse,
@@ -43,6 +49,7 @@ __all__ = [
     "InstantLog",
     "StepCapExceeded",
     "run_episode",
+    "run_batch",
     "sweep",
     "pool_size",
     "aggregate",
@@ -61,7 +68,15 @@ SUMMARY_FIELDS = ["policy", "lambda", "delta", "n", "mean_tau", "std_tau", "mean
 
 
 class StepCapExceeded(RuntimeError):
-    """Episode ran past the hard step cap without stopping."""
+    """Episodes ran past the hard step cap without stopping.
+
+    ``episodes`` holds the ``(delta, seed)`` of every episode still running,
+    each reproducible on its own with ``hetbai run``.
+    """
+
+    def __init__(self, message: str, episodes: tuple[tuple[float, int], ...] = ()):
+        super().__init__(message)
+        self.episodes = episodes
 
 
 @dataclass(frozen=True)
@@ -137,7 +152,7 @@ def run_episode(
     step_cap: int = 10**8,
     trace: list[InstantLog] | None = None,
 ) -> RunRecord:
-    """Execute one episode of the client/server protocol.
+    """Execute one episode of the client/server protocol: a batch of one.
 
     At every time step each client pulls one arm, and the steps up to the
     next communication instant run as one block; at every instant the
@@ -146,9 +161,36 @@ def run_episode(
     global vector.  Raises :class:`StepCapExceeded` instead of
     running forever when ``delta`` and the instance are miscalibrated.
     """
+    traces = None if trace is None else [trace]
+    return run_batch(instance, policy, lam, [(delta, seed)], step_cap, traces)[0]
+
+
+def run_batch(
+    instance: ProblemInstance,
+    policy: str,
+    lam: float,
+    tasks: Sequence[tuple[float, int]],
+    step_cap: int = 10**8,
+    traces: Sequence[list[InstantLog]] | None = None,
+) -> list[RunRecord]:
+    """Run one episode per ``(delta, seed)`` task in lockstep; records in task order.
+
+    All episodes share the communication schedule, so they reach the server
+    on the same instants.  Between instants each episode advances its own
+    clients and draws its own rewards, from its own streams in the order a
+    lone episode uses them.  At an instant the server work of every running
+    episode is one stacked computation (``slot_stats``,
+    ``slot_z_statistic``, the stopping rule with a per-episode threshold
+    offset, ``slot_server_vector``) whose rows equal the lone episode's
+    values bit for bit; so every record equals :func:`run_episode` for its
+    task, whatever the batch.  ``traces[k]``, when given, receives task
+    ``k``'s :class:`InstantLog` entries.  Raises :class:`StepCapExceeded`
+    naming every episode still running at the first instant past
+    ``step_cap``.
+    """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    if not (0.0 < delta < 1.0):
+    if any(not (0.0 < delta < 1.0) for delta, _ in tasks):
         raise ValueError("delta must lie in (0, 1)")
     report = validate(instance)
     if not report.admissible:
@@ -157,94 +199,149 @@ def run_episode(
     slot_means = index.flatten(instance.means)
     true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
     kprime = index.num_slots
-    offset = f_inverse(delta, kprime)
+    thresholds = {delta: f_inverse(delta, kprime) for delta in {delta for delta, _ in tasks}}
+    offsets = np.array([thresholds[delta] for delta, _ in tasks])
 
     schedule = CommSchedule(lam)
     sizes = [len(arms) for arms in instance.arm_sets]
-    select_rngs = [np.random.default_rng((seed, m, 0)) for m in range(instance.num_clients)]
-    reward_rng = np.random.default_rng((seed, 0, 1))
-    tracked = [[0] * size for size in sizes]  # het-ts pull counts, one list per client
-    weights = [[1.0 / size] * size for size in sizes]
-    counts = np.zeros(kprime, dtype=np.int64)
-    sums = np.zeros(kprime)
+    select_rngs = [
+        [np.random.default_rng((seed, m, 0)) for m in range(instance.num_clients)]
+        for _, seed in tasks
+    ]
+    reward_rngs = [np.random.default_rng((seed, 0, 1)) for _, seed in tasks]
+    tracked = [[[0] * size for size in sizes] for _ in tasks]  # het-ts pull counts per client
+    weights = [[[1.0 / size] * size for size in sizes] for _ in tasks]
+    counts = np.zeros((len(tasks), kprime), dtype=np.int64)  # one row per running episode
+    sums = np.zeros((len(tasks), kprime))
+    running = list(range(len(tasks)))  # task of each row
+    records: list[RunRecord | None] = [None] * len(tasks)
     uniform = policy == "uniform"
 
     t = 0
     for instant in schedule:
+        if not running:
+            return records
         if instant > step_cap:
+            episodes = tuple(tasks[k] for k in running)
             raise StepCapExceeded(
-                f"no stop by step cap {step_cap} (policy={policy}, delta={delta}, seed={seed})"
+                f"no stop by step cap {step_cap} (policy={policy}, lambda={lam!r}) for "
+                + "; ".join(f"delta={d!r}, seed={s}" for d, s in episodes),
+                episodes,
             )
         if uniform:
             block = np.concatenate(
-                [uniform_pulls(size, instant - t, rng) for size, rng in zip(sizes, select_rngs)]
-            )
+                [
+                    uniform_pulls(size, instant - t, rng)
+                    for k in running
+                    for size, rng in zip(sizes, select_rngs[k])
+                ]
+            ).reshape(counts.shape)
         else:
-            for row, w, rng in zip(tracked, weights, select_rngs):
-                track_pulls(row, w, t, instant, rng)
-            block = np.fromiter(chain.from_iterable(tracked), dtype=np.int64, count=kprime) - counts
+            pulled = []
+            for k in running:
+                for row, w, rng in zip(tracked[k], weights[k], select_rngs[k]):
+                    pulled += track_pulls(row, w, t, instant, rng)
+            block = np.array(pulled, dtype=np.int64).reshape(counts.shape) - counts
         # The block's reward total on a slot pulled n times is N(n * mu, n); n = 0 adds 0.
-        sums += reward_rng.normal(block * slot_means, np.sqrt(block))
+        # Generator.normal(loc, scale) is loc + scale * (one standard normal draw per
+        # entry), so drawing those per episode and scaling them stacked gives the
+        # same floats from the same stream state.
+        noise = np.empty(counts.shape)
+        for row, k in zip(noise, running):
+            reward_rngs[k].standard_normal(out=row)
+        sums += block * slot_means + np.sqrt(block) * noise
         counts += block
         t = instant
         # The server's view: every client's counts and empirical means, in slot order.
-        means = np.zeros(kprime)
+        means = np.zeros(counts.shape)
         np.divide(sums, counts, out=means, where=counts > 0)
         stats = slot_stats(index, means)
         z = slot_z_statistic(index, stats, counts)
-        stop, beta = should_stop(z, t, delta, kprime, instance.num_arms, offset=offset)
-        if trace is not None:
-            trace.append(InstantLog(t=t, z=z, beta=beta, stopped=stop))
-        if stop:
-            recommendation = tuple(int(a) for a in stats.best_arms)
-            return RunRecord(
-                policy=policy,
-                lam=lam,
-                delta=delta,
-                seed=seed,
-                tau=t,
-                rounds=schedule.round_exponent(t),
-                correct=recommendation == true_best,
-                recommendation=recommendation,
+        stop, beta = should_stop(z, t, None, kprime, instance.num_arms, offset=offsets)
+        stop = stop.tolist()
+        if traces is not None:
+            for k, zk, bk, sk in zip(running, z.tolist(), beta.tolist(), stop):
+                traces[k].append(InstantLog(t=t, z=zk, beta=bk, stopped=sk))
+        if True in stop:
+            rounds = schedule.round_exponent(t)
+            for row in (row for row, s in enumerate(stop) if s):
+                k = running[row]
+                recommendation = tuple(stats.best_arms[row].tolist())
+                records[k] = RunRecord(
+                    policy=policy,
+                    lam=lam,
+                    delta=tasks[k][0],
+                    seed=tasks[k][1],
+                    tau=t,
+                    rounds=rounds,
+                    correct=recommendation == true_best,
+                    recommendation=recommendation,
+                )
+            keep = np.logical_not(stop)
+            running = [k for k, s in zip(running, stop) if not s]
+            counts, sums, offsets = counts[keep], sums[keep], offsets[keep]
+            stats = ArmStats(
+                stats.global_means[keep],
+                stats.multiplicities,
+                stats.gaps[keep],
+                stats.best_arms[keep],
             )
-        if not uniform:
-            gvec = slot_server_vector(index, stats)[index.slot_arm]
-            weights = [
-                (g / g.sum()).tolist()
-                for g in (gvec[a:b] for a, b in zip(index.starts[:-1], index.starts[1:]))
-            ]
+        if running and not uniform:
+            gvec = slot_server_vector(index, stats)
+            for k, row in zip(running, _client_weights(index, gvec)):
+                weights[k] = row
     raise AssertionError("unreachable: the schedule is unbounded")
 
 
-def _episode_task(args: tuple) -> RunRecord:
-    return run_episode(*args)
+def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
+    """Per row of ``(B, K)`` global vectors, each client's normalized restriction ``g / g.sum()``.
+
+    Clients of one arm-set size are gathered into a C-contiguous
+    ``(B, n, size)`` array and summed along its last axis, which runs the
+    same sum as ``g.sum()`` on one client's vector, so every weight equals
+    the one-client computation bit for bit.
+    """
+    groups = []
+    for clients, arms in index.clients_by_size:
+        g = np.take(gvec, arms, axis=1)
+        groups.append((clients, (g / g.sum(axis=-1, keepdims=True)).tolist()))
+    if len(groups) == 1:  # one arm-set size: rows are already in client order
+        return groups[0][1]
+    out = [[None] * index.num_clients for _ in range(len(gvec))]
+    for clients, weights in groups:
+        for row, rows in zip(out, weights):
+            for m, w in zip(clients, rows):
+                row[m] = w
+    return out
+
+
+def _batch_task(args: tuple) -> list[RunRecord]:
+    return run_batch(*args)
 
 
 def sweep(config: SweepConfig) -> list[RunRecord]:
     """Run ``repetitions`` episodes per delta; seeds are ``base_seed + index``.
 
     Episode index enumerates the grid by (delta position, repetition), and
-    the returned order matches it regardless of the worker count.
+    the returned order matches it.  The task list is split into one
+    contiguous batch per worker; records depend neither on the split nor on
+    the worker count.
     """
-    tasks = []
-    for d_idx, delta in enumerate(config.deltas):
-        for rep in range(config.repetitions):
-            episode = d_idx * config.repetitions + rep
-            tasks.append(
-                (
-                    config.instance,
-                    config.policy,
-                    delta,
-                    config.lam,
-                    config.base_seed + episode,
-                    config.step_cap,
-                )
-            )
+    tasks = [
+        (delta, config.base_seed + d_idx * config.repetitions + rep)
+        for d_idx, delta in enumerate(config.deltas)
+        for rep in range(config.repetitions)
+    ]
     workers = pool_size(config.workers, len(tasks))
+    edges = [len(tasks) * w // workers for w in range(workers + 1)]
+    batches = [
+        (config.instance, config.policy, config.lam, tasks[a:b], config.step_cap)
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
     if workers == 1:
-        return [run_episode(*task) for task in tasks]
+        return run_batch(*batches[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_episode_task, tasks))
+        return [record for batch in pool.map(_batch_task, batches) for record in batch]
 
 
 def pool_size(workers: int, num_tasks: int) -> int:

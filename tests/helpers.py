@@ -15,17 +15,56 @@ from hetbai import (
     RunRecord,
     SlotIndex,
     f_inverse,
+    gen_overlap_instance,
     should_stop,
+    slot_index,
     slot_server_vector,
     slot_stats,
     slot_z_statistic,
+    track_pulls,
+    uniform_pulls,
     validate,
 )
-from hetbai.allocation import ZERO_WEIGHT
+from hetbai.allocation import CERTIFICATE_TOL, ZERO_WEIGHT
 
 
 def make_instance(arm_sets, means_map, num_arms=None) -> ProblemInstance:
     return ProblemInstance.from_means(arm_sets, means_map, num_arms=num_arms)
+
+
+def mean_of(instance: ProblemInstance, client: int, arm: int) -> float:
+    """Mean of ``arm`` at ``client``; raises if the client lacks the arm."""
+    try:
+        k = instance.arm_sets[client].index(arm)
+    except ValueError:
+        raise ValueError(f"arm {arm + 1} not accessible to client {client + 1}") from None
+    return instance.means[client][k]
+
+
+def means_map(instance: ProblemInstance) -> dict[tuple[int, int], float]:
+    return {
+        (m, i): mu
+        for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means))
+        for i, mu in zip(arms, mus)
+    }
+
+
+def with_means(instance: ProblemInstance, new_means) -> ProblemInstance:
+    """Copy of ``instance`` with some (client, arm) means replaced."""
+    merged = means_map(instance)
+    for key, mu in new_means.items():
+        if key not in merged:
+            m, i = key
+            raise ValueError(f"arm {i + 1} not accessible to client {m + 1}")
+        merged[key] = float(mu)
+    return ProblemInstance.from_means(instance.arm_sets, merged, num_arms=instance.num_arms)
+
+
+def empirical_slots(instance: ProblemInstance, counts=None):
+    """Slot index, slot stats and (when given) slot-ordered counts of an empirical instance."""
+    index = slot_index(instance)
+    stats = slot_stats(index, index.flatten(instance.means))
+    return (index, stats) if counts is None else (index, stats, index.flatten(counts))
 
 
 def symmetric_two_arm() -> ProblemInstance:
@@ -160,6 +199,30 @@ def random_structural_instance(rng: np.random.Generator, max_arms: int = 6, max_
     return make_instance(sets, means, num_arms=K)
 
 
+def loop_perron(block: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reference for the stacked polish: one block, 1-D vectors and ``numpy.linalg.norm``.
+
+    The same rule as ``perron_positive_eigenvector``, written for one block.
+    """
+    x = np.abs(start)
+    y = block @ x
+    while True:
+        x = y / float(np.linalg.norm(y))
+        y = block @ x
+        lam = float(x @ y)
+        if lam > 0.0 and x.min() > 0.0:
+            if float(np.max(np.abs(y - lam * x) / (lam * x))) <= CERTIFICATE_TOL:
+                return x, lam
+
+
+def random_overlap_instance(rng: np.random.Generator, min_gap: float = 0.25) -> ProblemInstance:
+    """Synthetic instance on a random overlap layout, redrawn until every gap is ``>= min_gap``."""
+    while True:
+        v = gen_overlap_instance(int(rng.integers(1, 5)), int(rng.integers(2**31)))
+        if loop_arm_stats(v).gaps.min() >= min_gap:
+            return v
+
+
 def wide_gap_instance(rng: np.random.Generator) -> ProblemInstance:
     """Random admissible instance whose consecutive aggregate means are 1 to 1e-12 apart.
 
@@ -257,18 +320,20 @@ def loop_closest_alternative(instance, stats, allocation, pair) -> ProblemInstan
     for m, arms in enumerate(instance.arm_sets):
         if i1 in arms:
             w = allocation.weight(m, i1)
-            updates[(m, i1)] = instance.mean(m, i1) - gap / (stats.multiplicities[i1] * w * denom)
+            shift = gap / (stats.multiplicities[i1] * w * denom)
+            updates[(m, i1)] = mean_of(instance, m, i1) - shift
         if i2 in arms:
             w = allocation.weight(m, i2)
-            updates[(m, i2)] = instance.mean(m, i2) + gap / (stats.multiplicities[i2] * w * denom)
-    return instance.with_means(updates)
+            shift = gap / (stats.multiplicities[i2] * w * denom)
+            updates[(m, i2)] = mean_of(instance, m, i2) + shift
+    return with_means(instance, updates)
 
 
 def loop_transport_cost(instance, allocation, alternative) -> float:
     total = 0.0
     for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means)):
         for i, mu in zip(arms, mus):
-            diff = mu - alternative.mean(m, i)
+            diff = mu - mean_of(alternative, m, i)
             total += allocation.weight(m, i) * diff * diff / 2.0
     return total
 
@@ -339,6 +404,64 @@ def observe(state: ClientState, arm: int, reward: float) -> ClientState:
 
 def uniform_select(state: ClientState, rng: np.random.Generator) -> int:
     return state.arm_set[int(rng.integers(len(state.arm_set)))]
+
+
+def block_run_episode(
+    instance: ProblemInstance, policy: str, delta: float, lam: float, seed: int, trace=None
+) -> RunRecord:
+    """Reference for the lockstep batch: one episode, one block per instant, 1-D arrays.
+
+    The per-episode kernel the batch replaced: the same streams and block
+    rule, rewards from ``Generator.normal``, and per-client weights from
+    ``g / g.sum()``.  ``trace`` receives ``(t, z, beta, stopped)`` tuples.
+    """
+    index = SlotIndex.of(instance)
+    slot_means = index.flatten(instance.means)
+    true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
+    kprime = index.num_slots
+    offset = f_inverse(delta, kprime)
+    schedule = CommSchedule(lam)
+    sizes = [len(arms) for arms in instance.arm_sets]
+    select_rngs = [np.random.default_rng((seed, m, 0)) for m in range(instance.num_clients)]
+    reward_rng = np.random.default_rng((seed, 0, 1))
+    tracked = [[0] * size for size in sizes]
+    weights = [[1.0 / size] * size for size in sizes]
+    counts = np.zeros(kprime, dtype=np.int64)
+    sums = np.zeros(kprime)
+    t = 0
+    for instant in schedule:
+        if policy == "uniform":
+            block = np.concatenate(
+                [uniform_pulls(size, instant - t, rng) for size, rng in zip(sizes, select_rngs)]
+            )
+        else:
+            for row, w, rng in zip(tracked, weights, select_rngs):
+                track_pulls(row, w, t, instant, rng)
+            block = np.array([c for row in tracked for c in row]) - counts
+        sums += reward_rng.normal(block * slot_means, np.sqrt(block))
+        counts += block
+        t = instant
+        means = np.zeros(kprime)
+        np.divide(sums, counts, out=means, where=counts > 0)
+        stats = slot_stats(index, means)
+        z = slot_z_statistic(index, stats, counts)
+        stop, beta = should_stop(z, t, delta, kprime, instance.num_arms, offset=offset)
+        if trace is not None:
+            trace.append((t, z, beta, bool(stop)))
+        if stop:
+            recommendation = tuple(int(a) for a in stats.best_arms)
+            return RunRecord(
+                policy=policy, lam=lam, delta=delta, seed=seed, tau=t,
+                rounds=schedule.round_exponent(t), correct=recommendation == true_best,
+                recommendation=recommendation,
+            )
+        if policy != "uniform":
+            gvec = slot_server_vector(index, stats)[index.slot_arm]
+            weights = [
+                (g / g.sum()).tolist()
+                for g in (gvec[a:b] for a, b in zip(index.starts[:-1], index.starts[1:]))
+            ]
+    raise AssertionError("unreachable: the schedule is unbounded")
 
 
 def loop_run_episode(instance: ProblemInstance, policy: str, delta: float, lam: float, seed: int) -> RunRecord:

@@ -40,12 +40,14 @@ from helpers import (
     loop_pseudo_balance,
     loop_transport_cost,
     make_instance,
+    means_map,
     random_admissible_instance,
     random_positive_allocation,
     single_client_two_arm,
     symmetric_two_arm,
     synthetic_stats_gap_1_2,
     wide_gap_instance,
+    with_means,
 )
 
 
@@ -246,7 +248,7 @@ class TestGlobalVector:
         rng = np.random.default_rng(6)
         for _ in range(10):
             v = random_admissible_instance(rng)
-            scaled = v.with_means({k: 2.7 * mu for k, mu in v.means_map().items()})
+            scaled = with_means(v, {k: 2.7 * mu for k, mu in means_map(v).items()})
             np.testing.assert_allclose(
                 global_vector(v).entries, global_vector(scaled).entries, atol=1e-10
             )

@@ -6,6 +6,8 @@ import pytest
 from hetbai import build_instance, parse_ratings, validate
 from hetbai.ingest import RatingsRow, RatingsTable
 
+from helpers import mean_of
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 MINI_RATINGS = os.path.join(DATA_DIR, "mini_ratings.csv")
 
@@ -97,6 +99,17 @@ class TestBuildInstance:
         assert result.arm_labels == ("x", "y")
         assert validate(result.instance).admissible
 
+    def test_summation_order_tie_rejected(self):
+        # x rated 1..10 and y rated 10..1 have equal raw means; the ingested
+        # means differ only by summation order (50.0 against 49.999999999999986)
+        table = RatingsTable(
+            rows=rows(*([("a", "x", i) for i in range(1, 11)]
+                        + [("a", "y", 11 - i) for i in range(1, 11)])),
+            skipped=(),
+        )
+        with pytest.raises(ValueError, match="client 1: best arm 1 and arm 2 .* rounding error"):
+            build_instance(table, min_samples=10)
+
     def test_dropped_clients_and_orphaned_arm_reported_in_order(self):
         # b and c each lose a sparse pair and keep one arm; dropping them
         # orphans arm v, and no other client's arm count changes
@@ -162,7 +175,7 @@ class TestBuildInstance:
         # the affine normalization cannot reorder any client's per-pair means
         for m, c in enumerate(result.client_labels):
             pair_means = {
-                result.arm_labels[i]: result.instance.mean(m, i)
+                result.arm_labels[i]: mean_of(result.instance, m, i)
                 for i in result.instance.arm_sets[m]
             }
             raw_means = {a: float(np.mean(raw[(c, a)])) for a in "xyz"}

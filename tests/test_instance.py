@@ -22,9 +22,11 @@ from hetbai.instance import OVERLAP_PATTERNS
 from helpers import (
     loop_arm_stats,
     make_instance,
+    mean_of,
     random_admissible_instance,
     random_structural_instance,
     symmetric_two_arm,
+    with_means,
 )
 
 
@@ -49,6 +51,30 @@ class TestValidate:
         assert report.structurally_valid
         assert not report.admissible
         assert any("tied best arm at client 1" in msg for msg in report.violations)
+
+    def test_gap_within_rounding_error_is_a_tie(self):
+        # 50.0 against 49.999999999999986 (two ulps) is a summation-order
+        # artefact of ingest; an admissible reading would give c* near 1e28
+        v = make_instance([(0, 1), (2, 3)], {(0, 0): 50.0, (0, 1): 49.999999999999986,
+                                              (1, 2): 30.0, (1, 3): 20.0})
+        report = validate(v)
+        assert report.structurally_valid
+        assert not report.admissible
+        assert len(report.violations) == 1
+        message = report.violations[0]
+        assert message.startswith("client 1: best arm 1 and arm 2 differ by 1.42e-14")
+        assert "rounding error" in message
+        # four ulps apart is beyond the bound (2 * gamma_2 * 50 = 2.2e-14) and separates the arms
+        apart = make_instance([(0, 1)], {(0, 0): 50.0, (0, 1): 49.99999999999997})
+        assert validate(apart).admissible
+
+    def test_rounding_bound_grows_with_multiplicity(self):
+        # arm 1's aggregate is the mean of three summed means: n = 4 roundings
+        sets = [(0, 1), (0, 1), (0, 1)]
+        lo = {(m, i): mu for m in range(3) for i, mu in ((0, 1.0 + 2.0**-52), (1, 1.0))}
+        assert not validate(make_instance(sets, lo)).admissible
+        hi = {(m, i): mu for m in range(3) for i, mu in ((0, 1.0 + 2.0**-48), (1, 1.0))}
+        assert validate(make_instance(sets, hi)).admissible
 
     def test_single_arm_client_is_structural_violation(self):
         v = ProblemInstance(num_arms=1, num_clients=1, arm_sets=((0,),), means=((1.0,),))
@@ -360,15 +386,15 @@ class TestSerialization:
 class TestProblemInstanceApi:
     def test_mean_lookup(self):
         v = symmetric_two_arm()
-        assert v.mean(0, 0) == 1.0
+        assert mean_of(v, 0, 0) == 1.0
         with pytest.raises(ValueError, match="not accessible"):
-            v.mean(0, 5)
+            mean_of(v, 0, 5)
 
     def test_with_means_replaces_only_given_entries(self):
         v = symmetric_two_arm()
-        w = v.with_means({(0, 0): 0.25})
-        assert w.mean(0, 0) == 0.25
-        assert w.mean(1, 0) == 1.0
+        w = with_means(v, {(0, 0): 0.25})
+        assert mean_of(w, 0, 0) == 0.25
+        assert mean_of(w, 1, 0) == 1.0
 
     def test_from_means_rejects_extraneous_entry(self):
         with pytest.raises(ValueError, match="inaccessible"):

@@ -12,16 +12,16 @@ from hetbai import (
     f_eval,
     f_inverse,
     g_exact,
-    recommend,
-    server_global_vector,
     should_stop,
+    slot_server_vector,
+    slot_z_statistic,
     track_pulls,
     uniform_pulls,
-    z_statistic,
 )
 
 from helpers import (
     ClientState,
+    empirical_slots,
     loop_z_statistic,
     make_instance,
     observe,
@@ -201,39 +201,41 @@ class TestObserve:
 class TestServerGlobalVector:
     def test_tied_empirical_means_fall_back_to_ones(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0})
-        np.testing.assert_array_equal(server_global_vector(v), np.ones(2))
+        np.testing.assert_array_equal(slot_server_vector(*empirical_slots(v)), np.ones(2))
 
     def test_admissible_instance_uses_eigenvector(self):
         np.testing.assert_allclose(
-            server_global_vector(symmetric_two_arm()), [0.7071067811865475] * 2, atol=1e-10
+            slot_server_vector(*empirical_slots(symmetric_two_arm())),
+            [0.7071067811865475] * 2,
+            atol=1e-10,
         )
 
     def test_unpulled_zero_means_fall_back_to_ones(self):
         # two arms never pulled share the empirical mean 0 at the top
         v = make_instance([(0, 1, 2)], {(0, 0): 0.0, (0, 1): 0.0, (0, 2): -1.5})
-        np.testing.assert_array_equal(server_global_vector(v), np.ones(3))
+        np.testing.assert_array_equal(slot_server_vector(*empirical_slots(v)), np.ones(3))
 
 
 class TestZStatistic:
     def test_single_client_closed_form(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 0.0})
-        z = z_statistic(v, [np.array([10, 10])])
+        z = slot_z_statistic(*empirical_slots(v, [np.array([10, 10])]))
         assert math.isclose(z, 2.5, rel_tol=1e-12)
 
     def test_zero_count_gives_zero(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 0.0})
-        assert z_statistic(v, [np.array([20, 0])]) == 0.0
+        assert slot_z_statistic(*empirical_slots(v, [np.array([20, 0])])) == 0.0
 
     def test_inadmissible_gives_zero(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0})
-        assert z_statistic(v, [np.array([10, 10])]) == 0.0
+        assert slot_z_statistic(*empirical_slots(v, [np.array([10, 10])])) == 0.0
 
     def test_matches_pair_loop_bitwise(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             v = random_structural_instance(rng)
             counts = [rng.integers(0, 4, size=len(s)) for s in v.arm_sets]
-            assert z_statistic(v, counts) == loop_z_statistic(v, counts)
+            assert slot_z_statistic(*empirical_slots(v, counts)) == loop_z_statistic(v, counts)
 
     def test_matches_time_scaled_rate(self):
         # algebraic identity: z on raw counts equals t * g_exact evaluated at
@@ -252,7 +254,7 @@ class TestZStatistic:
                 arm_sets=v.arm_sets,
                 weights=tuple(tuple(float(x) for x in c / t) for c in counts),
             )
-            z = z_statistic(v, counts)
+            z = slot_z_statistic(*empirical_slots(v, counts))
             assert math.isclose(z, t * g_exact(v, stats, pairs, fractions), rel_tol=1e-12)
 
 
@@ -347,16 +349,18 @@ class TestShouldStop:
 
 
 class TestRecommend:
+    """The recommendation is each client's argmax of the aggregate means (``best_arms``)."""
+
     def test_clear_winner(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 0.0})
-        assert recommend(v) == (0,)
+        assert empirical_slots(v)[1].best_arms.tolist() == [0]
 
     def test_symmetric_truth(self):
-        assert recommend(symmetric_two_arm()) == (0, 0)
+        assert empirical_slots(symmetric_two_arm())[1].best_arms.tolist() == [0, 0]
 
     def test_tie_breaks_to_smallest_index(self):
         v = make_instance([(0, 1, 2)], {(0, 0): 0.5, (0, 1): 1.0, (0, 2): 1.0})
-        assert recommend(v) == (1,)
+        assert empirical_slots(v)[1].best_arms.tolist() == [1]
 
 
 class TestUniformSelect:

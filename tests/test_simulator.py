@@ -2,6 +2,7 @@ import io
 import math
 import os
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -18,12 +19,20 @@ from hetbai import (
     gen_overlap_instance,
     pool_size,
     read_records,
+    run_batch,
     run_episode,
     sweep,
 )
 from hetbai.simulator import write_records
 
-from helpers import chain_three_arm, loop_run_episode, make_instance, symmetric_two_arm
+from helpers import (
+    block_run_episode,
+    chain_three_arm,
+    loop_run_episode,
+    make_instance,
+    random_overlap_instance,
+    symmetric_two_arm,
+)
 
 
 class TestRunEpisode:
@@ -77,6 +86,16 @@ class TestRunEpisode:
         with pytest.raises(StepCapExceeded):
             run_episode(symmetric_two_arm(), "het-ts", 1e-9, 0.5, seed=0, step_cap=20)
 
+    def test_step_cap_names_every_unfinished_episode(self):
+        # wide gap: delta=0.5 stops at t=4, while delta=1e-300 runs past the cap
+        v = make_instance([(0, 1), (0, 1)], {(0, 0): 10.0, (0, 1): 0.0, (1, 0): 10.0, (1, 1): 0.0})
+        assert run_episode(v, "het-ts", 0.5, 0.5, seed=7, step_cap=20).tau <= 20
+        with pytest.raises(StepCapExceeded) as err:
+            run_batch(v, "het-ts", 0.5, [(0.5, 7), (1e-300, 8)], step_cap=20)
+        assert err.value.episodes == ((1e-300, 8),)
+        assert "delta=1e-300, seed=8" in str(err.value)
+        assert "seed=7" not in str(err.value)
+
     def test_rejects_inadmissible_instance(self):
         tied = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0})
         with pytest.raises(ValueError, match="inadmissible"):
@@ -90,6 +109,84 @@ class TestRunEpisode:
         rec = run_episode(symmetric_two_arm(), "uniform", 0.1, 0.5, seed=3)
         assert rec.policy == "uniform"
         assert comm_schedule(0.5).is_instant(rec.tau)
+
+
+class TestBatchMatchesBatchOfOne:
+    """A lockstep batch gives every task the record of its episode run alone."""
+
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    def test_random_overlap_instances(self, policy):
+        rng = np.random.default_rng(60 if policy == "het-ts" else 61)
+        stop_spread = 0
+        for _ in range(50):
+            v = random_overlap_instance(rng, min_gap=0.6)
+            lam = float(rng.choice([0.3, 0.5]))
+            deltas = 10.0 ** -rng.uniform(0.3, 6.0, size=4)
+            tasks = [(float(d), int(s)) for d, s in zip(deltas, rng.integers(0, 2**31, size=4))]
+            batch = run_batch(v, policy, lam, tasks)
+            alone = [run_episode(v, policy, d, lam, s) for d, s in tasks]
+            assert batch == alone
+            stop_spread += len({r.tau for r in batch}) > 1
+        assert stop_spread >= 10  # batches that shrink while running are covered
+
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    def test_traces_match_per_episode_block_kernel(self, policy):
+        # Z(t) and the threshold at every instant, against the one-episode
+        # kernel with 1-D arrays, Generator.normal and per-client weight sums
+        rng = np.random.default_rng(62 if policy == "het-ts" else 63)
+        for _ in range(15):
+            v = random_overlap_instance(rng, min_gap=0.6)
+            lam = float(rng.choice([0.3, 0.5]))
+            tasks = [(float(d), int(s)) for d, s in zip(
+                10.0 ** -rng.uniform(0.3, 6.0, size=3), rng.integers(0, 2**31, size=3))]
+            traces = [[] for _ in tasks]
+            batch = run_batch(v, policy, lam, tasks, traces=traces)
+            for (delta, seed), record, trace in zip(tasks, batch, traces):
+                reference: list[tuple] = []
+                assert record == block_run_episode(v, policy, delta, lam, seed, reference)
+                assert [(e.t, e.z, e.beta, e.stopped) for e in trace] == reference
+
+    def test_traces_match(self):
+        v = chain_three_arm()
+        tasks = [(0.1, 3), (1e-6, 4), (0.3, 5)]
+        traces = [[] for _ in tasks]
+        run_batch(v, "het-ts", 0.2, tasks, traces=traces)
+        for (delta, seed), trace in zip(tasks, traces):
+            alone: list[InstantLog] = []
+            run_episode(v, "het-ts", delta, 0.2, seed, trace=alone)
+            assert trace == alone
+
+    def test_set_up_once_per_batch(self, monkeypatch):
+        import hetbai.simulator as simulator
+
+        calls = {"f_inverse": 0, "validate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simulator, "f_inverse", counted("f_inverse", simulator.f_inverse))
+        monkeypatch.setattr(simulator, "validate", counted("validate", simulator.validate))
+        run_batch(chain_three_arm(), "uniform", 0.5, [(0.1, s) for s in range(6)] + [(0.01, 6)])
+        assert calls == {"f_inverse": 2, "validate": 1}
+
+    def test_empty_batch(self):
+        assert run_batch(chain_three_arm(), "het-ts", 0.2, []) == []
+
+    def test_sweep_workers_split_batches(self):
+        # nine tasks over three deltas: two workers get batches of 4 and 5 tasks, each mixing deltas
+        config = dict(
+            instance=chain_three_arm(), deltas=(0.2, 1e-2, 1e-4), repetitions=3, lam=0.2,
+            base_seed=40,
+        )
+        serial = sweep(SweepConfig(workers=1, **config))
+        assert serial == sweep(SweepConfig(workers=2, **config))
+        expected = [
+            run_episode(chain_three_arm(), "het-ts", r.delta, 0.2, r.seed) for r in serial
+        ]
+        assert serial == expected
 
 
 class TestEpisodeLaw:

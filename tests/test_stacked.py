@@ -1,0 +1,146 @@
+"""Stacked server kernels against their one-configuration calls, bit for bit.
+
+A lockstep batch computes the server side of all its episodes at once, so
+every stacked reduction must give each row exactly what the row alone
+gives: the per-arm sums, the eigensolver, the Perron polish (whose norm is
+the square root of the dot product ``y . y``, as ``numpy.linalg.norm``
+computes it for one vector; ``numpy.linalg.norm(..., axis=1)`` sums in
+another order), the per-client weight sums and the reward draws.
+"""
+
+import numpy as np
+import pytest
+
+from hetbai import SlotIndex, slot_server_vector, slot_stats, slot_z_statistic
+from hetbai.allocation import _perron_polish, slot_global_vector
+from hetbai.simulator import _client_weights
+
+from helpers import loop_perron, random_structural_instance, wide_gap_instance
+
+
+def bitwise_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stacked_cases(rng, count):
+    """Instances with 1-6 stacked empirical configurations (some tied, some unpulled)."""
+    for _ in range(count):
+        v = random_structural_instance(rng)
+        index = SlotIndex.of(v)
+        rows = int(rng.integers(1, 7))
+        means = rng.normal(0.0, 1.0, size=(rows, index.num_slots))
+        means[rng.random(means.shape) < 0.2] = 0.0  # unpulled slots read 0
+        if rng.random() < 0.3:
+            means[0] = np.round(means[0])  # coarse means tie tops
+        counts = rng.integers(0, 30, size=(rows, index.num_slots))
+        yield index, means, counts
+
+
+class TestStackedStats:
+    def test_rows_equal_single_configurations(self):
+        rng = np.random.default_rng(70)
+        for index, means, counts in stacked_cases(rng, 300):
+            stacked = slot_stats(index, means)
+            z = slot_z_statistic(index, stacked, counts)
+            admissible = stacked.is_admissible()
+            for row in range(len(means)):
+                alone = slot_stats(index, means[row])
+                for field in ("global_means", "gaps", "best_arms"):
+                    assert bitwise_equal(getattr(stacked, field)[row], getattr(alone, field)), field
+                assert admissible[row] == alone.is_admissible()
+                assert z[row] == slot_z_statistic(index, alone, counts[row])
+
+    def test_server_vector_rows_equal_single_configurations(self):
+        rng = np.random.default_rng(71)
+        checked = 0
+        for index, means, _ in stacked_cases(rng, 200):
+            stacked = slot_stats(index, means)
+            vectors = slot_server_vector(index, stacked)
+            for row in range(len(means)):
+                alone = slot_server_vector(index, slot_stats(index, means[row]))
+                assert bitwise_equal(vectors[row], alone)
+                checked += 1
+        assert checked > 500
+
+
+class TestStackedEigen:
+    def test_eigh_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(72)
+        for n in range(1, 9):
+            a = rng.exponential(size=(9, n, n)) * 10.0 ** rng.uniform(-6, 6, size=(9, 1, 1))
+            a = a + a.transpose(0, 2, 1)
+            values, vectors = np.linalg.eigh(a)
+            for k in range(len(a)):
+                w, v = np.linalg.eigh(a[k])
+                assert bitwise_equal(values[k], w) and bitwise_equal(vectors[k], v)
+
+    def test_norm_along_axis_is_not_the_vector_norm(self):
+        # why the polish takes its norm from a stacked dot product
+        rng = np.random.default_rng(73)
+        y = rng.exponential(size=(200, 5))
+        per_row = np.array([np.linalg.norm(r) for r in y])
+        assert bitwise_equal(np.sqrt(y[:, None, :] @ y[:, :, None])[:, 0, 0], per_row)
+        assert not bitwise_equal(np.linalg.norm(y, axis=1), per_row)
+
+    def test_polish_stack_equals_reference_per_block(self):
+        # starts from the eigensolver certify in one step; all-ones starts take many,
+        # so rows certify at different steps and the stack shrinks
+        rng = np.random.default_rng(74)
+        mixed = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            rows = int(rng.integers(1, 6))
+            co = rng.integers(0, 3, size=(rows, n, n)).astype(float)
+            co = co + co.transpose(0, 2, 1) + np.eye(n) + 1.0
+            d = 10.0 ** rng.uniform(-3, 3, size=(rows, n))
+            root = np.sqrt(d)
+            _, vectors = np.linalg.eigh(root[:, :, None] * co * root[:, None, :])
+            starts = root * vectors[:, :, -1]
+            ones = rng.random(rows) < 0.5
+            starts[ones] = 1.0
+            mixed += 0 < ones.sum() < rows
+            blocks = d[:, :, None] * co
+            x, lam = _perron_polish(blocks, starts)
+            for k in range(rows):
+                want_x, want_lam = loop_perron(blocks[k], starts[k])
+                assert bitwise_equal(x[k], want_x) and lam[k] == want_lam
+        assert mixed >= 10
+
+    def test_global_vector_rows_on_wide_gaps(self):
+        # badly scaled classes need more than one polish step
+        rng = np.random.default_rng(75)
+        for _ in range(40):
+            v = wide_gap_instance(rng)
+            index = SlotIndex.of(v)
+            base = index.flatten(v.means)
+            means = np.stack([base, base * 1.5, base - 0.25])
+            stacked = slot_global_vector(index, slot_stats(index, means))
+            for row in range(len(means)):
+                alone = slot_global_vector(index, slot_stats(index, means[row]))
+                assert bitwise_equal(stacked[row], alone)
+
+
+class TestStackedEpisodeArithmetic:
+    def test_client_weights_equal_per_client_normalization(self):
+        rng = np.random.default_rng(76)
+        for _ in range(200):
+            v = random_structural_instance(rng, max_arms=12, max_clients=5)
+            index = SlotIndex.of(v)
+            gvec = 10.0 ** rng.uniform(-8, 8, size=(int(rng.integers(1, 5)), index.num_arms))
+            for row, weights in zip(gvec, _client_weights(index, gvec)):
+                for arms, w in zip(v.arm_sets, weights):
+                    g = row[list(arms)]
+                    assert w == (g / g.sum()).tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reward_draw_is_scaled_standard_normal(self, seed):
+        # the kernel draws N(n mu, n) as n mu + sqrt(n) * standard_normal, the
+        # formula Generator.normal evaluates; the floats and the stream match
+        rng = np.random.default_rng(seed)
+        loc = rng.normal(size=4000) * 10.0 ** rng.uniform(-5, 5, size=4000)
+        scale = np.sqrt(rng.integers(0, 10**6, size=4000).astype(float))
+        scale[:40] = 0.0
+        a, b = np.random.default_rng((seed, 0, 1)), np.random.default_rng((seed, 0, 1))
+        assert bitwise_equal(a.normal(loc, scale), loc + scale * b.standard_normal(4000))
+        assert a.integers(2**62) == b.integers(2**62)
