@@ -120,13 +120,6 @@ class Allocation:
             weights=tuple(tuple(float(w) for w in row) for row in rows),
         )
 
-    def weight(self, client: int, arm: int) -> float:
-        try:
-            k = self.arm_sets[client].index(arm)
-        except ValueError:
-            return 0.0
-        return self.weights[client][k]
-
 
 @dataclass
 class GlobalVector:
@@ -279,18 +272,25 @@ def global_vector(instance: ProblemInstance, stats: ArmStats | None = None) -> G
 def allocation_from_global(
     gvec: GlobalVector | np.ndarray, instance: ProblemInstance
 ) -> Allocation:
-    """Client weights from a positive arm vector, one normalization per client."""
+    """Client weights from a positive arm vector: each client's restriction ``w / w.sum()``.
+
+    Clients of one arm-set size are normalized together as the rows of an
+    ``(n, size)`` array; a row sum runs the same sum as ``w.sum()`` on one
+    client's vector, so every weight equals the one-client computation bit
+    for bit.
+    """
     entries = gvec.entries if isinstance(gvec, GlobalVector) else np.asarray(gvec, dtype=float)
     if entries.shape != (instance.num_arms,):
         raise ValueError("global vector length does not match the number of arms")
     if np.min(entries) <= 0.0:
         raise ValueError("global vector must be strictly positive")
-    rows = []
-    for arms in instance.arm_sets:
-        w = entries[np.array(arms)]
-        w = w / w.sum()
-        w = w / w.sum()  # second pass pins the row sum to 1 within 1e-12
-        rows.append(tuple(float(x) for x in w))
+    rows: list = [None] * instance.num_clients
+    for clients, arms in SlotIndex.of(instance).clients_by_size:
+        w = entries[arms]
+        w = w / w.sum(axis=1, keepdims=True)
+        w = w / w.sum(axis=1, keepdims=True)  # second pass pins the row sum to 1 within 1e-12
+        for m, row in zip(clients, w.tolist()):
+            rows[m] = tuple(row)
     return Allocation(arm_sets=instance.arm_sets, weights=tuple(rows))
 
 
@@ -431,18 +431,21 @@ def transport_cost(
 
 
 def c_star_interval(
-    instance: ProblemInstance, stats: ArmStats | None = None
+    instance: ProblemInstance, stats: ArmStats | None = None, g_star: float | None = None
 ) -> tuple[float, float]:
     """Provable bracket for the instance hardness constant.
 
     With ``g*`` the relaxed rate at the eigenvector allocation, the constant
     multiplying ``log(1/delta)`` in the stopping-time lower bound lies in
-    ``[1/g*, 2/g*]``.
+    ``[1/g*, 2/g*]``.  A caller that has computed ``g*`` already (as
+    ``g_tilde`` at ``optimal_allocation``) passes it as ``g_star``; otherwise
+    it is computed here.
     """
-    if stats is None:
-        stats = arm_stats(instance)
-    _, alloc = optimal_allocation(instance, stats)
-    g_star = g_tilde(instance, stats, alloc)
+    if g_star is None:
+        if stats is None:
+            stats = arm_stats(instance)
+        _, alloc = optimal_allocation(instance, stats)
+        g_star = g_tilde(instance, stats, alloc)
     if g_star <= 0.0:
         raise ValueError("relaxed rate is zero; instance is degenerate")
     return 1.0 / g_star, 2.0 / g_star
@@ -458,20 +461,24 @@ def balance_residuals(
 
     Returns ``(balanced, pseudo_balanced)``: the worst mismatch of arm-weight
     ratios across clients sharing both arms, and the worst relative spread of
-    the per-arm rate values within a class.
+    the per-arm rate values within a class.  Per ordered arm pair, the worst
+    mismatch over two sharing clients is the largest ratio minus the smallest.
     """
-    values = _arm_rates(SlotIndex.of(instance), stats, allocation)
+    index = SlotIndex.of(instance)
+    values = _arm_rates(index, stats, allocation)
     if values is None:
         raise ValueError("balance residuals require strictly positive owned weights")
-    balanced = 0.0
-    M = instance.num_clients
-    for m1 in range(M):
-        for m2 in range(m1 + 1, M):
-            common = sorted(set(allocation.arm_sets[m1]) & set(allocation.arm_sets[m2]))
-            for i1, i2 in itertools.permutations(common, 2):
-                r1 = allocation.weight(m1, i1) / allocation.weight(m1, i2)
-                r2 = allocation.weight(m2, i1) / allocation.weight(m2, i2)
-                balanced = max(balanced, abs(r1 - r2))
+    w = index.flatten(allocation.weights)
+    K = index.num_arms
+    high = np.full(K * K, -np.inf)
+    low = np.full(K * K, np.inf)
+    for clients, arms in index.clients_by_size:
+        g = w[index.starts[list(clients)][:, None] + np.arange(arms.shape[1])]
+        pair = (arms[:, :, None] * K + arms[:, None, :]).ravel()
+        ratio = (g[:, :, None] / g[:, None, :]).ravel()
+        np.maximum.at(high, pair, ratio)
+        np.minimum.at(low, pair, ratio)
+    balanced = float(np.max(high - low, initial=0.0))
     pseudo = 0.0
     for cls in partition.classes:
         vals = values[np.array(cls)]

@@ -118,10 +118,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     report = validate(instance)
     if not report.admissible:
         raise ValueError("instance is not admissible: " + "; ".join(report.violations))
+    # Every call below shares the instance's one slot index and structural check.
     stats = arm_stats(instance)
     gvec, alloc = optimal_allocation(instance, stats)
     g_star = g_tilde(instance, stats, alloc)
-    lower, upper = c_star_interval(instance, stats)
+    lower, upper = c_star_interval(instance, stats, g_star)
     print(
         json.dumps(
             {

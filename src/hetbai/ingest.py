@@ -5,6 +5,12 @@ rated (client, arm) pairs, then clients left with fewer than two arms and
 arms left with no client, min-max normalize the surviving ratings onto a
 common scale, and use each surviving pair's average normalized rating as its
 ground-truth Gaussian mean.
+
+A parsed table is three columns in file order.  Building an instance numbers
+every (client, arm) pair once and reduces the columns per pair with
+``numpy.bincount``, which adds a pair's ratings one at a time in file order:
+each mean is ``((0.0 + x_1) + x_2 + ...) / n``, the same float on every
+Python version (the built-in ``sum`` compensates its rounding from 3.12 on).
 """
 
 from __future__ import annotations
@@ -12,6 +18,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import compress
+from typing import Sequence
+
+import numpy as np
 
 from .instance import ProblemInstance, validate
 
@@ -33,12 +43,30 @@ class RatingsRow:
     rating: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingsTable:
-    """Parsed rows plus (line number, reason) entries for rejected lines."""
+    """Parsed ratings as columns, plus (line number, reason) entries for rejected lines.
 
-    rows: tuple[RatingsRow, ...]
+    Row ``k`` of the table is ``(clients[k], arms[k], ratings[k])``, in file
+    order; ``ratings`` is a read-only float array.
+    """
+
+    clients: tuple[str, ...]
+    arms: tuple[str, ...]
+    ratings: np.ndarray
     skipped: tuple[tuple[int, str], ...]
+
+    def __post_init__(self) -> None:
+        ratings = np.array(self.ratings, dtype=float)
+        if not ratings.shape == (len(self.clients),) == (len(self.arms),):
+            raise ValueError("client, arm and rating columns differ in length")
+        ratings.flags.writeable = False
+        object.__setattr__(self, "ratings", ratings)
+
+    @property
+    def rows(self) -> tuple[RatingsRow, ...]:
+        """The table row by row, built from the columns on each access."""
+        return tuple(map(RatingsRow, self.clients, self.arms, self.ratings.tolist()))
 
 
 @dataclass(frozen=True)
@@ -50,15 +78,17 @@ class IngestResult:
 
 
 def parse_ratings(path: str) -> RatingsTable:
-    """Read a ratings CSV with header ``client,arm,rating``.
+    """Read a UTF-8 ratings CSV with header ``client,arm,rating`` (a leading BOM is ignored).
 
     Malformed rows (wrong arity, empty labels, non-numeric or non-finite
     ratings) are collected with their line numbers instead of aborting the
     parse.  An unreadable file or a table with no valid rows is an error.
     """
-    rows: list[RatingsRow] = []
+    clients: list[str] = []
+    arms: list[str] = []
+    ratings: list[float] = []
     skipped: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _HEADER:
@@ -81,10 +111,21 @@ def parse_ratings(path: str) -> RatingsTable:
             if not math.isfinite(rating):
                 skipped.append((line, f"non-finite rating {raw!r}"))
                 continue
-            rows.append(RatingsRow(client=client, arm=arm, rating=rating))
-    if not rows:
+            clients.append(client)
+            arms.append(arm)
+            ratings.append(rating)
+    if not ratings:
         raise ValueError(f"no valid rating rows in {path}")
-    return RatingsTable(rows=tuple(rows), skipped=tuple(skipped))
+    return RatingsTable(
+        clients=tuple(clients), arms=tuple(arms), ratings=ratings, skipped=tuple(skipped)
+    )
+
+
+def _codes(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct labels, and each entry's position among them."""
+    names = sorted(set(labels))
+    position = {name: k for k, name in enumerate(names)}
+    return names, np.fromiter(map(position.__getitem__, labels), dtype=np.int64, count=len(labels))
 
 
 def build_instance(
@@ -98,7 +139,8 @@ def build_instance(
     clients left with fewer than two arms and arms left with no client;
     finally the surviving ratings are min-max normalized onto
     ``normalize_range`` (one global affine map, so no per-pair argmax can
-    change) and averaged per pair.  Labels are assigned indices in sorted order.
+    change) and averaged per pair, summed in file order.  Labels are
+    assigned indices in sorted order.
     """
     if min_samples < 1:
         raise ValueError("min_samples must be at least 1")
@@ -106,57 +148,63 @@ def build_instance(
     if not (hi > lo):
         raise ValueError("normalize_range must be increasing")
 
-    samples: dict[tuple[str, str], list[float]] = {}
-    for row in table.rows:
-        samples.setdefault((row.client, row.arm), []).append(row.rating)
-
-    dropped: list[str] = []
-    surviving = {}
-    for key in sorted(samples):
-        values = samples[key]
-        if len(values) < min_samples:
-            dropped.append(
-                f"pair {key[0]}/{key[1]}: {len(values)} samples (fewer than {min_samples})"
-            )
-        else:
-            surviving[key] = values
+    client_names, client_codes = _codes(table.clients)
+    arm_names, arm_codes = _codes(table.arms)
+    # One id per (client, arm) pair, in sorted (client, arm) label order.
+    keys, ids = np.unique(client_codes * len(arm_names) + arm_codes, return_inverse=True)
+    pair_client, pair_arm = np.divmod(keys, len(arm_names))
+    counts = np.bincount(ids, minlength=len(keys))
+    keep = counts >= min_samples
+    dropped = [
+        f"pair {client_names[c]}/{arm_names[a]}: {n} samples (fewer than {min_samples})"
+        for c, a, n in zip(
+            pair_client[~keep].tolist(), pair_arm[~keep].tolist(), counts[~keep].tolist()
+        )
+    ]
 
     # A client needs at least two arms.  Dropping a client removes only its
     # own pairs, so no other client's arm count changes and one pass is final;
     # an arm with no owning client left disappears from the label set.
-    arms_of: dict[str, list[str]] = {}
-    for c, a in surviving:
-        arms_of.setdefault(c, []).append(a)
-    arms_before = {a for _, a in surviving}
-    for c in sorted(arms_of):
-        if len(arms_of[c]) < 2:
-            dropped.append(f"client {c}: fewer than 2 arms after filtering")
-            for a in arms_of[c]:
-                del surviving[(c, a)]
-    for a in sorted(arms_before - {a for _, a in surviving}):
-        dropped.append(f"arm {a}: no owning client after filtering")
-    if not surviving:
+    lone = np.bincount(pair_client[keep], minlength=len(client_names)) == 1
+    dropped += [
+        f"client {client_names[c]}: fewer than 2 arms after filtering"
+        for c in np.flatnonzero(lone).tolist()
+    ]
+    arms_before = np.bincount(pair_arm[keep], minlength=len(arm_names)) > 0
+    keep &= ~lone[pair_client]
+    slots_per_client = np.bincount(pair_client[keep], minlength=len(client_names))
+    client_kept = slots_per_client > 0
+    arm_kept = np.bincount(pair_arm[keep], minlength=len(arm_names)) > 0
+    dropped += [
+        f"arm {arm_names[a]}: no owning client after filtering"
+        for a in np.flatnonzero(arms_before & ~arm_kept).tolist()
+    ]
+    if not keep.any():
         raise ValueError("no (client, arm) pairs survive filtering; " + "; ".join(dropped))
 
-    client_labels = tuple(sorted({c for c, _ in surviving}))
-    arm_labels = tuple(sorted({a for _, a in surviving}))
+    client_labels = tuple(compress(client_names, client_kept.tolist()))
+    arm_labels = tuple(compress(arm_names, arm_kept.tolist()))
 
-    flat = [x for values in surviving.values() for x in values]
-    rmin, rmax = min(flat), max(flat)
+    rated = keep[ids]
+    x = table.ratings[rated]
+    rmin, rmax = float(x.min()), float(x.max())
     if rmax == rmin:
         raise ValueError("all surviving ratings are identical; cannot normalize")
     scale = (hi - lo) / (rmax - rmin)
+    sums = np.bincount(ids[rated], weights=lo + (x - rmin) * scale, minlength=len(keys))
+    means = (sums[keep] / counts[keep]).tolist()
 
-    client_index = {c: m for m, c in enumerate(client_labels)}
-    arm_index = {a: i for i, a in enumerate(arm_labels)}
-    arm_sets: list[list[int]] = [[] for _ in client_labels]
-    means: dict[tuple[int, int], float] = {}
-    for (c, a), values in surviving.items():
-        normalized = [lo + (x - rmin) * scale for x in values]
-        means[(client_index[c], arm_index[a])] = sum(normalized) / len(normalized)
-        arm_sets[client_index[c]].append(arm_index[a])
-
-    instance = ProblemInstance.from_means(arm_sets, means, num_arms=len(arm_labels))
+    # Surviving pairs are sorted by client, then arm: each client's slots are
+    # one run, its arm indices ascending.
+    slot_arms = ((np.cumsum(arm_kept) - 1)[pair_arm[keep]]).tolist()
+    bounds = [0, *np.cumsum(slots_per_client[client_kept]).tolist()]
+    runs = list(zip(bounds[:-1], bounds[1:]))
+    instance = ProblemInstance(
+        num_arms=len(arm_labels),
+        num_clients=len(client_labels),
+        arm_sets=tuple(tuple(slot_arms[a:b]) for a, b in runs),
+        means=tuple(tuple(means[a:b]) for a, b in runs),
+    )
     report = validate(instance)
     if not report.admissible:
         raise ValueError("ingested instance is not admissible: " + "; ".join(report.violations))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -99,6 +99,21 @@ class ProblemInstance:
         """Sum of the per-client arm set sizes (the K' of the stopping rule)."""
         return sum(len(s) for s in self.arm_sets)
 
+    # The structural check and the slot index depend on the fields alone, so
+    # each is computed on first use and kept with the instance; pickles and
+    # copies carry the fields only.
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(_structural_violations(self))
+
+    @cached_property
+    def _slots(self) -> "SlotIndex":
+        return SlotIndex._build(self)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -170,7 +185,15 @@ class SlotIndex:
 
     @classmethod
     def of(cls, instance: ProblemInstance) -> "SlotIndex":
-        """Index of a structurally valid instance (not re-checked here)."""
+        """Index of a structurally valid instance (not re-checked here).
+
+        Built once per instance object and shared by every caller, together
+        with its cached properties and stacked arrays.
+        """
+        return instance._slots
+
+    @classmethod
+    def _build(cls, instance: ProblemInstance) -> "SlotIndex":
         sizes = [len(arms) for arms in instance.arm_sets]
         slot_arm = np.fromiter(
             (i for arms in instance.arm_sets for i in arms), dtype=np.int64, count=sum(sizes)
@@ -325,7 +348,7 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     arm of the client by more than the rounding error of their aggregate
     means (see :func:`_ties`); an exact tie is the case of a zero gap.
     """
-    violations = _structural_violations(instance)
+    violations = list(instance._violations)
     structurally_valid = not violations
     if structurally_valid:
         index = SlotIndex.of(instance)
@@ -386,9 +409,8 @@ def _ties(index: SlotIndex, slot_means: np.ndarray) -> list[str]:
 
 
 def _require_structure(instance: ProblemInstance) -> None:
-    violations = _structural_violations(instance)
-    if violations:
-        raise ValueError("structurally invalid instance: " + "; ".join(violations))
+    if instance._violations:
+        raise ValueError("structurally invalid instance: " + "; ".join(instance._violations))
 
 
 def arm_stats(instance: ProblemInstance) -> ArmStats:

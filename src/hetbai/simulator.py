@@ -17,7 +17,7 @@ instants, so :func:`run_batch` runs many in lockstep: each advances its own
 clients and draws its own rewards, and at every instant the server work of
 all running episodes is one stacked computation whose rows equal a lone
 episode's values bit for bit.  :func:`run_episode` is the batch of one, and
-:func:`sweep` hands each worker one contiguous batch of its task list.
+:func:`sweep` deals its task list round-robin into one batch per worker.
 """
 
 from __future__ import annotations
@@ -323,9 +323,10 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
     """Run ``repetitions`` episodes per delta; seeds are ``base_seed + index``.
 
     Episode index enumerates the grid by (delta position, repetition), and
-    the returned order matches it.  The task list is split into one
-    contiguous batch per worker; records depend neither on the split nor on
-    the worker count.
+    the returned order matches it.  The tasks are dealt round-robin into one
+    batch per worker, so every batch gets its share of each delta (small
+    deltas run longest); records depend neither on the split nor on the
+    worker count.
     """
     tasks = [
         (delta, config.base_seed + d_idx * config.repetitions + rep)
@@ -333,15 +334,17 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
         for rep in range(config.repetitions)
     ]
     workers = pool_size(config.workers, len(tasks))
-    edges = [len(tasks) * w // workers for w in range(workers + 1)]
     batches = [
-        (config.instance, config.policy, config.lam, tasks[a:b], config.step_cap)
-        for a, b in zip(edges[:-1], edges[1:])
+        (config.instance, config.policy, config.lam, tasks[w::workers], config.step_cap)
+        for w in range(workers)
     ]
     if workers == 1:
         return run_batch(*batches[0])
+    records: list = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [record for batch in pool.map(_batch_task, batches) for record in batch]
+        for w, batch in enumerate(pool.map(_batch_task, batches)):
+            records[w::workers] = batch
+    return records
 
 
 def pool_size(workers: int, num_tasks: int) -> int:

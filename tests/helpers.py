@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -307,6 +309,26 @@ def loop_pseudo_balance(instance, stats, partition, allocation) -> float:
     return pseudo
 
 
+def weight_of(allocation: Allocation, client: int, arm: int) -> float:
+    """Weight of ``arm`` at ``client``; 0.0 when the client does not own the arm."""
+    arms = allocation.arm_sets[client]
+    return allocation.weights[client][arms.index(arm)] if arm in arms else 0.0
+
+
+def loop_balanced(allocation: Allocation) -> float:
+    """The ``balanced`` half of ``balance_residuals``, over every pair of clients."""
+    balanced = 0.0
+    M = len(allocation.arm_sets)
+    for m1 in range(M):
+        for m2 in range(m1 + 1, M):
+            common = sorted(set(allocation.arm_sets[m1]) & set(allocation.arm_sets[m2]))
+            for i1, i2 in itertools.permutations(common, 2):
+                r1 = weight_of(allocation, m1, i1) / weight_of(allocation, m1, i2)
+                r2 = weight_of(allocation, m2, i1) / weight_of(allocation, m2, i2)
+                balanced = max(balanced, abs(r1 - r2))
+    return balanced
+
+
 def loop_closest_alternative(instance, stats, allocation, pair) -> ProblemInstance:
     i1, i2 = pair
     gap = float(stats.global_means[i1] - stats.global_means[i2])
@@ -315,15 +337,15 @@ def loop_closest_alternative(instance, stats, allocation, pair) -> ProblemInstan
         mult_sq = float(stats.multiplicities[i]) ** 2
         for m, arms in enumerate(instance.arm_sets):
             if i in arms:
-                denom += 1.0 / (allocation.weight(m, i) * mult_sq)
+                denom += 1.0 / (weight_of(allocation, m, i) * mult_sq)
     updates = {}
     for m, arms in enumerate(instance.arm_sets):
         if i1 in arms:
-            w = allocation.weight(m, i1)
+            w = weight_of(allocation, m, i1)
             shift = gap / (stats.multiplicities[i1] * w * denom)
             updates[(m, i1)] = mean_of(instance, m, i1) - shift
         if i2 in arms:
-            w = allocation.weight(m, i2)
+            w = weight_of(allocation, m, i2)
             shift = gap / (stats.multiplicities[i2] * w * denom)
             updates[(m, i2)] = mean_of(instance, m, i2) + shift
     return with_means(instance, updates)
@@ -334,7 +356,7 @@ def loop_transport_cost(instance, allocation, alternative) -> float:
     for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means)):
         for i, mu in zip(arms, mus):
             diff = mu - mean_of(alternative, m, i)
-            total += allocation.weight(m, i) * diff * diff / 2.0
+            total += weight_of(allocation, m, i) * diff * diff / 2.0
     return total
 
 
@@ -514,3 +536,97 @@ def loop_run_episode(instance: ProblemInstance, policy: str, delta: float, lam: 
                 state.global_vec = gvec
                 weights[m] = state.weights()
     raise AssertionError("unreachable: the schedule is unbounded")
+
+
+# --- Reference per-row ratings ingest ---
+
+
+def loop_parse_ratings(path: str) -> tuple[list[tuple[str, str, float]], list[tuple[int, str]]]:
+    """``(client, arm, rating)`` rows and ``(line, reason)`` skips, one row object at a time."""
+    rows: list[tuple[str, str, float]] = []
+    skipped: list[tuple[int, str]] = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["client", "arm", "rating"]:
+            raise ValueError(f"expected header 'client,arm,rating', got {header}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                skipped.append((line, f"expected 3 fields, got {len(row)}"))
+                continue
+            client, arm, raw = row[0].strip(), row[1].strip(), row[2].strip()
+            if not client or not arm:
+                skipped.append((line, "empty client or arm label"))
+                continue
+            try:
+                rating = float(raw)
+            except ValueError:
+                skipped.append((line, f"non-numeric rating {raw!r}"))
+                continue
+            if not math.isfinite(rating):
+                skipped.append((line, f"non-finite rating {raw!r}"))
+                continue
+            rows.append((client, arm, rating))
+    if not rows:
+        raise ValueError(f"no valid rating rows in {path}")
+    return rows, skipped
+
+
+def left_to_right_sum(values) -> float:
+    """``0.0 + x_1 + x_2 + ...``, one rounding per term: what ``sum`` computes before Python 3.12."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def loop_build_instance(rows, min_samples=10, normalize_range=(0.0, 100.0)):
+    """``(client_labels, arm_labels, dropped, arm_sets, means)`` by per-pair lists of ratings.
+
+    Raises ``ValueError`` where ``build_instance`` does, before its admissibility check.
+    """
+    lo, hi = normalize_range
+    samples: dict[tuple[str, str], list[float]] = {}
+    for client, arm, rating in rows:
+        samples.setdefault((client, arm), []).append(rating)
+    dropped: list[str] = []
+    surviving = {}
+    for key in sorted(samples):
+        values = samples[key]
+        if len(values) < min_samples:
+            dropped.append(
+                f"pair {key[0]}/{key[1]}: {len(values)} samples (fewer than {min_samples})"
+            )
+        else:
+            surviving[key] = values
+    arms_of: dict[str, list[str]] = {}
+    for c, a in surviving:
+        arms_of.setdefault(c, []).append(a)
+    arms_before = {a for _, a in surviving}
+    for c in sorted(arms_of):
+        if len(arms_of[c]) < 2:
+            dropped.append(f"client {c}: fewer than 2 arms after filtering")
+            for a in arms_of[c]:
+                del surviving[(c, a)]
+    for a in sorted(arms_before - {a for _, a in surviving}):
+        dropped.append(f"arm {a}: no owning client after filtering")
+    if not surviving:
+        raise ValueError("no (client, arm) pairs survive filtering; " + "; ".join(dropped))
+    client_labels = tuple(sorted({c for c, _ in surviving}))
+    arm_labels = tuple(sorted({a for _, a in surviving}))
+    flat = [x for values in surviving.values() for x in values]
+    rmin, rmax = min(flat), max(flat)
+    if rmax == rmin:
+        raise ValueError("all surviving ratings are identical; cannot normalize")
+    scale = (hi - lo) / (rmax - rmin)
+    client_index = {c: m for m, c in enumerate(client_labels)}
+    arm_index = {a: i for i, a in enumerate(arm_labels)}
+    arm_sets: list[list[int]] = [[] for _ in client_labels]
+    means: dict[tuple[int, int], float] = {}
+    for (c, a), values in surviving.items():
+        normalized = [lo + (x - rmin) * scale for x in values]
+        means[(client_index[c], arm_index[a])] = left_to_right_sum(normalized) / len(normalized)
+        arm_sets[client_index[c]].append(arm_index[a])
+    return client_labels, arm_labels, tuple(dropped), arm_sets, means

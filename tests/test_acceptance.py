@@ -43,6 +43,7 @@ from helpers import (
     random_positive_allocation,
     single_client_two_arm,
     symmetric_two_arm,
+    weight_of,
 )
 from test_ingest import MINI_RATINGS
 
@@ -59,7 +60,7 @@ def pair_rate_by_scalar_search(instance, stats, allocation, pair):
     terms = []
     for i in pair:
         recip = sum(
-            1.0 / allocation.weight(m, i)
+            1.0 / weight_of(allocation, m, i)
             for m, arms in enumerate(instance.arm_sets)
             if i in arms
         )

@@ -33,6 +33,7 @@ from hetbai.allocation import ZERO_WEIGHT
 
 from helpers import (
     chain_three_arm,
+    loop_balanced,
     loop_closest_alternative,
     loop_g_exact,
     loop_g_tilde,
@@ -42,10 +43,12 @@ from helpers import (
     make_instance,
     means_map,
     random_admissible_instance,
+    random_overlap_instance,
     random_positive_allocation,
     single_client_two_arm,
     symmetric_two_arm,
     synthetic_stats_gap_1_2,
+    weight_of,
     wide_gap_instance,
     with_means,
 )
@@ -80,7 +83,7 @@ def pairwise_rate_oracle(instance, stats, allocation, pair):
     cost_terms = []
     for i in (i1, i2):
         recip = sum(
-            1.0 / allocation.weight(m, i)
+            1.0 / weight_of(allocation, m, i)
             for m, arms in enumerate(instance.arm_sets)
             if i in arms
         )
@@ -293,6 +296,26 @@ class TestAllocationFromGlobal:
             for row in alloc.weights:
                 assert abs(sum(row) - 1.0) <= 1e-12
 
+    def test_grouped_rows_equal_per_client_normalization(self):
+        # arm sets of 2 to 25 arms, so row sums run both the short and the
+        # blocked (pairwise) summation
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            K = int(rng.integers(3, 26))
+            sets = [tuple(range(K))] + [
+                tuple(sorted(rng.choice(K, size=int(rng.integers(2, K + 1)), replace=False).tolist()))
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            v = make_instance(sets, {(m, i): 0.0 for m, s in enumerate(sets) for i in s}, num_arms=K)
+            entries = 10.0 ** rng.uniform(-6.0, 6.0, size=K)
+            want = []
+            for arms in v.arm_sets:
+                w = entries[np.array(arms)]
+                w = w / w.sum()
+                w = w / w.sum()
+                want.append(tuple(float(x) for x in w))
+            assert allocation_from_global(entries, v).weights == tuple(want)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="strictly positive"):
             allocation_from_global(np.array([1.0, 0.0]), single_client_two_arm())
@@ -436,6 +459,15 @@ class TestBalanceResiduals:
         stats = synthetic_stats_gap_1_2(v)
         _, pseudo = balance_residuals(v, stats, partition_arms(v), Allocation.uniform(v))
         assert math.isclose(pseudo, 1.2, rel_tol=1e-12)
+
+    def test_balanced_equals_pairwise_loop(self):
+        rng = np.random.default_rng(13)
+        for k in range(150):
+            v = random_overlap_instance(rng) if k % 2 else random_admissible_instance(rng)
+            stats = arm_stats(v)
+            alloc = optimal_allocation(v, stats)[1] if k % 3 == 0 else random_positive_allocation(rng, v)
+            balanced, _ = balance_residuals(v, stats, partition_arms(v), alloc)
+            assert balanced == loop_balanced(alloc)
 
     def test_requires_positive_weights(self):
         v = single_client_two_arm()

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from hetbai import load_instance, read_records, save_instance
+from hetbai import c_star_interval, load_instance, read_records, save_instance
 from hetbai.cli import dispatch, load_sweep_config
 
-from helpers import make_instance, symmetric_two_arm
+from helpers import chain_three_arm, make_instance, symmetric_two_arm
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 MINI_RATINGS = os.path.join(DATA_DIR, "mini_ratings.csv")
@@ -79,6 +79,13 @@ class TestSolve:
 
     def test_inadmissible_rejected(self, tie_file):
         assert dispatch(["solve", tie_file]) == 2
+
+    def test_c_star_interval_matches_library(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        save_instance(chain_three_arm(), str(path))
+        assert dispatch(["solve", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["c_star_interval"] == list(c_star_interval(load_instance(str(path))))
 
 
 class TestRun:

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from hetbai import build_instance, parse_ratings, validate
 from hetbai.ingest import RatingsRow, RatingsTable
 
-from helpers import mean_of
+from helpers import left_to_right_sum, loop_build_instance, loop_parse_ratings, mean_of
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 MINI_RATINGS = os.path.join(DATA_DIR, "mini_ratings.csv")
@@ -18,8 +20,14 @@ def write_csv(tmp_path, text):
     return str(path)
 
 
-def rows(*triples):
-    return tuple(RatingsRow(client=c, arm=a, rating=float(r)) for c, a, r in triples)
+def make_table(*triples):
+    """A parsed table with no skipped lines, from ``(client, arm, rating)`` rows."""
+    return RatingsTable(
+        clients=tuple(c for c, _, _ in triples),
+        arms=tuple(a for _, a, _ in triples),
+        ratings=[float(r) for _, _, r in triples],
+        skipped=(),
+    )
 
 
 class TestParseRatings:
@@ -61,6 +69,25 @@ class TestParseRatings:
         assert len(table.rows) == 1
         assert [line for line, _ in table.skipped] == [2, 3]
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes("client,arm,rating\na,x,1\n".encode("utf-8-sig"))
+        table = parse_ratings(str(path))
+        assert table.rows == (RatingsRow(client="a", arm="x", rating=1.0),)
+
+    def test_columns_and_read_only_rows_view(self, tmp_path):
+        path = write_csv(tmp_path, "client,arm,rating\na,x,1.5\nb , y,2\n")
+        table = parse_ratings(path)
+        assert table.clients == ("a", "b") and table.arms == ("x", "y")
+        assert table.ratings.tolist() == [1.5, 2.0]
+        assert table.rows == (RatingsRow("a", "x", 1.5), RatingsRow("b", "y", 2.0))
+        with pytest.raises(ValueError):
+            table.ratings[0] = 0.0
+
+    def test_columns_must_align(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            RatingsTable(clients=("a",), arms=("x", "y"), ratings=[1.0], skipped=())
+
 
 class TestBuildInstance:
     def test_mini_fixture_hand_computed(self):
@@ -75,24 +102,18 @@ class TestBuildInstance:
         assert any("south/gamma: 9 samples" in msg for msg in result.dropped)
 
     def test_pair_below_min_samples_dropped(self):
-        table = RatingsTable(
-            rows=rows(*([("a", "x", i) for i in range(1, 11)]
-                        + [("a", "y", i + 2) for i in range(1, 11)]
-                        + [("a", "z", 5)] * 9)),
-            skipped=(),
-        )
+        table = make_table(*([("a", "x", i) for i in range(1, 11)]
+                             + [("a", "y", i + 2) for i in range(1, 11)]
+                             + [("a", "z", 5)] * 9))
         result = build_instance(table, min_samples=10)
         assert result.arm_labels == ("x", "y")
         assert any("a/z: 9 samples" in msg for msg in result.dropped)
 
     def test_client_reduced_to_one_arm_dropped(self):
-        table = RatingsTable(
-            rows=rows(*([("a", "x", i) for i in range(1, 11)]
-                        + [("a", "y", 12 - i) for i in range(1, 11)]
-                        + [("b", "x", 3)] * 10
-                        + [("b", "w", 4)] * 5)),
-            skipped=(),
-        )
+        table = make_table(*([("a", "x", i) for i in range(1, 11)]
+                             + [("a", "y", 12 - i) for i in range(1, 11)]
+                             + [("b", "x", 3)] * 10
+                             + [("b", "w", 4)] * 5))
         result = build_instance(table, min_samples=10)
         assert result.client_labels == ("a",)
         assert any("client b: fewer than 2 arms" in msg for msg in result.dropped)
@@ -102,23 +123,17 @@ class TestBuildInstance:
     def test_summation_order_tie_rejected(self):
         # x rated 1..10 and y rated 10..1 have equal raw means; the ingested
         # means differ only by summation order (50.0 against 49.999999999999986)
-        table = RatingsTable(
-            rows=rows(*([("a", "x", i) for i in range(1, 11)]
-                        + [("a", "y", 11 - i) for i in range(1, 11)])),
-            skipped=(),
-        )
+        table = make_table(*([("a", "x", i) for i in range(1, 11)]
+                             + [("a", "y", 11 - i) for i in range(1, 11)]))
         with pytest.raises(ValueError, match="client 1: best arm 1 and arm 2 .* rounding error"):
             build_instance(table, min_samples=10)
 
     def test_dropped_clients_and_orphaned_arm_reported_in_order(self):
         # b and c each lose a sparse pair and keep one arm; dropping them
         # orphans arm v, and no other client's arm count changes
-        table = RatingsTable(
-            rows=rows(*([("a", "x", 4)] * 10 + [("a", "y", 2)] * 10
-                        + [("b", "x", 3)] * 10 + [("b", "w", 1)] * 5
-                        + [("c", "v", 5)] * 10 + [("c", "z", 1)] * 3)),
-            skipped=(),
-        )
+        table = make_table(*([("a", "x", 4)] * 10 + [("a", "y", 2)] * 10
+                             + [("b", "x", 3)] * 10 + [("b", "w", 1)] * 5
+                             + [("c", "v", 5)] * 10 + [("c", "z", 1)] * 3))
         result = build_instance(table, min_samples=10)
         assert result.client_labels == ("a",)
         assert result.arm_labels == ("x", "y")
@@ -131,16 +146,13 @@ class TestBuildInstance:
         )
 
     def test_nothing_survives_is_an_error(self):
-        table = RatingsTable(rows=rows(("a", "x", 1), ("a", "y", 2)), skipped=())
+        table = make_table(("a", "x", 1), ("a", "y", 2))
         with pytest.raises(ValueError, match="survive"):
             build_instance(table, min_samples=10)
 
     def test_tied_means_rejected(self):
         # x and y tie at the top of the only client's arm set
-        table = RatingsTable(
-            rows=rows(*([("a", "x", 5)] * 10 + [("a", "y", 5)] * 10 + [("a", "z", 1)] * 10)),
-            skipped=(),
-        )
+        table = make_table(*([("a", "x", 5)] * 10 + [("a", "y", 5)] * 10 + [("a", "z", 1)] * 10))
         with pytest.raises(ValueError, match="not admissible"):
             build_instance(table, min_samples=10)
 
@@ -167,10 +179,7 @@ class TestBuildInstance:
         for c in "abc":
             for a in "xyz":
                 raw[(c, a)] = rng.uniform(1.0, 5.0, size=12).tolist()
-        table = RatingsTable(
-            rows=rows(*[(c, a, r) for (c, a), vals in raw.items() for r in vals]),
-            skipped=(),
-        )
+        table = make_table(*[(c, a, r) for (c, a), vals in raw.items() for r in vals])
         result = build_instance(table, min_samples=10)
         # the affine normalization cannot reorder any client's per-pair means
         for m, c in enumerate(result.client_labels):
@@ -184,16 +193,94 @@ class TestBuildInstance:
             assert ranked == sorted(raw_means, key=raw_means.get)
 
     def test_min_samples_one_keeps_everything(self):
-        table = RatingsTable(
-            rows=rows(("a", "x", 1), ("a", "y", 2), ("a", "x", 2)), skipped=()
-        )
+        table = make_table(("a", "x", 1), ("a", "y", 2), ("a", "x", 2))
         result = build_instance(table, min_samples=1)
         assert result.instance.num_arms == 2
         assert validate(result.instance).admissible
 
     def test_bad_parameters(self):
-        table = RatingsTable(rows=rows(("a", "x", 1), ("a", "y", 2)), skipped=())
+        table = make_table(("a", "x", 1), ("a", "y", 2))
         with pytest.raises(ValueError):
             build_instance(table, min_samples=0)
         with pytest.raises(ValueError):
             build_instance(table, min_samples=1, normalize_range=(5.0, 5.0))
+
+
+def random_ratings_text(rng: np.random.Generator, min_samples: int) -> str:
+    """A ratings CSV with shuffled rows, padded fields, and every kind of rejected line.
+
+    Pair sizes straddle ``min_samples``; ratings are sometimes whole stars,
+    so ties and a constant table occur.
+    """
+    stars = rng.random() < 0.3
+    lines = []
+    for c in range(int(rng.integers(1, 6))):
+        for a in range(int(rng.integers(1, 6))):
+            if rng.random() < 0.3:
+                continue
+            level = rng.normal(0.0, 2.0)
+            for _ in range(max(0, min_samples + int(rng.integers(-2, 3)))):
+                x = float(np.round(rng.normal(level, 1.0))) if stars else float(rng.normal(level, 1.0))
+                client, arm = f"c{c}", f"a{a}"
+                if rng.random() < 0.2:
+                    client, arm = f" {client}", f"{arm}\t"
+                rating = rng.choice([repr(x), f"{x:.3e}", f" {x} "])
+                lines.append(f"{client},{arm},{rating}")
+    junk = ["", "c0,a0", "c0,a0,1,2", ",a0,1", "c1, ,2", "c0,a0,soup", "c0,a0,inf", "c1,a1,nan"]
+    lines += list(rng.choice(junk, size=int(rng.integers(0, 6))))
+    order = rng.permutation(len(lines))
+    return "client,arm,rating\n" + "\n".join(lines[k] for k in order) + "\n"
+
+
+class TestColumnarIngestMatchesRowReference:
+    """The columnar ingest against the per-row reference in ``helpers``."""
+
+    def test_random_tables(self, tmp_path):
+        rng = np.random.default_rng(41)
+        path = tmp_path / "ratings.csv"
+        built = 0
+        for _ in range(300):
+            min_samples = int(rng.integers(1, 6))
+            path.write_text(random_ratings_text(rng, min_samples))
+            try:
+                rows, skipped = loop_parse_ratings(str(path))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    parse_ratings(str(path))
+                continue
+            table = parse_ratings(str(path))
+            assert table.skipped == tuple(skipped)
+            assert list(zip(table.clients, table.arms, table.ratings.tolist())) == rows
+            try:
+                clients, arms, dropped, arm_sets, means = loop_build_instance(rows, min_samples)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as caught:
+                    build_instance(table, min_samples=min_samples)
+                assert str(caught.value) == str(exc)
+                continue
+            try:
+                result = build_instance(table, min_samples=min_samples)
+            except ValueError as exc:
+                assert "not admissible" in str(exc)
+                continue
+            built += 1
+            assert result.client_labels == clients and result.arm_labels == arms
+            assert result.dropped == dropped
+            v = result.instance
+            assert v.arm_sets == tuple(tuple(s) for s in arm_sets)
+            got = [mu for row in v.means for mu in row]
+            want = [means[(m, i)] for m, arms_m in enumerate(v.arm_sets) for i in arms_m]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert built > 100
+
+    def test_means_sum_in_file_order(self):
+        # x is rated 10, 9, ..., 1 and y always 1, so x's normalized ratings
+        # are 100, 88.9, ..., 0; added left to right they give 499.99999999999986,
+        # while the correctly rounded sum is 500
+        ratings = list(range(10, 0, -1))
+        table = make_table(*[("a", "x", r) for r in ratings], *[("a", "y", 1)] * 10)
+        normalized = [0.0 + (r - 1) * (100.0 / 9) for r in ratings]
+        in_order = left_to_right_sum(normalized) / 10
+        assert in_order != math.fsum(normalized) / 10
+        result = build_instance(table, min_samples=10)
+        assert result.instance.means == ((in_order, 0.0),)

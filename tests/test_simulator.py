@@ -23,6 +23,7 @@ from hetbai import (
     run_episode,
     sweep,
 )
+from hetbai import simulator
 from hetbai.simulator import write_records
 
 from helpers import (
@@ -176,7 +177,8 @@ class TestBatchMatchesBatchOfOne:
         assert run_batch(chain_three_arm(), "het-ts", 0.2, []) == []
 
     def test_sweep_workers_split_batches(self):
-        # nine tasks over three deltas: two workers get batches of 4 and 5 tasks, each mixing deltas
+        # nine tasks over three deltas: two workers get round-robin batches of 5 and 4 tasks,
+        # each holding every delta
         config = dict(
             instance=chain_three_arm(), deltas=(0.2, 1e-2, 1e-4), repetitions=3, lam=0.2,
             base_seed=40,
@@ -234,6 +236,37 @@ class TestSweep:
         serial = sweep(SweepConfig(workers=1, **base))
         parallel = sweep(SweepConfig(workers=4, **base))
         assert serial == parallel
+
+    def test_batches_deal_tasks_round_robin(self, monkeypatch):
+        # The 2-worker sweep with its pool run in-process, to see the batches:
+        # each gets every delta, and the records come back in task order.
+        v = chain_three_arm()
+        config = SweepConfig(
+            instance=v, deltas=(0.1, 1e-3, 1e-6), repetitions=3, base_seed=40, lam=0.3, workers=2
+        )
+        tasks = [(d, 40 + k * 3 + rep) for k, d in enumerate(config.deltas) for rep in range(3)]
+        batches = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                batches.extend(args)
+                return map(fn, batches)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
+        assert sweep(config) == [run_episode(v, "het-ts", d, 0.3, seed) for d, seed in tasks]
+        assert [batch[3] for batch in batches] == [tasks[0::2], tasks[1::2]]
+        for batch in batches:
+            assert {d for d, _ in batch[3]} == set(config.deltas)
 
     def test_mean_tau_nondecreasing_in_confidence(self):
         # With a common seed the trajectory does not depend on delta and the
