@@ -78,6 +78,9 @@ _ROW_SUM_TOL = 1e-12
 # Componentwise relative eigen-residual a global vector must certify.
 CERTIFICATE_TOL = 1e-10
 
+_MAX_GRID_POINTS = 10_000_000  # largest grid brute_force_g_tilde_max enumerates
+_GRID_CHUNK = 1_000_000  # grid points it scores per array pass
+
 # Power steps after which a block is declared to have no certifiable
 # positive eigenvector (a reducible block, or one whose top eigenvalues
 # nearly coincide); production class blocks certify within a few steps.
@@ -285,7 +288,7 @@ def allocation_from_global(
     if np.min(entries) <= 0.0:
         raise ValueError("global vector must be strictly positive")
     rows: list = [None] * instance.num_clients
-    for clients, arms in SlotIndex.of(instance).clients_by_size:
+    for clients, arms in slot_index(instance).clients_by_size:
         w = entries[arms]
         w = w / w.sum(axis=1, keepdims=True)
         w = w / w.sum(axis=1, keepdims=True)  # second pass pins the row sum to 1 within 1e-12
@@ -347,7 +350,7 @@ def _arm_rates(index: SlotIndex, stats: ArmStats, allocation: Allocation) -> np.
 
 def g_tilde(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) -> float:
     """Relaxed identification rate: worst arm of ``gap^2/2`` over ``T_i``."""
-    values = _arm_rates(SlotIndex.of(instance), stats, allocation)
+    values = _arm_rates(slot_index(instance), stats, allocation)
     return 0.0 if values is None else float(values.min() / 2.0)
 
 
@@ -362,7 +365,7 @@ def g_tilde_per_class(
     The top eigenvalue of class block ``j`` equals the reciprocal of this
     value at the optimal allocation.
     """
-    values = _arm_rates(SlotIndex.of(instance), stats, allocation)
+    values = _arm_rates(slot_index(instance), stats, allocation)
     if values is None:
         return np.zeros(len(partition.classes))
     out = np.full(len(partition.classes), np.inf)
@@ -377,7 +380,7 @@ def g_exact(
     allocation: Allocation,
 ) -> float:
     """Pairwise identification rate over the confusion pairs."""
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     w = index.flatten(allocation.weights)
     if np.any(w <= ZERO_WEIGHT):
         return 0.0
@@ -398,7 +401,7 @@ def closest_alternative(
     the pair's term in ``g_exact``.
     """
     i1, i2 = pair
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     w = index.flatten(allocation.weights)
     on1, on2 = index.slot_arm == i1, index.slot_arm == i2
     on = on1 | on2
@@ -425,7 +428,7 @@ def transport_cost(
     """Weighted squared-distance between two mean configurations."""
     if alternative.arm_sets != instance.arm_sets:
         raise ValueError("alternative does not have the instance's arm sets")
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     diff = index.flatten(instance.means) - index.flatten(alternative.means)
     return float(np.sum(index.flatten(allocation.weights) * diff * diff / 2.0))
 
@@ -464,7 +467,7 @@ def balance_residuals(
     the per-arm rate values within a class.  Per ordered arm pair, the worst
     mismatch over two sharing clients is the largest ratio minus the smallest.
     """
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     values = _arm_rates(index, stats, allocation)
     if values is None:
         raise ValueError("balance residuals require strictly positive owned weights")
@@ -505,14 +508,12 @@ def brute_force_g_tilde_max(
     instance: ProblemInstance,
     grid_step: float,
     stats: ArmStats | None = None,
-    max_points: int = 10_000_000,
-    chunk: int = 1_000_000,
 ) -> tuple[Allocation, float]:
     """Exhaustive grid maximization of the relaxed rate (verification oracle).
 
     Enumerates the product of per-client simplex grids with the given step
     and returns the first grid point attaining the maximum.  Guarded against
-    grids with more than ``max_points`` points.
+    grids with more than ``_MAX_GRID_POINTS`` points.
     """
     if stats is None:
         stats = arm_stats(instance)
@@ -522,9 +523,9 @@ def brute_force_g_tilde_max(
     grids = [_simplex_grid(len(s), steps) for s in instance.arm_sets]
     counts = [len(g) for g in grids]
     total = math.prod(counts)
-    if total > max_points:
+    if total > _MAX_GRID_POINTS:
         raise ValueError(
-            f"grid would have {total} points (> {max_points}); use a smaller instance or step"
+            f"grid would have {total} points (> {_MAX_GRID_POINTS}); use a smaller instance or step"
         )
     mult_sq = stats.multiplicities.astype(float) ** 2
     half_gap_sq = stats.gaps**2 / 2.0
@@ -534,8 +535,8 @@ def brute_force_g_tilde_max(
     ]
     best_value = -1.0
     best_flat = 0
-    for lo in range(0, total, chunk):
-        flat = np.arange(lo, min(lo + chunk, total))
+    for lo in range(0, total, _GRID_CHUNK):
+        flat = np.arange(lo, min(lo + _GRID_CHUNK, total))
         idx = np.unravel_index(flat, counts)
         value = np.full(len(flat), np.inf)
         with np.errstate(divide="ignore"):

@@ -13,15 +13,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 from .allocation import c_star_interval, g_tilde, optimal_allocation
 from .ingest import build_instance, parse_ratings
 from .instance import arm_stats, load_instance, save_instance, validate
 from .simulator import (
+    POLICIES,
     SweepConfig,
     aggregate,
     export_records,
     export_summary,
+    input_violations,
     read_records,
     run_episode,
     sweep,
@@ -40,15 +43,27 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_CONFIG_FIELDS = {"instance", "policy", "lambda", "deltas", "repetitions", "seed", "workers"}
+# Optional numeric config fields -> (SweepConfig field, JSON type, name of that type).
+_OPTIONAL = {
+    "lambda": ("lam", (int, float), "a number"),
+    "repetitions": ("repetitions", int, "an integer"),
+    "seed": ("base_seed", int, "an integer"),
+    "workers": ("workers", int, "an integer"),
+}
+_CONFIG_FIELDS = {"instance", "deltas", "policy", *_OPTIONAL}
+_DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
+
+
+def _of_type(value: object, kind: type | tuple[type, ...]) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
     """Parse and validate a sweep config JSON, listing every violation.
 
     Required fields: ``instance`` (path, relative to the config file) and
-    ``deltas``.  Defaults: policy het-ts, lambda 0.01, repetitions 4,
-    seed 0, workers 1.
+    ``deltas``; the others default to :class:`SweepConfig`'s.  Value ranges
+    are the rules of :func:`hetbai.simulator.input_violations`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -61,45 +76,31 @@ def load_sweep_config(path: str) -> SweepConfig:
     for name in ("instance", "deltas"):
         if name not in doc:
             problems.append(f"missing required field {name!r}")
-    policy = doc.get("policy", "het-ts")
-    if policy not in ("het-ts", "uniform"):
-        problems.append(f"policy must be 'het-ts' or 'uniform', got {policy!r}")
-    lam = doc.get("lambda", 0.01)
-    if not isinstance(lam, (int, float)) or isinstance(lam, bool) or not lam > 0:
-        problems.append(f"lambda must be a positive number, got {lam!r}")
+    cfg = {"policy": doc.get("policy", _DEFAULTS["policy"])}  # SweepConfig field -> value
+    for name, (field, kind, noun) in _OPTIONAL.items():
+        value = doc.get(name, _DEFAULTS[field])
+        if not _of_type(value, kind):
+            problems.append(f"{name} must be {noun}, got {value!r}")
+            value = _DEFAULTS[field]  # reported; the range rules see the default
+        cfg[field] = value
     deltas = doc.get("deltas", [])
-    if not isinstance(deltas, list) or not deltas:
-        problems.append("deltas must be a nonempty list")
-    else:
-        for d in deltas:
-            if not isinstance(d, (int, float)) or isinstance(d, bool) or not (0.0 < d < 1.0):
-                problems.append(f"delta {d!r} outside (0, 1)")
-    repetitions = doc.get("repetitions", 4)
-    if not isinstance(repetitions, int) or isinstance(repetitions, bool) or repetitions < 1:
-        problems.append(f"repetitions must be a positive integer, got {repetitions!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append(f"seed must be an integer, got {seed!r}")
-    workers = doc.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        problems.append(f"workers must be a positive integer, got {workers!r}")
+    if not isinstance(deltas, list):
+        problems.append(f"deltas must be a list, got {deltas!r}")
+        deltas = []
+    problems += [f"delta {d!r} is not a number" for d in deltas if not _of_type(d, (int, float))]
+    deltas = [d for d in deltas if _of_type(d, (int, float))]
     if not isinstance(doc.get("instance", ""), str):
         problems.append("instance must be a path string")
+    problems += input_violations(
+        cfg["policy"], cfg["lam"], deltas, [cfg["base_seed"]], cfg["repetitions"], cfg["workers"]
+    )
     if problems:
         raise ValueError("invalid sweep config: " + "; ".join(problems))
     instance_path = doc["instance"]
     if not os.path.isabs(instance_path):
         instance_path = os.path.join(os.path.dirname(os.path.abspath(path)), instance_path)
-    instance = load_instance(instance_path)
-    return SweepConfig(
-        instance=instance,
-        deltas=tuple(float(d) for d in deltas),
-        policy=policy,
-        lam=float(lam),
-        repetitions=repetitions,
-        base_seed=seed,
-        workers=workers,
-    )
+    cfg["lam"] = float(cfg["lam"])  # every valid delta is a float already
+    return SweepConfig(instance=load_instance(instance_path), deltas=tuple(deltas), **cfg)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -162,10 +163,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"HETBAI_SEED must be an integer, got {env_seed!r}") from None
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
+    config = replace(config, **overrides)  # SweepConfig checks the overridden fields
     records = sweep(config)
     export_records(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -226,7 +224,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--policy", choices=["het-ts", "uniform"], default="het-ts")
+    p.add_argument("--policy", choices=POLICIES, default=POLICIES[0])
     p.add_argument("--step-cap", type=int, default=10**8)
     p.set_defaults(func=_cmd_run)
 
@@ -269,3 +267,7 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -80,9 +80,9 @@ class IngestResult:
 def parse_ratings(path: str) -> RatingsTable:
     """Read a UTF-8 ratings CSV with header ``client,arm,rating`` (a leading BOM is ignored).
 
-    Malformed rows (wrong arity, empty labels, non-numeric or non-finite
-    ratings) are collected with their line numbers instead of aborting the
-    parse.  An unreadable file or a table with no valid rows is an error.
+    Malformed rows (wrong arity, empty labels or labels holding a line break,
+    non-numeric or non-finite ratings) are collected with the physical line
+    each starts on.  An unreadable file or a table with no valid rows is an error.
     """
     clients: list[str] = []
     arms: list[str] = []
@@ -93,7 +93,9 @@ def parse_ratings(path: str) -> RatingsTable:
         header = next(reader, None)
         if header != _HEADER:
             raise ValueError(f"expected header {','.join(_HEADER)!r}, got {header}")
-        for line, row in enumerate(reader, start=2):
+        last = reader.line_num  # physical lines read so far
+        for row in reader:  # a record starts on the line after the previous one ends
+            line, last = last + 1, reader.line_num
             if not row:
                 continue
             if len(row) != 3:
@@ -102,6 +104,9 @@ def parse_ratings(path: str) -> RatingsTable:
             client, arm, raw = row[0].strip(), row[1].strip(), row[2].strip()
             if not client or not arm:
                 skipped.append((line, "empty client or arm label"))
+                continue
+            if last > line and any(c in client or c in arm for c in "\r\n"):
+                skipped.append((line, "line break in client or arm label"))
                 continue
             try:
                 rating = float(raw)

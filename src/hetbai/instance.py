@@ -141,6 +141,12 @@ class ArmStats:
         """Whether every gap is positive; one flag per row of stacked stats."""
         return self.gaps.min(axis=-1) > 0.0
 
+    def rows(self, keep: np.ndarray) -> ArmStats:
+        """The stacked stats of the rows selected by ``keep`` (a mask or row indices)."""
+        return ArmStats(
+            self.global_means[keep], self.multiplicities, self.gaps[keep], self.best_arms[keep]
+        )
+
 
 @dataclass(frozen=True)
 class ArmPartition:
@@ -182,15 +188,6 @@ class SlotIndex:
     starts: np.ndarray
     multiplicities: np.ndarray
     _stacks: list = field(default_factory=list, init=False, repr=False)  # see stacked()
-
-    @classmethod
-    def of(cls, instance: ProblemInstance) -> "SlotIndex":
-        """Index of a structurally valid instance (not re-checked here).
-
-        Built once per instance object and shared by every caller, together
-        with its cached properties and stacked arrays.
-        """
-        return instance._slots
 
     @classmethod
     def _build(cls, instance: ProblemInstance) -> "SlotIndex":
@@ -251,7 +248,25 @@ class SlotIndex:
 
     @cached_property
     def partition(self) -> ArmPartition:
-        return _partition(self.num_arms, self.arm_sets)
+        """Arm classes of :func:`partition_arms`, by union-find over the arm sets."""
+        parent = list(range(self.num_arms))
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]  # path halving
+            return i
+
+        for arms in self.arm_sets:
+            for other in arms[1:]:
+                parent[root(other)] = root(arms[0])
+        roots = [root(i) for i in range(self.num_arms)]
+        classes: dict[int, list[int]] = {}  # root -> its arms; a class enters at its least arm
+        for i, r in enumerate(roots):
+            classes.setdefault(r, []).append(i)
+        number = {r: j for j, r in enumerate(classes)}
+        return ArmPartition(
+            classes=tuple(map(tuple, classes.values())), class_of=tuple(number[r] for r in roots)
+        )
 
     @cached_property
     def class_blocks(self) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...]:
@@ -351,7 +366,7 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     violations = list(instance._violations)
     structurally_valid = not violations
     if structurally_valid:
-        index = SlotIndex.of(instance)
+        index = slot_index(instance)
         violations = _ties(index, index.flatten(instance.means))
     return ValidationReport(
         structurally_valid=structurally_valid,
@@ -408,26 +423,24 @@ def _ties(index: SlotIndex, slot_means: np.ndarray) -> list[str]:
     return list(messages.values())
 
 
-def _require_structure(instance: ProblemInstance) -> None:
-    if instance._violations:
-        raise ValueError("structurally invalid instance: " + "; ".join(instance._violations))
-
-
 def arm_stats(instance: ProblemInstance) -> ArmStats:
     """Aggregate means, multiplicities, gaps, and best arms.
 
     Requires a structurally valid instance; admissibility is not required
     (gaps may contain zeros, which callers can inspect).
     """
-    _require_structure(instance)
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     return slot_stats(index, index.flatten(instance.means))
 
 
 def slot_index(instance: ProblemInstance) -> SlotIndex:
-    """Slot index of a structurally valid instance (raises otherwise)."""
-    _require_structure(instance)
-    return SlotIndex.of(instance)
+    """Slot index of a structurally valid instance (raises otherwise).
+
+    Built once per instance object and shared, with its caches, by every caller.
+    """
+    if instance._violations:
+        raise ValueError("structurally invalid instance: " + "; ".join(instance._violations))
+    return instance._slots
 
 
 def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
@@ -489,48 +502,13 @@ def confusion_pairs(instance: ProblemInstance, stats: ArmStats | None = None) ->
     return ConfusionPairs(pairs=tuple(sorted(pairs)))
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _partition(num_arms: int, arm_sets: Sequence[Sequence[int]]) -> ArmPartition:
-    uf = _UnionFind(num_arms)
-    for arms in arm_sets:
-        for other in arms[1:]:
-            uf.union(arms[0], other)
-    groups: dict[int, list[int]] = {}
-    for i in range(num_arms):
-        groups.setdefault(uf.find(i), []).append(i)
-    classes = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-    class_of = [0] * num_arms
-    for j, cls in enumerate(classes):
-        for i in cls:
-            class_of[i] = j
-    return ArmPartition(classes=classes, class_of=tuple(class_of))
-
-
 def partition_arms(instance: ProblemInstance) -> ArmPartition:
     """Connected components of arms linked by co-residence in some arm set.
 
     Classes are reported in ascending order of their smallest member, each
-    class sorted ascending.
+    class sorted ascending.  Computed once per instance, with its slot index.
     """
-    _require_structure(instance)
-    return _partition(instance.num_arms, instance.arm_sets)
+    return slot_index(instance).partition
 
 
 # The four 5-arm / 5-client overlap layouts used by the synthetic benchmark,
@@ -581,7 +559,7 @@ def gen_hardness_instance(
     scale = 1.0 / math.sqrt(rho)
     means = {(m, i): (i + 1) * scale for m, s in enumerate(sets) for i in s}
     instance = ProblemInstance.from_means(sets, means, num_arms=num_arms)
-    _require_structure(instance)
+    slot_index(instance)  # raises unless structurally valid
     return instance
 
 

@@ -170,13 +170,7 @@ def slot_server_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     admissible = stats.is_admissible()
     out = np.ones(stats.gaps.shape)
     if admissible.any():
-        rows = ArmStats(
-            global_means=stats.global_means[admissible],
-            multiplicities=stats.multiplicities,
-            gaps=stats.gaps[admissible],
-            best_arms=stats.best_arms[admissible],
-        )
-        out[admissible] = slot_global_vector(index, rows)
+        out[admissible] = slot_global_vector(index, stats.rows(admissible))
     return out
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import ArmStats, ProblemInstance, SlotIndex, slot_stats, validate
+from .instance import ProblemInstance, SlotIndex, slot_index, slot_stats, validate
 from .policy import (
     CommSchedule,
     f_inverse,
@@ -43,6 +43,7 @@ from .policy import (
 
 __all__ = [
     "POLICIES",
+    "input_violations",
     "RunRecord",
     "SweepConfig",
     "SummaryRow",
@@ -103,6 +104,34 @@ class InstantLog:
     stopped: bool
 
 
+def input_violations(
+    policy: str,
+    lam: float,
+    deltas: Sequence[float],
+    seeds: Iterable[int],
+    repetitions: int = 1,
+    workers: int = 1,
+) -> list[str]:
+    """One message per broken input rule of a sweep or an episode batch, each bad value once.
+
+    numpy seeds must be non-negative; a sweep's seeds count up from ``base_seed``.
+    """
+    problems = []
+    if policy not in POLICIES:
+        problems.append(f"policy must be one of {', '.join(POLICIES)}, got {policy!r}")
+    if not 0.0 < lam < np.inf:
+        problems.append(f"lambda must be a positive finite number, got {lam!r}")
+    if not deltas:
+        problems.append("deltas must be nonempty")
+    problems += [f"delta {d!r} outside (0, 1)" for d in dict.fromkeys(deltas) if not 0.0 < d < 1.0]
+    problems += [f"seed must be non-negative, got {s!r}" for s in dict.fromkeys(seeds) if s < 0]
+    if repetitions < 1:
+        problems.append(f"repetitions must be a positive integer, got {repetitions!r}")
+    if workers < 1:
+        problems.append(f"workers must be a positive integer, got {workers!r}")
+    return problems
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: an instance, a policy, and a delta grid with repetitions."""
@@ -117,18 +146,11 @@ class SweepConfig:
     step_cap: int = 10**8
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
-        if not self.deltas:
-            raise ValueError("deltas must be nonempty")
-        if any(not (0.0 < d < 1.0) for d in self.deltas):
-            raise ValueError("every delta must lie in (0, 1)")
-        if not (self.lam > 0.0):
-            raise ValueError("lam must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        problems = input_violations(
+            self.policy, self.lam, self.deltas, [self.base_seed], self.repetitions, self.workers
+        )
+        if problems:
+            raise ValueError("invalid sweep: " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -188,14 +210,15 @@ def run_batch(
     naming every episode still running at the first instant past
     ``step_cap``.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}")
-    if any(not (0.0 < delta < 1.0) for delta, _ in tasks):
-        raise ValueError("delta must lie in (0, 1)")
+    if not tasks:
+        return []
+    problems = input_violations(policy, lam, [d for d, _ in tasks], [s for _, s in tasks])
+    if problems:
+        raise ValueError("invalid episode: " + "; ".join(problems))
     report = validate(instance)
     if not report.admissible:
         raise ValueError("inadmissible instance: " + "; ".join(report.violations))
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     slot_means = index.flatten(instance.means)
     true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
     kprime = index.num_slots
@@ -280,12 +303,7 @@ def run_batch(
             keep = np.logical_not(stop)
             running = [k for k, s in zip(running, stop) if not s]
             counts, sums, offsets = counts[keep], sums[keep], offsets[keep]
-            stats = ArmStats(
-                stats.global_means[keep],
-                stats.multiplicities,
-                stats.gaps[keep],
-                stats.best_arms[keep],
-            )
+            stats = stats.rows(keep)
         if running and not uniform:
             gvec = slot_server_vector(index, stats)
             for k, row in zip(running, _client_weights(index, gvec)):

@@ -15,7 +15,6 @@ from hetbai import (
     CommSchedule,
     ProblemInstance,
     RunRecord,
-    SlotIndex,
     f_inverse,
     gen_overlap_instance,
     should_stop,
@@ -437,7 +436,7 @@ def block_run_episode(
     rule, rewards from ``Generator.normal``, and per-client weights from
     ``g / g.sum()``.  ``trace`` receives ``(t, z, beta, stopped)`` tuples.
     """
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     slot_means = index.flatten(instance.means)
     true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
     kprime = index.num_slots
@@ -492,7 +491,7 @@ def loop_run_episode(instance: ProblemInstance, policy: str, delta: float, lam: 
     Streams: ``(seed, m, 0)`` selects and ``(seed, m, 1)`` draws client
     ``m``'s rewards, one ``normal(mu, 1)`` per pull.
     """
-    index = SlotIndex.of(instance)
+    index = slot_index(instance)
     true_best = tuple(int(a) for a in slot_stats(index, index.flatten(instance.means)).best_arms)
     kprime = index.num_slots
     offset = f_inverse(delta, kprime)
@@ -550,7 +549,9 @@ def loop_parse_ratings(path: str) -> tuple[list[tuple[str, str, float]], list[tu
         header = next(reader, None)
         if header != ["client", "arm", "rating"]:
             raise ValueError(f"expected header 'client,arm,rating', got {header}")
-        for line, row in enumerate(reader, start=2):
+        last = reader.line_num  # physical lines read so far
+        for row in reader:  # a record starts on the line after the previous one ends
+            line, last = last + 1, reader.line_num
             if not row:
                 continue
             if len(row) != 3:
@@ -559,6 +560,9 @@ def loop_parse_ratings(path: str) -> tuple[list[tuple[str, str, float]], list[tu
             client, arm, raw = row[0].strip(), row[1].strip(), row[2].strip()
             if not client or not arm:
                 skipped.append((line, "empty client or arm label"))
+                continue
+            if last > line and any(c in client or c in arm for c in "\r\n"):
+                skipped.append((line, "line break in client or arm label"))
                 continue
             try:
                 rating = float(raw)

@@ -1,15 +1,20 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hetbai import c_star_interval, load_instance, read_records, save_instance
+from hetbai import cli
 from hetbai.cli import dispatch, load_sweep_config
+from hetbai.simulator import POLICIES
 
 from helpers import chain_three_arm, make_instance, symmetric_two_arm
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 MINI_RATINGS = os.path.join(DATA_DIR, "mini_ratings.csv")
 
@@ -53,6 +58,15 @@ class TestValidate:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert dispatch(["validate", str(tmp_path / "nope.json")]) == 2
+
+    def test_module_entry_point(self, tie_file, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TMPDIR=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetbai.cli", "validate", tie_file],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "tied best arm at client 1" in proc.stdout
 
     def test_bad_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -100,6 +114,18 @@ class TestRun:
         assert lines[0] == "policy,lambda,delta,seed,tau,rounds,correct,recommendation"
         assert len(lines) == 2
 
+    def test_policy_choices_are_the_simulator_policies(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        (policy,) = [a for a in sub.choices["run"]._actions if a.dest == "policy"]
+        assert tuple(policy.choices) == POLICIES
+        assert policy.default == POLICIES[0]
+
+    def test_negative_seed_is_domain_error(self, instance_file, capsys):
+        args = ["run", "--instance", instance_file, "--delta", "0.1",
+                "--lambda", "0.5", "--seed", "-1"]
+        assert dispatch(args) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
     def test_uniform_policy_flag(self, instance_file, capsys):
         args = ["run", "--instance", instance_file, "--delta", "0.1",
                 "--lambda", "0.5", "--seed", "7", "--policy", "uniform"]
@@ -135,6 +161,23 @@ class TestSweepCommand:
         config = self.write_config(tmp_path, instance_file)
         monkeypatch.setenv("HETBAI_SEED", "soup")
         assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+
+    def test_negative_config_seed_rejected_before_sweeping(
+        self, tmp_path, instance_file, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "sweep", None)  # reaching the sweep would raise TypeError
+        config = self.write_config(tmp_path, instance_file, seed=-3)
+        assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "seed must be non-negative, got -3" in capsys.readouterr().err
+
+    def test_negative_env_seed_rejected_before_sweeping(
+        self, tmp_path, instance_file, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "sweep", None)
+        monkeypatch.setenv("HETBAI_SEED", "-9")
+        config = self.write_config(tmp_path, instance_file)
+        assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "seed must be non-negative, got -9" in capsys.readouterr().err
 
     def test_workers_flag(self, tmp_path, instance_file):
         config = self.write_config(tmp_path, instance_file)
@@ -185,6 +228,21 @@ class TestLoadSweepConfig:
             load_sweep_config(path)
         message = str(exc.value)
         for needle in ("mystery", "delta", "lambda", "repetitions"):
+            assert needle in message
+
+    def test_infinite_lambda_listed_with_the_other_violations(self, tmp_path, instance_file):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"instance": instance_file, "deltas": [0.1], "lambda": math.inf,
+                        "workers": 0, "seed": "one"})
+        )
+        assert '"lambda": Infinity' in path.read_text()
+        with pytest.raises(ValueError) as exc:
+            load_sweep_config(str(path))
+        message = str(exc.value)
+        for needle in ("lambda must be a positive finite number, got inf",
+                       "workers must be a positive integer, got 0",
+                       "seed must be an integer, got 'one'"):
             assert needle in message
 
     def test_unknown_policy_rejected(self, tmp_path, instance_file):

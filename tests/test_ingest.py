@@ -69,6 +69,14 @@ class TestParseRatings:
         assert len(table.rows) == 1
         assert [line for line, _ in table.skipped] == [2, 3]
 
+    def test_lines_numbered_where_each_record_starts(self, tmp_path):
+        path = write_csv(tmp_path, 'client,arm,rating\n"multi\nline",x,1\na,x,soup\nb,x,2\n')
+        expected = ((2, "line break in client or arm label"), (4, "non-numeric rating 'soup'"))
+        table = parse_ratings(path)
+        assert table.skipped == expected
+        assert table.rows == (RatingsRow(client="b", arm="x", rating=2.0),)
+        assert loop_parse_ratings(path) == ([("b", "x", 2.0)], list(expected))
+
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_bytes("client,arm,rating\na,x,1\n".encode("utf-8-sig"))

@@ -68,6 +68,15 @@ class TestValidate:
         apart = make_instance([(0, 1)], {(0, 0): 50.0, (0, 1): 49.99999999999997})
         assert validate(apart).admissible
 
+    def test_negative_means_bound_by_their_magnitude(self):
+        # the mirror image of the case above: the best arm is the larger signed
+        # mean, and the rounding bound scales with |mu|
+        v = make_instance([(0, 1)], {(0, 0): -49.999999999999986, (0, 1): -50.0})
+        (message,) = validate(v).violations
+        assert message.startswith("client 1: best arm 1 and arm 2 differ by 1.42e-14")
+        apart = make_instance([(0, 1)], {(0, 0): -49.99999999999997, (0, 1): -50.0})
+        assert validate(apart).admissible
+
     def test_rounding_bound_grows_with_multiplicity(self):
         # arm 1's aggregate is the mean of three summed means: n = 4 roundings
         sets = [(0, 1), (0, 1), (0, 1)]

@@ -106,6 +106,11 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="policy"):
             run_episode(symmetric_two_arm(), "greedy", 0.1, 0.5, seed=0)
 
+    def test_batch_rejects_negative_seed_before_running(self):
+        tasks = [(0.1, 0), (0.1, -5), (0.2, -5)]
+        with pytest.raises(ValueError, match=r"seed must be non-negative, got -5$"):
+            run_batch(symmetric_two_arm(), "het-ts", 0.5, tasks)
+
     def test_uniform_policy_also_stops(self):
         rec = run_episode(symmetric_two_arm(), "uniform", 0.1, 0.5, seed=3)
         assert rec.policy == "uniform"
@@ -286,6 +291,19 @@ class TestSweep:
             SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), lam=0.0)
         with pytest.raises(ValueError):
             SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), repetitions=0)
+
+    def test_config_names_every_violation_at_once(self):
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(instance=symmetric_two_arm(), deltas=(0.1, 1.5), policy="greedy",
+                        lam=math.inf, repetitions=0, base_seed=-2, workers=0)
+        message = str(exc.value)
+        for needle in ("policy must be one of het-ts, uniform, got 'greedy'",
+                       "lambda must be a positive finite number, got inf",
+                       "delta 1.5 outside (0, 1)",
+                       "seed must be non-negative, got -2",
+                       "repetitions must be a positive integer, got 0",
+                       "workers must be a positive integer, got 0"):
+            assert needle in message
 
 
 class TestPoolSize:

@@ -11,7 +11,7 @@ another order), the per-client weight sums and the reward draws.
 import numpy as np
 import pytest
 
-from hetbai import SlotIndex, slot_server_vector, slot_stats, slot_z_statistic
+from hetbai import slot_index, slot_server_vector, slot_stats, slot_z_statistic
 from hetbai.allocation import _perron_polish, slot_global_vector
 from hetbai.simulator import _client_weights
 
@@ -27,7 +27,7 @@ def stacked_cases(rng, count):
     """Instances with 1-6 stacked empirical configurations (some tied, some unpulled)."""
     for _ in range(count):
         v = random_structural_instance(rng)
-        index = SlotIndex.of(v)
+        index = slot_index(v)
         rows = int(rng.integers(1, 7))
         means = rng.normal(0.0, 1.0, size=(rows, index.num_slots))
         means[rng.random(means.shape) < 0.2] = 0.0  # unpulled slots read 0
@@ -112,7 +112,7 @@ class TestStackedEigen:
         rng = np.random.default_rng(75)
         for _ in range(40):
             v = wide_gap_instance(rng)
-            index = SlotIndex.of(v)
+            index = slot_index(v)
             base = index.flatten(v.means)
             means = np.stack([base, base * 1.5, base - 0.25])
             stacked = slot_global_vector(index, slot_stats(index, means))
@@ -126,7 +126,7 @@ class TestStackedEpisodeArithmetic:
         rng = np.random.default_rng(76)
         for _ in range(200):
             v = random_structural_instance(rng, max_arms=12, max_clients=5)
-            index = SlotIndex.of(v)
+            index = slot_index(v)
             gvec = 10.0 ** rng.uniform(-8, 8, size=(int(rng.integers(1, 5)), index.num_arms))
             for row, weights in zip(gvec, _client_weights(index, gvec)):
                 for arms, w in zip(v.arm_sets, weights):
