@@ -73,6 +73,6 @@ from .simulator import (
     run_episode,
     sweep,
 )
-from .ingest import IngestResult, RatingsRow, RatingsTable, build_instance, parse_ratings
+from .ingest import IngestResult, RatingsTable, build_instance, parse_ratings
 
 __version__ = "0.1.0"

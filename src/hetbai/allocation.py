@@ -129,7 +129,6 @@ class GlobalVector:
     """Positive arm vector with unit 2-norm on every arm class."""
 
     entries: np.ndarray
-    partition: ArmPartition
 
 
 @dataclass
@@ -269,39 +268,47 @@ def global_vector(instance: ProblemInstance, stats: ArmStats | None = None) -> G
     index = slot_index(instance)
     if stats is None:
         stats = slot_stats(index, index.flatten(instance.means))
-    return GlobalVector(entries=slot_global_vector(index, stats), partition=index.partition)
+    return GlobalVector(entries=slot_global_vector(index, stats))
 
 
-def allocation_from_global(
-    gvec: GlobalVector | np.ndarray, instance: ProblemInstance
-) -> Allocation:
-    """Client weights from a positive arm vector: each client's restriction ``w / w.sum()``.
+def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
+    """Per row of ``(B, K)`` global vectors, each client's normalized restriction ``g / g.sum()``.
 
-    Clients of one arm-set size are normalized together as the rows of an
-    ``(n, size)`` array; a row sum runs the same sum as ``w.sum()`` on one
-    client's vector, so every weight equals the one-client computation bit
-    for bit.
+    This is the allocation a client tracks.  Clients of one arm-set size are
+    gathered into a C-contiguous ``(B, n, size)`` array and summed along its
+    last axis, which runs the same sum as ``g.sum()`` on one client's vector,
+    so every weight equals the one-client computation bit for bit.
     """
-    entries = gvec.entries if isinstance(gvec, GlobalVector) else np.asarray(gvec, dtype=float)
+    groups = []
+    for clients, arms in index.clients_by_size:
+        g = np.take(gvec, arms, axis=1)
+        groups.append((clients, (g / g.sum(axis=-1, keepdims=True)).tolist()))
+    if len(groups) == 1:  # one arm-set size: rows are already in client order
+        return groups[0][1]
+    out = [[None] * index.num_clients for _ in range(len(gvec))]
+    for clients, weights in groups:
+        for row, rows in zip(out, weights):
+            for m, w in zip(clients, rows):
+                row[m] = w
+    return out
+
+
+def allocation_from_global(entries: np.ndarray, instance: ProblemInstance) -> Allocation:
+    """Client weights from a positive arm vector: the ``g / g.sum()`` each client tracks."""
+    entries = np.asarray(entries, dtype=float)
     if entries.shape != (instance.num_arms,):
         raise ValueError("global vector length does not match the number of arms")
     if np.min(entries) <= 0.0:
         raise ValueError("global vector must be strictly positive")
-    rows: list = [None] * instance.num_clients
-    for clients, arms in slot_index(instance).clients_by_size:
-        w = entries[arms]
-        w = w / w.sum(axis=1, keepdims=True)
-        w = w / w.sum(axis=1, keepdims=True)  # second pass pins the row sum to 1 within 1e-12
-        for m, row in zip(clients, w.tolist()):
-            rows[m] = tuple(row)
-    return Allocation(arm_sets=instance.arm_sets, weights=tuple(rows))
+    rows = _client_weights(slot_index(instance), entries[None])[0]
+    return Allocation(arm_sets=instance.arm_sets, weights=tuple(map(tuple, rows)))
 
 
 def optimal_allocation(
     instance: ProblemInstance, stats: ArmStats | None = None
 ) -> tuple[GlobalVector, Allocation]:
     gvec = global_vector(instance, stats)
-    return gvec, allocation_from_global(gvec, instance)
+    return gvec, allocation_from_global(gvec.entries, instance)
 
 
 def _pair_rate(

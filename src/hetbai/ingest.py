@@ -2,15 +2,16 @@
 
 The pipeline mirrors a ratings-dataset preprocessing flow: drop sparsely
 rated (client, arm) pairs, then clients left with fewer than two arms and
-arms left with no client, min-max normalize the surviving ratings onto a
-common scale, and use each surviving pair's average normalized rating as its
-ground-truth Gaussian mean.
+arms left with no client, min-max normalize the surviving ratings onto the
+fixed range [0, 100], and use each surviving pair's average normalized
+rating as its ground-truth Gaussian mean.
 
-A parsed table is three columns in file order.  Building an instance numbers
-every (client, arm) pair once and reduces the columns per pair with
-``numpy.bincount``, which adds a pair's ratings one at a time in file order:
-each mean is ``((0.0 + x_1) + x_2 + ...) / n``, the same float on every
-Python version (the built-in ``sum`` compensates its rounding from 3.12 on).
+A parsed table is its three columns (client, arm, rating) in file order,
+with no per-row objects.  Building an instance numbers every (client, arm)
+pair once and reduces the columns per pair with ``numpy.bincount``, which
+adds a pair's ratings one at a time in file order: each mean is
+``((0.0 + x_1) + x_2 + ...) / n``, the same float on every Python version
+(the built-in ``sum`` compensates its rounding from 3.12 on).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .instance import ProblemInstance, validate
 
 __all__ = [
-    "RatingsRow",
     "RatingsTable",
     "IngestResult",
     "parse_ratings",
@@ -35,12 +35,8 @@ __all__ = [
 
 _HEADER = ["client", "arm", "rating"]
 
-
-@dataclass(frozen=True)
-class RatingsRow:
-    client: str
-    arm: str
-    rating: float
+# Surviving ratings are min-max normalized onto this range.
+NORMALIZED_RANGE = (0.0, 100.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +58,6 @@ class RatingsTable:
             raise ValueError("client, arm and rating columns differ in length")
         ratings.flags.writeable = False
         object.__setattr__(self, "ratings", ratings)
-
-    @property
-    def rows(self) -> tuple[RatingsRow, ...]:
-        """The table row by row, built from the columns on each access."""
-        return tuple(map(RatingsRow, self.clients, self.arms, self.ratings.tolist()))
 
 
 @dataclass(frozen=True)
@@ -133,25 +124,18 @@ def _codes(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return names, np.fromiter(map(position.__getitem__, labels), dtype=np.int64, count=len(labels))
 
 
-def build_instance(
-    table: RatingsTable,
-    min_samples: int = 10,
-    normalize_range: tuple[float, float] = (0.0, 100.0),
-) -> IngestResult:
+def build_instance(table: RatingsTable, min_samples: int = 10) -> IngestResult:
     """Turn a ratings table into an admissible problem instance.
 
     Pairs with fewer than ``min_samples`` ratings are dropped first, then
     clients left with fewer than two arms and arms left with no client;
     finally the surviving ratings are min-max normalized onto
-    ``normalize_range`` (one global affine map, so no per-pair argmax can
-    change) and averaged per pair, summed in file order.  Labels are
-    assigned indices in sorted order.
+    ``NORMALIZED_RANGE``, [0, 100] (one global affine map, so no per-pair
+    argmax can change), and averaged per pair, summed in file order.  Labels
+    are assigned indices in sorted order.
     """
     if min_samples < 1:
         raise ValueError("min_samples must be at least 1")
-    lo, hi = normalize_range
-    if not (hi > lo):
-        raise ValueError("normalize_range must be increasing")
 
     client_names, client_codes = _codes(table.clients)
     arm_names, arm_codes = _codes(table.arms)
@@ -195,6 +179,7 @@ def build_instance(
     rmin, rmax = float(x.min()), float(x.max())
     if rmax == rmin:
         raise ValueError("all surviving ratings are identical; cannot normalize")
+    lo, hi = NORMALIZED_RANGE
     scale = (hi - lo) / (rmax - rmin)
     sums = np.bincount(ids[rated], weights=lo + (x - rmin) * scale, minlength=len(keys))
     means = (sums[keep] / counts[keep]).tolist()

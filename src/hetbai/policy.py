@@ -272,23 +272,16 @@ def f_inverse(delta: float, kprime: int) -> float:
 
 
 def should_stop(
-    z: float | np.ndarray,
-    t: int,
-    delta: float | None,
-    kprime: int,
-    num_arms: int,
-    offset: float | np.ndarray | None = None,
+    z: float | np.ndarray, t: int, offset: float | np.ndarray, kprime: int, num_arms: int
 ) -> tuple:
-    """Stopping decision and threshold ``beta(t, delta)`` at instant ``t``.
+    """Stopping decision and threshold ``beta = K' * log(t^2 + t) + offset`` at instant ``t``.
 
     ``offset`` is ``f_inverse(delta, kprime)``, which depends on neither
-    ``t`` nor the data: an episode computes it once and passes it here
-    (``delta`` is then not read).  A batch passes ``z`` and ``offset`` as
-    arrays with one entry per episode, each episode with its own ``delta``,
-    and gets arrays back.
+    ``t`` nor the data, so an episode computes it once and passes it here.
+    A batch passes ``z`` and ``offset`` as arrays with one entry per
+    episode, each episode with its own ``delta``, and gets arrays back.  No
+    stop fires while ``t < num_arms``.
     """
-    if offset is None:
-        offset = f_inverse(delta, kprime)
     beta = kprime * math.log(t * t + t) + offset
     stop = z > beta
     return (stop if t >= num_arms else stop & False), beta

@@ -23,6 +23,7 @@ episode's values bit for bit.  :func:`run_episode` is the batch of one, and
 from __future__ import annotations
 
 import csv
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import ProblemInstance, SlotIndex, slot_index, slot_stats, validate
+from .allocation import _client_weights
+from .instance import ProblemInstance, slot_index, slot_stats, validate
 from .policy import (
     CommSchedule,
     f_inverse,
@@ -114,12 +116,18 @@ def input_violations(
 ) -> list[str]:
     """One message per broken input rule of a sweep or an episode batch, each bad value once.
 
-    numpy seeds must be non-negative; a sweep's seeds count up from ``base_seed``.
+    ``lam`` must be positive and convert to a finite float (an integer too
+    large for a float does not); numpy seeds must be non-negative; a sweep's
+    seeds count up from ``base_seed``.
     """
     problems = []
     if policy not in POLICIES:
         problems.append(f"policy must be one of {', '.join(POLICIES)}, got {policy!r}")
-    if not 0.0 < lam < np.inf:
+    try:
+        finite = math.isfinite(lam)  # an int too large for a float raises
+    except OverflowError:
+        finite = False
+    if not (finite and lam > 0.0):
         problems.append(f"lambda must be a positive finite number, got {lam!r}")
     if not deltas:
         problems.append("deltas must be nonempty")
@@ -280,7 +288,7 @@ def run_batch(
         np.divide(sums, counts, out=means, where=counts > 0)
         stats = slot_stats(index, means)
         z = slot_z_statistic(index, stats, counts)
-        stop, beta = should_stop(z, t, None, kprime, instance.num_arms, offset=offsets)
+        stop, beta = should_stop(z, t, offsets, kprime, instance.num_arms)
         stop = stop.tolist()
         if traces is not None:
             for k, zk, bk, sk in zip(running, z.tolist(), beta.tolist(), stop):
@@ -311,32 +319,6 @@ def run_batch(
     raise AssertionError("unreachable: the schedule is unbounded")
 
 
-def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
-    """Per row of ``(B, K)`` global vectors, each client's normalized restriction ``g / g.sum()``.
-
-    Clients of one arm-set size are gathered into a C-contiguous
-    ``(B, n, size)`` array and summed along its last axis, which runs the
-    same sum as ``g.sum()`` on one client's vector, so every weight equals
-    the one-client computation bit for bit.
-    """
-    groups = []
-    for clients, arms in index.clients_by_size:
-        g = np.take(gvec, arms, axis=1)
-        groups.append((clients, (g / g.sum(axis=-1, keepdims=True)).tolist()))
-    if len(groups) == 1:  # one arm-set size: rows are already in client order
-        return groups[0][1]
-    out = [[None] * index.num_clients for _ in range(len(gvec))]
-    for clients, weights in groups:
-        for row, rows in zip(out, weights):
-            for m, w in zip(clients, rows):
-                row[m] = w
-    return out
-
-
-def _batch_task(args: tuple) -> list[RunRecord]:
-    return run_batch(*args)
-
-
 def sweep(config: SweepConfig) -> list[RunRecord]:
     """Run ``repetitions`` episodes per delta; seeds are ``base_seed + index``.
 
@@ -360,7 +342,7 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
         return run_batch(*batches[0])
     records: list = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for w, batch in enumerate(pool.map(_batch_task, batches)):
+        for w, batch in enumerate(pool.map(run_batch, *zip(*batches))):
             records[w::workers] = batch
     return records
 

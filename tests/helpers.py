@@ -466,7 +466,7 @@ def block_run_episode(
         np.divide(sums, counts, out=means, where=counts > 0)
         stats = slot_stats(index, means)
         z = slot_z_statistic(index, stats, counts)
-        stop, beta = should_stop(z, t, delta, kprime, instance.num_arms, offset=offset)
+        stop, beta = should_stop(z, t, offset, kprime, instance.num_arms)
         if trace is not None:
             trace.append((t, z, beta, bool(stop)))
         if stop:
@@ -521,7 +521,7 @@ def loop_run_episode(instance: ProblemInstance, policy: str, delta: float, lam: 
         )
         stats = slot_stats(index, means)
         z = slot_z_statistic(index, stats, counts)
-        stop, _ = should_stop(z, t, delta, kprime, instance.num_arms, offset=offset)
+        stop, _ = should_stop(z, t, offset, kprime, instance.num_arms)
         if stop:
             recommendation = tuple(int(a) for a in stats.best_arms)
             return RunRecord(
@@ -586,12 +586,13 @@ def left_to_right_sum(values) -> float:
     return total
 
 
-def loop_build_instance(rows, min_samples=10, normalize_range=(0.0, 100.0)):
+def loop_build_instance(rows, min_samples=10):
     """``(client_labels, arm_labels, dropped, arm_sets, means)`` by per-pair lists of ratings.
 
-    Raises ``ValueError`` where ``build_instance`` does, before its admissibility check.
+    Ratings are normalized onto [0, 100].  Raises ``ValueError`` where
+    ``build_instance`` does, before its admissibility check.
     """
-    lo, hi = normalize_range
+    lo, hi = 0.0, 100.0
     samples: dict[tuple[str, str], list[float]] = {}
     for client, arm, rating in rows:
         samples.setdefault((client, arm), []).append(rating)

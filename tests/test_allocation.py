@@ -29,7 +29,7 @@ from hetbai import (
     slot_stats,
     transport_cost,
 )
-from hetbai.allocation import ZERO_WEIGHT
+from hetbai.allocation import ZERO_WEIGHT, _client_weights
 
 from helpers import (
     chain_three_arm,
@@ -217,7 +217,7 @@ class TestGlobalVector:
         )
         gv = global_vector(v)
         np.testing.assert_allclose(gv.entries, [1 / math.sqrt(2)] * 4, atol=1e-10)
-        for cls in gv.partition.classes:
+        for cls in partition_arms(v).classes:
             assert math.isclose(float(np.linalg.norm(gv.entries[np.array(cls)])), 1.0, rel_tol=1e-12)
 
     def test_per_class_unit_norm_random(self):
@@ -226,7 +226,7 @@ class TestGlobalVector:
             v = random_admissible_instance(rng)
             gv = global_vector(v)
             assert np.min(gv.entries) > 0
-            for cls in gv.partition.classes:
+            for cls in partition_arms(v).classes:
                 assert math.isclose(
                     float(np.linalg.norm(gv.entries[np.array(cls)])), 1.0, rel_tol=1e-10
                 )
@@ -298,7 +298,9 @@ class TestAllocationFromGlobal:
 
     def test_grouped_rows_equal_per_client_normalization(self):
         # arm sets of 2 to 25 arms, so row sums run both the short and the
-        # blocked (pairwise) summation
+        # blocked (pairwise) summation; the normalizer also takes a stack of
+        # vectors, one per episode of a batch, and each row must equal its
+        # own computation, which is also what the allocation holds
         rng = np.random.default_rng(12)
         for _ in range(40):
             K = int(rng.integers(3, 26))
@@ -308,13 +310,14 @@ class TestAllocationFromGlobal:
             ]
             v = make_instance(sets, {(m, i): 0.0 for m, s in enumerate(sets) for i in s}, num_arms=K)
             entries = 10.0 ** rng.uniform(-6.0, 6.0, size=K)
-            want = []
-            for arms in v.arm_sets:
-                w = entries[np.array(arms)]
-                w = w / w.sum()
-                w = w / w.sum()
-                want.append(tuple(float(x) for x in w))
-            assert allocation_from_global(entries, v).weights == tuple(want)
+            stack = np.stack([entries, entries[::-1], 1.0 / entries])
+            for row, tracked in zip(stack, _client_weights(slot_index(v), stack)):
+                want = []
+                for arms in v.arm_sets:
+                    g = row[np.array(arms)]
+                    want.append((g / g.sum()).tolist())
+                assert tracked == want
+                assert allocation_from_global(row, v).weights == tuple(map(tuple, want))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="strictly positive"):

@@ -179,6 +179,16 @@ class TestSweepCommand:
         assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
         assert "seed must be non-negative, got -9" in capsys.readouterr().err
 
+    def test_lambda_too_large_for_a_float_rejected_before_sweeping(
+        self, tmp_path, instance_file, monkeypatch, capsys
+    ):
+        # a 401-digit JSON integer: exactly in (0, inf), but no float holds it
+        monkeypatch.setattr(cli, "sweep", None)
+        config = self.write_config(tmp_path, instance_file, **{"lambda": 10**400})
+        assert '"lambda": 1000' in open(config).read()
+        assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "lambda must be a positive finite number, got 1000" in capsys.readouterr().err
+
     def test_workers_flag(self, tmp_path, instance_file):
         config = self.write_config(tmp_path, instance_file)
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

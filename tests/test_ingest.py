@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hetbai import build_instance, parse_ratings, validate
-from hetbai.ingest import RatingsRow, RatingsTable
+from hetbai.ingest import RatingsTable
 
 from helpers import left_to_right_sum, loop_build_instance, loop_parse_ratings, mean_of
 
@@ -30,24 +30,29 @@ def make_table(*triples):
     )
 
 
+def rows_of(table):
+    """The table's ``(client, arm, rating)`` rows, read from its columns."""
+    return list(zip(table.clients, table.arms, table.ratings.tolist()))
+
+
 class TestParseRatings:
     def test_well_formed(self, tmp_path):
         path = write_csv(tmp_path, "client,arm,rating\na,x,1.5\na,y,2\nb,x,3\n")
         table = parse_ratings(path)
-        assert len(table.rows) == 3
+        assert len(table.ratings) == 3
         assert table.skipped == ()
-        assert table.rows[0] == RatingsRow(client="a", arm="x", rating=1.5)
+        assert rows_of(table)[0] == ("a", "x", 1.5)
 
     def test_non_numeric_rating_skipped_with_line_number(self, tmp_path):
         path = write_csv(tmp_path, "client,arm,rating\na,x,1\na,y,soup\nb,x,3\n")
         table = parse_ratings(path)
-        assert len(table.rows) == 2
+        assert len(table.ratings) == 2
         assert table.skipped == ((3, "non-numeric rating 'soup'"),)
 
     def test_duplicate_rows_kept_as_samples(self, tmp_path):
         path = write_csv(tmp_path, "client,arm,rating\na,x,1\na,x,2\na,x,2\n")
         table = parse_ratings(path)
-        assert len(table.rows) == 3
+        assert len(table.ratings) == 3
 
     def test_wrong_header_rejected(self, tmp_path):
         path = write_csv(tmp_path, "user,item,score\na,x,1\n")
@@ -66,7 +71,7 @@ class TestParseRatings:
     def test_wrong_arity_and_empty_labels_skipped(self, tmp_path):
         path = write_csv(tmp_path, "client,arm,rating\na,x\n,y,2\na,x,1\n")
         table = parse_ratings(path)
-        assert len(table.rows) == 1
+        assert len(table.ratings) == 1
         assert [line for line, _ in table.skipped] == [2, 3]
 
     def test_lines_numbered_where_each_record_starts(self, tmp_path):
@@ -74,21 +79,20 @@ class TestParseRatings:
         expected = ((2, "line break in client or arm label"), (4, "non-numeric rating 'soup'"))
         table = parse_ratings(path)
         assert table.skipped == expected
-        assert table.rows == (RatingsRow(client="b", arm="x", rating=2.0),)
+        assert rows_of(table) == [("b", "x", 2.0)]
         assert loop_parse_ratings(path) == ([("b", "x", 2.0)], list(expected))
 
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_bytes("client,arm,rating\na,x,1\n".encode("utf-8-sig"))
         table = parse_ratings(str(path))
-        assert table.rows == (RatingsRow(client="a", arm="x", rating=1.0),)
+        assert rows_of(table) == [("a", "x", 1.0)]
 
-    def test_columns_and_read_only_rows_view(self, tmp_path):
+    def test_read_only_columns(self, tmp_path):
         path = write_csv(tmp_path, "client,arm,rating\na,x,1.5\nb , y,2\n")
         table = parse_ratings(path)
         assert table.clients == ("a", "b") and table.arms == ("x", "y")
         assert table.ratings.tolist() == [1.5, 2.0]
-        assert table.rows == (RatingsRow("a", "x", 1.5), RatingsRow("b", "y", 2.0))
         with pytest.raises(ValueError):
             table.ratings[0] = 0.0
 
@@ -168,8 +172,8 @@ class TestBuildInstance:
         table = parse_ratings(MINI_RATINGS)
         result = build_instance(table, min_samples=10)
         counts = {}
-        for row in table.rows:
-            counts[(row.client, row.arm)] = counts.get((row.client, row.arm), 0) + 1
+        for pair in zip(table.clients, table.arms):
+            counts[pair] = counts.get(pair, 0) + 1
         for m, label_c in enumerate(result.client_labels):
             for i in result.instance.arm_sets[m]:
                 assert counts[(label_c, result.arm_labels[i])] >= 10
@@ -210,8 +214,6 @@ class TestBuildInstance:
         table = make_table(("a", "x", 1), ("a", "y", 2))
         with pytest.raises(ValueError):
             build_instance(table, min_samples=0)
-        with pytest.raises(ValueError):
-            build_instance(table, min_samples=1, normalize_range=(5.0, 5.0))
 
 
 def random_ratings_text(rng: np.random.Generator, min_samples: int) -> str:
@@ -258,7 +260,7 @@ class TestColumnarIngestMatchesRowReference:
                 continue
             table = parse_ratings(str(path))
             assert table.skipped == tuple(skipped)
-            assert list(zip(table.clients, table.arms, table.ratings.tolist())) == rows
+            assert rows_of(table) == rows
             try:
                 clients, arms, dropped, arm_sets, means = loop_build_instance(rows, min_samples)
             except ValueError as exc:

@@ -330,22 +330,17 @@ class TestFMachinery:
 
 class TestShouldStop:
     def test_threshold_value(self):
-        stop, beta = should_stop(2.5, 20, 0.1, 2, num_arms=2)
+        stop, beta = should_stop(2.5, 20, f_inverse(0.1, 2), 2, num_arms=2)
         assert math.isclose(beta, 2 * math.log(420) + 3.8897201698674286, rel_tol=1e-9)
         assert not stop  # 2.5 < 15.97
 
     def test_fires_above_threshold(self):
-        stop, beta = should_stop(16.5, 20, 0.1, 2, num_arms=2)
+        stop, beta = should_stop(16.5, 20, f_inverse(0.1, 2), 2, num_arms=2)
         assert stop
 
     def test_never_fires_before_k_arms(self):
-        stop, _ = should_stop(1e9, 1, 0.1, 2, num_arms=2)
+        stop, _ = should_stop(1e9, 1, f_inverse(0.1, 2), 2, num_arms=2)
         assert not stop
-
-    def test_precomputed_offset_gives_same_threshold(self):
-        offset = f_inverse(0.1, 2)
-        for t in (2, 20, 2000):
-            assert should_stop(16.5, t, 0.1, 2, 2, offset=offset) == should_stop(16.5, t, 0.1, 2, 2)
 
 
 class TestRecommend:

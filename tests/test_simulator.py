@@ -262,9 +262,9 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                batches.extend(args)
-                return map(fn, batches)
+            def map(self, fn, *columns):
+                batches.extend(zip(*columns))
+                return map(fn, *columns)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
@@ -304,6 +304,12 @@ class TestSweep:
                        "repetitions must be a positive integer, got 0",
                        "workers must be a positive integer, got 0"):
             assert needle in message
+
+    def test_lambda_too_large_for_a_float_rejected(self):
+        # compared exactly, 10**400 lies in (0, inf); as a float it overflows
+        with pytest.raises(ValueError, match="lambda must be a positive finite number, got 1000"):
+            SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), lam=10**400)
+        assert SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), lam=10**300).lam == 10**300
 
 
 class TestPoolSize:

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from hetbai import slot_index, slot_server_vector, slot_stats, slot_z_statistic
-from hetbai.allocation import _perron_polish, slot_global_vector
-from hetbai.simulator import _client_weights
+from hetbai.allocation import _client_weights, _perron_polish, slot_global_vector
 
 from helpers import loop_perron, random_structural_instance, wide_gap_instance
 
