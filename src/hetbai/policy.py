@@ -44,11 +44,19 @@ class CommSchedule:
     exponent ``r`` that produces it, which is the protocol's round index
     (repeated values of the ceiling collapse to a single instant but keep
     their first exponent).
+
+    ``1 + lam`` must exceed 1 as a float, or no power ever passes the first
+    instant.  A small ``lam`` that does is slow rather than wrong: the exact
+    power gains about 53 bits per round, and the instants near ``t`` need
+    about ``log(t) / lam`` rounds, so at ``lam = 1e-4`` the first 200
+    instants take several seconds (about 8 s on a 2-vCPU host).
     """
 
     def __init__(self, lam: float) -> None:
         if not (lam > 0.0) or not math.isfinite(lam):
             raise ValueError("lam must be a positive finite real")
+        if 1.0 + lam == 1.0:
+            raise ValueError(f"lam must not vanish against 1 (1 + lam == 1), got {lam!r}")
         self.lam = float(lam)
         num, den = (1.0 + self.lam).as_integer_ratio()
         self._num = num
@@ -148,8 +156,12 @@ def track_pulls(
     return counts
 
 
-def uniform_pulls(size: int, pulls: int, rng: np.random.Generator) -> np.ndarray:
-    """Pull counts of ``pulls`` uniform choices over ``size`` arms: one multinomial draw."""
+def uniform_pulls(size: int, pulls: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Pull counts of ``pulls`` uniform choices over ``size`` arms: one multinomial draw.
+
+    An array of block lengths gives one row of counts per block, the values
+    and stream state of one call per block.
+    """
     return rng.multinomial(pulls, _uniform_probabilities(size))
 
 

@@ -10,7 +10,13 @@ for a slot pulled ``n`` times.  Randomness is split per episode seed:
 stream ``(seed, m, 0)`` drives client ``m``'s selection (D-tracking
 tie-breaks, or the uniform block counts) and stream ``(seed, 0, 1)`` the
 rewards, so a run is bit-reproducible for a fixed seed regardless of how
-episodes are batched or scheduled across workers.
+episodes are batched or scheduled across workers.  The reward stream and a
+uniform client's stream are drawn one chunk of blocks at a time (one
+``(instants, K')`` array of standard normals; one multinomial over the
+chunk's block lengths), which numpy fills in the order of the per-block
+calls; what is left of a chunk when its episode stops is discarded, and no
+other stream moves.  D-tracking tie-breaks depend on the counts, so they are
+drawn as they arise.
 
 Episodes of one instance, policy and ``lambda`` share the communication
 instants, so :func:`run_batch` runs many in lockstep: each advances its own
@@ -27,6 +33,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, takewhile
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +76,10 @@ POLICIES = ("het-ts", "uniform")
 RECORD_FIELDS = ["policy", "lambda", "delta", "seed", "tau", "rounds", "correct", "recommendation"]
 SUMMARY_FIELDS = ["policy", "lambda", "delta", "n", "mean_tau", "std_tau", "mean_rounds", "error_rate"]
 
+# Most entries (rows x instants x K') a chunk's reward or pull-count buffer holds;
+# a chunk is never shorter than one instant, whose buffer is the size of the counts.
+_DRAW_ENTRIES = 1 << 20
+
 
 class StepCapExceeded(RuntimeError):
     """Episodes ran past the hard step cap without stopping.
@@ -80,6 +91,16 @@ class StepCapExceeded(RuntimeError):
     def __init__(self, message: str, episodes: tuple[tuple[float, int], ...] = ()):
         super().__init__(message)
         self.episodes = episodes
+
+
+def _step_cap_error(
+    step_cap: int, policy: str, lam: float, episodes: tuple[tuple[float, int], ...]
+) -> StepCapExceeded:
+    return StepCapExceeded(
+        f"no stop by step cap {step_cap} (policy={policy}, lambda={lam!r}) for "
+        + "; ".join(f"delta={d!r}, seed={s}" for d, s in episodes),
+        episodes,
+    )
 
 
 @dataclass(frozen=True)
@@ -117,8 +138,9 @@ def input_violations(
     """One message per broken input rule of a sweep or an episode batch, each bad value once.
 
     ``lam`` must be positive and convert to a finite float (an integer too
-    large for a float does not); numpy seeds must be non-negative; a sweep's
-    seeds count up from ``base_seed``.
+    large for a float does not), and ``1 + lam`` must exceed 1, or the
+    communication schedule never leaves its first instant; numpy seeds must
+    be non-negative; a sweep's seeds count up from ``base_seed``.
     """
     problems = []
     if policy not in POLICIES:
@@ -129,6 +151,8 @@ def input_violations(
         finite = False
     if not (finite and lam > 0.0):
         problems.append(f"lambda must be a positive finite number, got {lam!r}")
+    elif 1.0 + lam == 1.0:
+        problems.append(f"lambda must not vanish against 1 (1 + lambda == 1), got {lam!r}")
     if not deltas:
         problems.append("deltas must be nonempty")
     problems += [f"delta {d!r} outside (0, 1)" for d in dict.fromkeys(deltas) if not 0.0 < d < 1.0]
@@ -208,12 +232,15 @@ def run_batch(
     All episodes share the communication schedule, so they reach the server
     on the same instants.  Between instants each episode advances its own
     clients and draws its own rewards, from its own streams in the order a
-    lone episode uses them.  At an instant the server work of every running
-    episode is one stacked computation (``slot_stats``,
+    lone episode uses them; each stream draws for the next chunk of instants
+    in one call (the next ``max(16, instants run)``, fewer when the batch's
+    buffers would pass ``_DRAW_ENTRIES`` entries, never past ``step_cap``),
+    and each instant reads its slice.  At an instant the server work of
+    every running episode is one stacked computation (``slot_stats``,
     ``slot_z_statistic``, the stopping rule with a per-episode threshold
     offset, ``slot_server_vector``) whose rows equal the lone episode's
     values bit for bit; so every record equals :func:`run_episode` for its
-    task, whatever the batch.  ``traces[k]``, when given, receives task
+    task, whatever the batch or the chunks.  ``traces[k]``, when given, receives task
     ``k``'s :class:`InstantLog` entries.  Raises :class:`StepCapExceeded`
     naming every episode still running at the first instant past
     ``step_cap``.
@@ -234,6 +261,7 @@ def run_batch(
     offsets = np.array([thresholds[delta] for delta, _ in tasks])
 
     schedule = CommSchedule(lam)
+    instants = iter(schedule)
     sizes = [len(arms) for arms in instance.arm_sets]
     select_rngs = [
         [np.random.default_rng((seed, m, 0)) for m in range(instance.num_clients)]
@@ -249,74 +277,80 @@ def run_batch(
     uniform = policy == "uniform"
 
     t = 0
-    for instant in schedule:
-        if not running:
-            return records
-        if instant > step_cap:
-            episodes = tuple(tasks[k] for k in running)
-            raise StepCapExceeded(
-                f"no stop by step cap {step_cap} (policy={policy}, lambda={lam!r}) for "
-                + "; ".join(f"delta={d!r}, seed={s}" for d, s in episodes),
-                episodes,
-            )
-        if uniform:
-            block = np.concatenate(
-                [
-                    uniform_pulls(size, instant - t, rng)
-                    for k in running
-                    for size, rng in zip(sizes, select_rngs[k])
-                ]
-            ).reshape(counts.shape)
-        else:
-            pulled = []
-            for k in running:
-                for row, w, rng in zip(tracked[k], weights[k], select_rngs[k]):
-                    pulled += track_pulls(row, w, t, instant, rng)
-            block = np.array(pulled, dtype=np.int64).reshape(counts.shape) - counts
-        # The block's reward total on a slot pulled n times is N(n * mu, n); n = 0 adds 0.
-        # Generator.normal(loc, scale) is loc + scale * (one standard normal draw per
-        # entry), so drawing those per episode and scaling them stacked gives the
-        # same floats from the same stream state.
-        noise = np.empty(counts.shape)
+    done = 0  # instants run so far
+    while True:
+        ahead = max(1, min(max(16, done), _DRAW_ENTRIES // (len(running) * kprime)))
+        chunk = list(takewhile(lambda s: s <= step_cap, islice(instants, ahead)))
+        if not chunk:
+            raise _step_cap_error(step_cap, policy, lam, tuple(tasks[k] for k in running))
+        # Each stream draws the whole chunk in one call, which numpy fills from the
+        # stream in the order of the per-block calls, so every block reads the same
+        # values as a per-block draw would.  A stopped row's leftover draws are dropped.
+        noise = np.empty((len(running), len(chunk), kprime))
         for row, k in zip(noise, running):
             reward_rngs[k].standard_normal(out=row)
-        sums += block * slot_means + np.sqrt(block) * noise
-        counts += block
-        t = instant
-        # The server's view: every client's counts and empirical means, in slot order.
-        means = np.zeros(counts.shape)
-        np.divide(sums, counts, out=means, where=counts > 0)
-        stats = slot_stats(index, means)
-        z = slot_z_statistic(index, stats, counts)
-        stop, beta = should_stop(z, t, offsets, kprime, instance.num_arms)
-        stop = stop.tolist()
-        if traces is not None:
-            for k, zk, bk, sk in zip(running, z.tolist(), beta.tolist(), stop):
-                traces[k].append(InstantLog(t=t, z=zk, beta=bk, stopped=sk))
-        if True in stop:
-            rounds = schedule.round_exponent(t)
-            for row in (row for row, s in enumerate(stop) if s):
-                k = running[row]
-                recommendation = tuple(stats.best_arms[row].tolist())
-                records[k] = RunRecord(
-                    policy=policy,
-                    lam=lam,
-                    delta=tasks[k][0],
-                    seed=tasks[k][1],
-                    tau=t,
-                    rounds=rounds,
-                    correct=recommendation == true_best,
-                    recommendation=recommendation,
+        if uniform:
+            lengths = np.diff(chunk, prepend=t)
+            pulls = np.empty(noise.shape, dtype=np.int64)
+            for row, k in zip(pulls, running):
+                np.concatenate(
+                    [uniform_pulls(size, lengths, rng) for size, rng in zip(sizes, select_rngs[k])],
+                    axis=1,
+                    out=row,
                 )
-            keep = np.logical_not(stop)
-            running = [k for k, s in zip(running, stop) if not s]
-            counts, sums, offsets = counts[keep], sums[keep], offsets[keep]
-            stats = stats.rows(keep)
-        if running and not uniform:
-            gvec = slot_server_vector(index, stats)
-            for k, row in zip(running, _client_weights(index, gvec)):
-                weights[k] = row
-    raise AssertionError("unreachable: the schedule is unbounded")
+        for step, instant in enumerate(chunk):
+            if uniform:
+                block = pulls[:, step]
+            else:
+                pulled = []
+                for k in running:
+                    for row, w, rng in zip(tracked[k], weights[k], select_rngs[k]):
+                        pulled += track_pulls(row, w, t, instant, rng)
+                block = np.array(pulled, dtype=np.int64).reshape(counts.shape) - counts
+            # The block's reward total on a slot pulled n times is N(n * mu, n); n = 0 adds 0.
+            # Generator.normal(loc, scale) is loc + scale * (one standard normal draw per
+            # entry), so scaling the episodes' standard normals stacked gives the same floats.
+            sums += block * slot_means + np.sqrt(block) * noise[:, step]
+            counts += block
+            t = instant
+            # The server's view: every client's counts and empirical means, in slot order.
+            means = np.zeros(counts.shape)
+            np.divide(sums, counts, out=means, where=counts > 0)
+            stats = slot_stats(index, means)
+            z = slot_z_statistic(index, stats, counts)
+            stop, beta = should_stop(z, t, offsets, kprime, instance.num_arms)
+            stop = stop.tolist()
+            if traces is not None:
+                for k, zk, bk, sk in zip(running, z.tolist(), beta.tolist(), stop):
+                    traces[k].append(InstantLog(t=t, z=zk, beta=bk, stopped=sk))
+            if True in stop:
+                rounds = schedule.round_exponent(t)
+                for row in (row for row, s in enumerate(stop) if s):
+                    k = running[row]
+                    recommendation = tuple(stats.best_arms[row].tolist())
+                    records[k] = RunRecord(
+                        policy=policy,
+                        lam=lam,
+                        delta=tasks[k][0],
+                        seed=tasks[k][1],
+                        tau=t,
+                        rounds=rounds,
+                        correct=recommendation == true_best,
+                        recommendation=recommendation,
+                    )
+                keep = np.logical_not(stop)
+                running = [k for k, s in zip(running, stop) if not s]
+                if not running:
+                    return records
+                counts, sums, offsets, noise = counts[keep], sums[keep], offsets[keep], noise[keep]
+                if uniform:
+                    pulls = pulls[keep]
+                stats = stats.rows(keep)
+            if not uniform:
+                gvec = slot_server_vector(index, stats)
+                for k, row in zip(running, _client_weights(index, gvec)):
+                    weights[k] = row
+        done += len(chunk)
 
 
 def sweep(config: SweepConfig) -> list[RunRecord]:
@@ -326,7 +360,9 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
     the returned order matches it.  The tasks are dealt round-robin into one
     batch per worker, so every batch gets its share of each delta (small
     deltas run longest); records depend neither on the split nor on the
-    worker count.
+    worker count.  When episodes pass the step cap, every batch still runs
+    to its end, and one :class:`StepCapExceeded` names the unfinished
+    episodes of all batches in task order, as the one-batch run would.
     """
     tasks = [
         (delta, config.base_seed + d_idx * config.repetitions + rep)
@@ -341,9 +377,18 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
     if workers == 1:
         return run_batch(*batches[0])
     records: list = [None] * len(tasks)
+    unfinished: list[tuple[float, int]] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for w, batch in enumerate(pool.map(run_batch, *zip(*batches))):
-            records[w::workers] = batch
+        futures = [pool.submit(run_batch, *batch) for batch in batches]
+        for w, future in enumerate(futures):
+            try:
+                records[w::workers] = future.result()
+            except StepCapExceeded as exc:
+                unfinished += exc.episodes
+    if unfinished:
+        position = {task: k for k, task in enumerate(tasks)}
+        episodes = tuple(sorted(unfinished, key=position.__getitem__))
+        raise _step_cap_error(config.step_cap, config.policy, config.lam, episodes)
     return records
 
 

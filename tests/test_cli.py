@@ -126,6 +126,18 @@ class TestRun:
         assert dispatch(args) == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
+    def test_lambda_that_vanishes_against_one_exits_two_at_once(self, instance_file, tmp_path):
+        # 1 + 1e-17 == 1, so the schedule would never pass its first instant;
+        # a subprocess with a timeout, because the old behaviour was a hang
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TMPDIR=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetbai.cli", "run", "--instance", instance_file,
+             "--delta", "0.1", "--lambda", "1e-17", "--seed", "0"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "lambda must not vanish against 1 (1 + lambda == 1), got 1e-17" in proc.stderr
+
     def test_uniform_policy_flag(self, instance_file, capsys):
         args = ["run", "--instance", instance_file, "--delta", "0.1",
                 "--lambda", "0.5", "--seed", "7", "--policy", "uniform"]
@@ -226,6 +238,11 @@ class TestLoadSweepConfig:
     def test_zero_lambda_rejected(self, tmp_path, instance_file):
         path = self.write(tmp_path, {"instance": instance_file, "deltas": [0.1], "lambda": 0})
         with pytest.raises(ValueError, match="lambda"):
+            load_sweep_config(path)
+
+    def test_lambda_that_vanishes_against_one_rejected(self, tmp_path, instance_file):
+        path = self.write(tmp_path, {"instance": instance_file, "deltas": [0.1], "lambda": 1e-17})
+        with pytest.raises(ValueError, match=r"1 \+ lambda == 1\), got 1e-17"):
             load_sweep_config(path)
 
     def test_violations_listed_exhaustively(self, tmp_path, instance_file):

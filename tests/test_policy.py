@@ -58,6 +58,13 @@ class TestCommSchedule:
         with pytest.raises(ValueError):
             comm_schedule(-0.5)
 
+    def test_rejects_lambda_that_vanishes_against_one(self):
+        # 1 + 2**-53 rounds to 1, so no power would ever pass the first instant
+        for lam in (1e-17, 2.0**-53):
+            with pytest.raises(ValueError, match=f"got {lam!r}"):
+                comm_schedule(lam)
+        assert comm_schedule(2.0**-52).lam == 2.0**-52  # representable, only slow
+
     def test_strictly_increasing_and_ratio_bounded(self):
         for lam in (0.01, 0.5, 1.0):
             instants = comm_schedule(lam).instants(2000)

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hetbai import (
     comm_schedule,
     export_records,
     export_summary,
+    gen_hardness_instance,
     gen_overlap_instance,
     pool_size,
     read_records,
@@ -262,9 +264,11 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *columns):
-                batches.extend(zip(*columns))
-                return map(fn, *columns)
+            def submit(self, fn, *args):
+                batches.append(args)
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
@@ -310,6 +314,29 @@ class TestSweep:
         with pytest.raises(ValueError, match="lambda must be a positive finite number, got 1000"):
             SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), lam=10**400)
         assert SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), lam=10**300).lam == 10**300
+
+    def test_lambda_that_vanishes_against_one_rejected(self):
+        # 1 + 1e-17 == 1 as floats: the schedule could never pass its first instant
+        message = r"lambda must not vanish against 1 \(1 \+ lambda == 1\), got 1e-17"
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), lam=1e-17)
+        with pytest.raises(ValueError, match=message):
+            run_episode(symmetric_two_arm(), "het-ts", 0.1, 1e-17, seed=0)
+
+    def test_step_cap_error_names_every_batch_episode(self, monkeypatch):
+        # every episode passes the cap; with two workers each batch raises, and the
+        # sweep must name all four in task order, as the one-batch run does
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        config = dict(instance=chain_three_arm(), deltas=(1e-8,), repetitions=4, lam=0.5,
+                      step_cap=50)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(StepCapExceeded) as err:
+                sweep(SweepConfig(workers=workers, **config))
+            errors.append(err.value)
+        assert errors[0].episodes == tuple((1e-8, seed) for seed in range(4))
+        assert errors[1].episodes == errors[0].episodes
+        assert str(errors[1]) == str(errors[0])
 
 
 class TestPoolSize:
@@ -363,6 +390,95 @@ class TestGoldenRecords:
             lam=0.2, repetitions=4, base_seed=900,
         )
         self.check(config, "golden_uniform_records.csv")
+
+    def test_one_instant_per_chunk(self, monkeypatch):
+        # the per-block draw calls the golden files were written with
+        monkeypatch.setattr(simulator, "_DRAW_ENTRIES", 1)
+        self.test_het_ts_two_classes()
+        self.test_uniform_overlap_layout_2()
+
+
+class TestDrawChunks:
+    """Drawing each stream a chunk of blocks at a time changes no record, trace or error.
+
+    With a draw budget of one entry every chunk is one instant, and every
+    stream makes the per-block calls; the default budget draws up to 16 or
+    more instants per call.
+    """
+
+    def outcomes(self, monkeypatch, run):
+        results = [run()]
+        monkeypatch.setattr(simulator, "_DRAW_ENTRIES", 1)
+        results.append(run())
+        return results
+
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    def test_rows_stopping_inside_a_chunk(self, monkeypatch, policy):
+        v = chain_three_arm()
+        tasks = [(d, seed) for seed, d in enumerate((0.5, 0.3, 0.1, 1e-2, 1e-4, 1e-6) * 2)]
+
+        def run():
+            traces = [[] for _ in tasks]
+            return run_batch(v, policy, 0.5, tasks, traces=traces), traces
+
+        (records, traces), (one, one_traces) = self.outcomes(monkeypatch, run)
+        assert records == one and traces == one_traces
+        # rows stop at several instants of the first 16-instant chunk, so the
+        # buffers lose rows part way through it
+        assert len({r.tau for r in records}) >= 3
+        assert max(r.tau for r in records) <= comm_schedule(0.5).instants(16)[-1]
+
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    def test_step_cap_error(self, monkeypatch, policy):
+        # wide gap: delta=0.5 stops within the cap, delta=1e-300 runs past it
+        v = make_instance([(0, 1), (0, 1)], {(0, 0): 10.0, (0, 1): 0.0, (1, 0): 10.0, (1, 1): 0.0})
+        tasks = [(0.5, 1), (1e-300, 2), (0.5, 3), (1e-300, 4)]
+
+        def run():
+            traces = [[] for _ in tasks]
+            with pytest.raises(StepCapExceeded) as err:
+                run_batch(v, policy, 0.5, tasks, step_cap=20, traces=traces)
+            return err.value.episodes, str(err.value), traces
+
+        default, one = self.outcomes(monkeypatch, run)
+        assert default == one
+        assert default[0] == ((1e-300, 2), (1e-300, 4))
+        assert default[2][0][-1].stopped and default[2][2][-1].stopped
+
+    def test_wide_instance_buffers_stay_within_budget(self, monkeypatch):
+        # K' = 5000 over 50 clients, 64 episodes that all run to the step cap:
+        # every chunk's buffers (rows x instants x K') stay within the budget
+        rng = np.random.default_rng(77)
+        sets = [tuple(sorted(rng.choice(200, size=100, replace=False).tolist())) for _ in range(50)]
+        sets[0] = tuple(range(100))
+        sets[1] = tuple(range(100, 200))
+        v = gen_hardness_instance(1.0, 200, 50, sets)
+        kprime = v.total_arm_slots
+        assert kprime >= 5000
+        chunks = []
+        real = np.random.default_rng
+
+        class Recorded:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def standard_normal(self, out):
+                chunks.append(out.shape)
+                return self.rng.standard_normal(out=out)
+
+            def multinomial(self, n, pvals):
+                drawn = self.rng.multinomial(n, pvals)
+                chunks.append((len(drawn), None))
+                return drawn
+
+        monkeypatch.setattr(np.random, "default_rng", Recorded)
+        tasks = [(1e-6, seed) for seed in range(64)]
+        with pytest.raises(StepCapExceeded) as err:
+            run_batch(v, "uniform", 0.5, tasks, step_cap=30)
+        assert len(err.value.episodes) == 64
+        assert {shape[1] for shape in chunks} == {kprime, None}
+        assert all(64 * length * kprime <= simulator._DRAW_ENTRIES for length, _ in chunks)
+        assert max(length for length, _ in chunks) > 1  # still more than one instant a call
 
 
 class TestPiecewiseConstantStopping:

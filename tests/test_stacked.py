@@ -5,13 +5,15 @@ every stacked reduction must give each row exactly what the row alone
 gives: the per-arm sums, the eigensolver, the Perron polish (whose norm is
 the square root of the dot product ``y . y``, as ``numpy.linalg.norm``
 computes it for one vector; ``numpy.linalg.norm(..., axis=1)`` sums in
-another order), the per-client weight sums and the reward draws.
+another order), the per-client weight sums and the reward draws.  Each
+stream draws a chunk of blocks in one call, which must give the values and
+leave the stream where the per-block calls would.
 """
 
 import numpy as np
 import pytest
 
-from hetbai import slot_index, slot_server_vector, slot_stats, slot_z_statistic
+from hetbai import slot_index, slot_server_vector, slot_stats, slot_z_statistic, uniform_pulls
 from hetbai.allocation import _client_weights, _perron_polish, slot_global_vector
 
 from helpers import loop_perron, random_structural_instance, wide_gap_instance
@@ -143,3 +145,33 @@ class TestStackedEpisodeArithmetic:
         a, b = np.random.default_rng((seed, 0, 1)), np.random.default_rng((seed, 0, 1))
         assert bitwise_equal(a.normal(loc, scale), loc + scale * b.standard_normal(4000))
         assert a.integers(2**62) == b.integers(2**62)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_multinomial_over_block_lengths_is_the_successive_draws(self, seed):
+        # one uniform_pulls call with an array of block lengths, as a chunk draws
+        # them, against one call per block; lengths span the binomial's small-mean
+        # and large-mean algorithms, and 0
+        rng = np.random.default_rng(seed)
+        for size in range(2, 9):
+            lengths = (10.0 ** rng.uniform(0, 7, size=int(rng.integers(1, 40)))).astype(np.int64)
+            lengths[rng.random(len(lengths)) < 0.2] = 0
+            a, b = np.random.default_rng((seed, size, 0)), np.random.default_rng((seed, size, 0))
+            chunk = uniform_pulls(size, lengths, a)
+            each = np.array([uniform_pulls(size, int(n), b) for n in lengths])
+            assert bitwise_equal(chunk, each)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_standard_normal_chunk_is_the_successive_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            chunk, kprime = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+            a, b, c = (np.random.default_rng((seed, 0, 1)) for _ in range(3))
+            whole = a.standard_normal((chunk, kprime))
+            rows = np.empty((chunk, kprime))
+            for row in rows:
+                b.standard_normal(out=row)
+            stacked = np.empty((3, chunk, kprime))  # one episode's slice of a batch buffer
+            c.standard_normal(out=stacked[1])
+            assert bitwise_equal(whole, rows) and bitwise_equal(whole, stacked[1])
+            assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
