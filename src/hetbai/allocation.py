@@ -336,10 +336,8 @@ def _pair_rate(
     recip = np.full(len(values), np.inf)
     np.divide(1.0, values, out=recip, where=values > 0)
     bins = rows * index.num_arms
-    T = (
-        np.bincount(stack.arm_bin[: len(values)], weights=recip, minlength=bins)
-        / stack.squared_multiplicities[:bins]
-    )
+    mult = stack.multiplicities[:bins]
+    T = np.bincount(stack.slot_arm[: len(values)], weights=recip, minlength=bins) / (mult * mult)
     means = stats.global_means.ravel()
     gap = means[i1] - means[i2]
     rates = gap * gap / 2.0 / (T[i1] + T[i2])

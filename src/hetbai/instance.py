@@ -109,7 +109,8 @@ class ProblemInstance:
 
     @cached_property
     def _slots(self) -> "SlotIndex":
-        return SlotIndex._build(self)
+        sizes = [len(arms) for arms in self.arm_sets]
+        return SlotIndex._of(self.num_arms, sizes, [i for arms in self.arm_sets for i in arms])
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -174,15 +175,16 @@ class SlotIndex:
 
     A slot is one (client, arm) pair.  Slots are numbered client by client
     in arm-set order, so client ``m`` owns slots ``starts[m]:starts[m + 1]``
-    and slot ``starts[m] + k`` holds arm ``arm_sets[m][k]``; flattening the
-    instance's ``means`` rows gives the mean of every slot.  The structure
-    is fixed for a whole episode, so it is built once and the per-instant
-    statistics are array reductions over it.  Arrays are read-only.
+    and ``slot_arm`` names each slot's arm; flattening the instance's
+    ``means`` rows gives the mean of every slot.  The structure is fixed for
+    a whole episode, so it is built once and the per-instant statistics are
+    array reductions over it.  A stack of configurations is the slot index
+    of disjoint copies of the instance (see :meth:`stacked`), so every
+    reduction gives each row what the row alone gives.  Arrays are read-only.
     """
 
     num_arms: int
     num_clients: int
-    arm_sets: tuple[tuple[int, ...], ...]
     slot_client: np.ndarray
     slot_arm: np.ndarray
     starts: np.ndarray
@@ -190,19 +192,15 @@ class SlotIndex:
     _stacks: list = field(default_factory=list, init=False, repr=False)  # see stacked()
 
     @classmethod
-    def _build(cls, instance: ProblemInstance) -> "SlotIndex":
-        sizes = [len(arms) for arms in instance.arm_sets]
-        slot_arm = np.fromiter(
-            (i for arms in instance.arm_sets for i in arms), dtype=np.int64, count=sum(sizes)
-        )
+    def _of(cls, num_arms: int, sizes: Sequence[int], slot_arm: Sequence[int]) -> "SlotIndex":
+        slot_arm = np.asarray(slot_arm, dtype=np.int64)
         return cls(
-            num_arms=instance.num_arms,
-            num_clients=instance.num_clients,
-            arm_sets=instance.arm_sets,
-            slot_client=_frozen(np.repeat(np.arange(instance.num_clients), sizes)),
+            num_arms=num_arms,
+            num_clients=len(sizes),
+            slot_client=_frozen(np.repeat(np.arange(len(sizes)), sizes)),
             slot_arm=_frozen(slot_arm),
             starts=_frozen(np.concatenate(([0], np.cumsum(sizes)))),
-            multiplicities=_frozen(np.bincount(slot_arm, minlength=instance.num_arms)),
+            multiplicities=_frozen(np.bincount(slot_arm, minlength=num_arms)),
         )
 
     @property
@@ -216,17 +214,30 @@ class SlotIndex:
             (x for row in rows for x in row), dtype=float, count=self.num_slots
         )
 
-    def stacked(self, rows: int) -> "StackedSlots":
-        """Flat index arrays for ``rows`` stacked configurations (see :class:`StackedSlots`).
+    def stacked(self, rows: int) -> "SlotIndex":
+        """Slot index of at least ``rows`` disjoint copies of this one; the index itself for one.
 
-        Built for the largest row count asked so far; a smaller stack uses
-        prefixes of the same arrays, so a batch whose episodes stop one by one
-        never rebuilds them.
+        Copy ``b`` owns arms ``b * K + i`` and clients ``b * M + m``, hence
+        slots ``b * K' + s``, so a stack is the slot index of disjoint copies
+        and every reduction gives each row what the row alone gives.  Built
+        for the largest row count asked so far; the first ``r`` copies are
+        the prefixes of length ``r * K'``, ``r * M`` and ``r * K``, so a batch
+        whose episodes stop one by one never rebuilds it.
         """
+        if rows == 1:
+            return self
         cache = self._stacks
-        if not cache or cache[0].rows < rows:
-            cache[:] = [StackedSlots.of(self, rows)]
+        if not cache or cache[0].num_clients < rows * self.num_clients:
+            sizes, copies = np.tile(np.diff(self.starts), rows), np.arange(rows)[:, None]
+            slot_arm = (self.slot_arm + self.num_arms * copies).ravel()
+            cache[:] = [SlotIndex._of(rows * self.num_arms, sizes, slot_arm)]
         return cache[0]
+
+    @cached_property
+    def arm_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slots stably sorted by arm, and where each arm's (nonempty) run starts in that order."""
+        order = np.argsort(self.slot_arm, kind="stable")
+        return _frozen(order), _frozen(np.cumsum(self.multiplicities) - self.multiplicities)
 
     @cached_property
     def clients_by_size(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -256,9 +267,10 @@ class SlotIndex:
                 parent[i] = i = parent[parent[i]]  # path halving
             return i
 
-        for arms in self.arm_sets:
-            for other in arms[1:]:
-                parent[root(other)] = root(arms[0])
+        slot_arm, starts = self.slot_arm.tolist(), self.starts.tolist()
+        for lo, hi in zip(starts, starts[1:]):
+            for other in slot_arm[lo + 1 : hi]:
+                parent[root(other)] = root(slot_arm[lo])
         roots = [root(i) for i in range(self.num_arms)]
         classes: dict[int, list[int]] = {}  # root -> its arms; a class enters at its least arm
         for i, r in enumerate(roots):
@@ -282,55 +294,6 @@ class SlotIndex:
             arms = slice(cls[0], cls[-1] + 1) if consecutive else idx
             out.append((arms, _frozen(self.co_ownership[np.ix_(idx, idx)])))
         return tuple(out)
-
-
-@dataclass(frozen=True, eq=False)
-class StackedSlots:
-    """Index arrays of ``rows`` configurations stacked row-major into flat arrays.
-
-    Flat slot ``b * K' + s`` is slot ``s`` of row ``b``; its arm bin is
-    ``b * K + slot_arm[s]`` and its client bin ``b * M + slot_client[s]``.
-    A ``bincount`` over the arm bins sums each row's slots of one arm in slot
-    order, exactly as a ``bincount`` over that row alone, and ``reduceat``
-    over the client starts or over the arm runs of ``arm_order`` reduces one
-    row's client or arm at a time.  The arrays for ``r <= rows`` rows are
-    the prefixes of length ``r * K'``, ``r * M`` and ``r * K``.
-    """
-
-    rows: int
-    arm_bin: np.ndarray  # flat slot -> row * K + arm
-    client_bin: np.ndarray  # flat slot -> row * M + client
-    slot_arm: np.ndarray  # flat slot -> arm
-    client_starts: np.ndarray  # row * M + client -> first flat slot
-    arm_order: np.ndarray  # flat slots, each row's stably sorted by arm
-    arm_starts: np.ndarray  # row * K + arm -> start of its run in arm_order
-    multiplicities: np.ndarray  # row * K + arm -> multiplicity of arm, as a float
-    squared_multiplicities: np.ndarray  # row * K + arm -> its square
-    countdown: np.ndarray  # flat slot -> rows * K' - flat slot
-
-    @classmethod
-    def of(cls, index: SlotIndex, rows: int) -> "StackedSlots":
-        row = np.arange(rows)[:, None]
-        # Each arm's slots form one run of the stable arm order; every arm of
-        # a structurally valid instance owns a slot, so no run is empty.
-        order = np.argsort(index.slot_arm, kind="stable")
-        arm_starts = np.cumsum(index.multiplicities) - index.multiplicities
-
-        def tile(values: np.ndarray, step: int) -> np.ndarray:
-            return _frozen((values + step * row).ravel())
-
-        return cls(
-            rows=rows,
-            arm_bin=tile(index.slot_arm, index.num_arms),
-            client_bin=tile(index.slot_client, index.num_clients),
-            slot_arm=tile(index.slot_arm, 0),
-            client_starts=tile(index.starts[:-1], index.num_slots),
-            arm_order=tile(order, index.num_slots),
-            arm_starts=tile(arm_starts, index.num_slots),
-            multiplicities=tile(index.multiplicities.astype(float), 0),
-            squared_multiplicities=tile(index.multiplicities.astype(float) ** 2, 0),
-            countdown=_frozen(np.arange(rows * index.num_slots, 0, -1)),
-        )
 
 
 def _structural_violations(instance: ProblemInstance) -> list[str]:
@@ -396,17 +359,11 @@ def _ties(index: SlotIndex, slot_means: np.ndarray) -> list[str]:
     way, so the best arm is not determined: a tie (an exact one at gap 0).
     The aggregate means and best arms are those of :func:`slot_stats`.
     """
+    _, _, g, top, first = _top_slots(index, slot_means)
     mult = index.multiplicities
-    means = np.bincount(index.slot_arm, weights=slot_means, minlength=index.num_arms) / mult
     steps = mult + 1.0
     magnitude = np.bincount(index.slot_arm, weights=np.abs(slot_means), minlength=index.num_arms)
     error = steps * _UNIT_ROUNDOFF / (1.0 - steps * _UNIT_ROUNDOFF) * magnitude / mult
-    g = means[index.slot_arm]
-    top = np.maximum.reduceat(g, index.starts[:-1])[index.slot_client]
-    # First slot of each client holding its top mean: the argmax, ties to the lowest arm.
-    first = np.minimum.reduceat(
-        np.where(g == top, np.arange(index.num_slots), index.num_slots), index.starts[:-1]
-    )
     best = index.slot_arm[first][index.slot_client]
     gap = top - g
     tolerance = error[best] + error[index.slot_arm]
@@ -443,39 +400,52 @@ def slot_index(instance: ProblemInstance) -> SlotIndex:
     return instance._slots
 
 
+def _top_slots(
+    index: SlotIndex, slot_means: np.ndarray
+) -> tuple[SlotIndex, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """First stage of :func:`slot_stats` on one or ``B`` stacked configurations.
+
+    The stack reduced over, the per-arm means, each slot's arm mean and its
+    client's top mean, and each client's first top slot (the argmax, ties to
+    the lowest arm), all numbered as in the stack.
+    """
+    rows = slot_means.size // index.num_slots
+    stack = index.stacked(rows)
+    size = rows * index.num_slots
+    slot_arm = stack.slot_arm[:size]
+    starts = stack.starts[: rows * index.num_clients]
+    global_means = (
+        np.bincount(slot_arm, weights=slot_means.ravel(), minlength=rows * index.num_arms)
+        / stack.multiplicities[: rows * index.num_arms]
+    )
+    g = global_means[slot_arm]
+    top = np.maximum.reduceat(g, starts)[stack.slot_client[:size]]
+    first = np.minimum.reduceat(np.where(g == top, np.arange(size), size), starts)
+    return stack, global_means, g, top, first
+
+
 def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
     """Arm statistics of the mean configuration ``slot_means`` (one entry per slot).
 
     Reductions over the slot arrays: per-arm sums in client order (so the
     means equal a client-by-client accumulation bit for bit), each client's
     top and runner-up aggregate mean, and per-arm minima of the separations.
-    A ``(B, K')`` array stacks ``B`` configurations: every field but
-    ``multiplicities`` then gains a leading batch axis, and each row equals
-    the statistics of that configuration alone bit for bit.
+    A ``(B, K')`` array stacks ``B`` configurations, and every field but
+    ``multiplicities`` then gains a leading batch axis; the stack is the
+    slot index of disjoint copies, so every reduction gives each row what
+    the row alone gives, bit for bit.
     """
     means = np.asarray(slot_means, dtype=float)
-    rows = means.size // index.num_slots
-    stack = index.stacked(rows)
-    size = rows * index.num_slots
-    arm_bin, client_bin = stack.arm_bin[:size], stack.client_bin[:size]
-    starts = stack.client_starts[: rows * index.num_clients]
-    global_means = (
-        np.bincount(arm_bin, weights=means.ravel(), minlength=rows * index.num_arms)
-        / stack.multiplicities[: rows * index.num_arms]
-    )
-    g = global_means[arm_bin]
-    other = np.maximum.reduceat(g, starts)[client_bin]  # each client's top mean, per slot
-    # First slot of each client holding its top mean (the argmax, ties to the
-    # lowest arm): the client's largest countdown among its top slots.
-    first = stack.countdown[0] - np.maximum.reduceat((g == other) * stack.countdown[:size], starts)
+    stack, global_means, g, other, first = _top_slots(index, means)
+    starts = stack.starts[: len(first)]
     rest = g.copy()
     rest[first] = -np.inf
     other[first] = np.maximum.reduceat(rest, starts)  # the lead slot competes with the runner-up
-    gaps = np.minimum.reduceat(
-        np.abs(g - other)[stack.arm_order[:size]], stack.arm_starts[: rows * index.num_arms]
-    )
-    best_arms = stack.slot_arm[first]
+    order, arm_starts = stack.arm_runs
+    gaps = np.minimum.reduceat(np.abs(g - other)[order[: len(g)]], arm_starts[: len(global_means)])
+    best_arms = index.slot_arm[first % index.num_slots]
     if means.ndim > 1:
+        rows = len(means)
         global_means = global_means.reshape(rows, index.num_arms)
         gaps = gaps.reshape(rows, index.num_arms)
         best_arms = best_arms.reshape(rows, index.num_clients)

@@ -204,9 +204,9 @@ def slot_z_statistic(
     size = counts.size
     stack = index.stacked(size // index.num_slots)
     # Every slot pairs its client's best arm with its own arm; the best arm's own slot is no pair.
-    best = stats.best_arms.ravel()[stack.client_bin[:size]]
-    own = stack.slot_arm[:size]
-    i2 = stack.arm_bin[:size]
+    best = stats.best_arms.ravel()[stack.slot_client[:size]]
+    i2 = stack.slot_arm[:size]
+    own = i2 % index.num_arms
     i1 = i2 + (best - own)
     shape = counts.shape
     z = _pair_rate(

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, takewhile
@@ -134,13 +135,15 @@ def input_violations(
     seeds: Iterable[int],
     repetitions: int = 1,
     workers: int = 1,
+    step_cap: int = 1,
 ) -> list[str]:
     """One message per broken input rule of a sweep or an episode batch, each bad value once.
 
     ``lam`` must be positive and convert to a finite float (an integer too
     large for a float does not), and ``1 + lam`` must exceed 1, or the
     communication schedule never leaves its first instant; numpy seeds must
-    be non-negative; a sweep's seeds count up from ``base_seed``.
+    be non-negative; a sweep's seeds count up from ``base_seed``; a step cap
+    below 1 leaves an episode no step to run.
     """
     problems = []
     if policy not in POLICIES:
@@ -161,6 +164,8 @@ def input_violations(
         problems.append(f"repetitions must be a positive integer, got {repetitions!r}")
     if workers < 1:
         problems.append(f"workers must be a positive integer, got {workers!r}")
+    if step_cap < 1:
+        problems.append(f"step_cap must be a positive integer, got {step_cap!r}")
     return problems
 
 
@@ -179,7 +184,13 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         problems = input_violations(
-            self.policy, self.lam, self.deltas, [self.base_seed], self.repetitions, self.workers
+            self.policy,
+            self.lam,
+            self.deltas,
+            [self.base_seed],
+            self.repetitions,
+            self.workers,
+            self.step_cap,
         )
         if problems:
             raise ValueError("invalid sweep: " + "; ".join(problems))
@@ -247,7 +258,9 @@ def run_batch(
     """
     if not tasks:
         return []
-    problems = input_violations(policy, lam, [d for d, _ in tasks], [s for _, s in tasks])
+    problems = input_violations(
+        policy, lam, [d for d, _ in tasks], [s for _, s in tasks], step_cap=step_cap
+    )
     if problems:
         raise ValueError("invalid episode: " + "; ".join(problems))
     report = validate(instance)
@@ -470,6 +483,13 @@ def read_records(path: str) -> list[RunRecord]:
         for row in reader:
             if len(row) != len(RECORD_FIELDS):
                 raise ValueError(f"malformed record row: {row}")
+            line = f"line {reader.line_num}"
+            if row[6] not in ("true", "false"):
+                raise ValueError(f"{line}: correct must be true or false, got {row[6]!r}")
+            if not re.fullmatch(r"[1-9][0-9]*(;[1-9][0-9]*)*", row[7]):
+                raise ValueError(
+                    f"{line}: recommendation must be 1-based arms joined by ';', got {row[7]!r}"
+                )
             out.append(
                 RunRecord(
                     policy=row[0],

@@ -126,6 +126,12 @@ class TestRun:
         assert dispatch(args) == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
+    def test_step_cap_below_one_is_domain_error(self, instance_file, capsys):
+        args = ["run", "--instance", instance_file, "--delta", "0.1",
+                "--lambda", "0.5", "--seed", "1", "--step-cap", "-5"]
+        assert dispatch(args) == 2
+        assert "step_cap must be a positive integer, got -5" in capsys.readouterr().err
+
     def test_lambda_that_vanishes_against_one_exits_two_at_once(self, instance_file, tmp_path):
         # 1 + 1e-17 == 1, so the schedule would never pass its first instant;
         # a subprocess with a timeout, because the old behaviour was a hang
@@ -314,3 +320,13 @@ class TestReportCommand:
         lines = summary.read_text().strip().splitlines()
         assert lines[0] == "policy,lambda,delta,n,mean_tau,std_tau,mean_rounds,error_rate"
         assert len(lines) == 3
+
+    def test_bad_correct_flag_exits_two(self, tmp_path, capsys):
+        # read as incorrect, this row would report error_rate 1.0
+        records = tmp_path / "records.csv"
+        records.write_text("policy,lambda,delta,seed,tau,rounds,correct,recommendation\n"
+                           "het-ts,0.5,0.1,0,8,4,yes,1;2\n")
+        summary = tmp_path / "summary.csv"
+        assert dispatch(["report", "--records", str(records), "--out", str(summary)]) == 2
+        assert "line 2: correct must be true or false, got 'yes'" in capsys.readouterr().err
+        assert not summary.exists()

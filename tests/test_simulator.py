@@ -26,7 +26,7 @@ from hetbai import (
     sweep,
 )
 from hetbai import simulator
-from hetbai.simulator import write_records
+from hetbai.simulator import RECORD_FIELDS, write_records
 
 from helpers import (
     block_run_episode,
@@ -112,6 +112,13 @@ class TestRunEpisode:
         tasks = [(0.1, 0), (0.1, -5), (0.2, -5)]
         with pytest.raises(ValueError, match=r"seed must be non-negative, got -5$"):
             run_batch(symmetric_two_arm(), "het-ts", 0.5, tasks)
+
+    def test_batch_rejects_step_cap_below_one_before_running(self):
+        # not a StepCapExceeded: no episode ran, so none is unfinished
+        for cap in (0, -5):
+            message = rf"step_cap must be a positive integer, got {cap}$"
+            with pytest.raises(ValueError, match=message):
+                run_batch(symmetric_two_arm(), "het-ts", 0.5, [(0.1, 1)], step_cap=cap)
 
     def test_uniform_policy_also_stops(self):
         rec = run_episode(symmetric_two_arm(), "uniform", 0.1, 0.5, seed=3)
@@ -299,14 +306,15 @@ class TestSweep:
     def test_config_names_every_violation_at_once(self):
         with pytest.raises(ValueError) as exc:
             SweepConfig(instance=symmetric_two_arm(), deltas=(0.1, 1.5), policy="greedy",
-                        lam=math.inf, repetitions=0, base_seed=-2, workers=0)
+                        lam=math.inf, repetitions=0, base_seed=-2, workers=0, step_cap=0)
         message = str(exc.value)
         for needle in ("policy must be one of het-ts, uniform, got 'greedy'",
                        "lambda must be a positive finite number, got inf",
                        "delta 1.5 outside (0, 1)",
                        "seed must be non-negative, got -2",
                        "repetitions must be a positive integer, got 0",
-                       "workers must be a positive integer, got 0"):
+                       "workers must be a positive integer, got 0",
+                       "step_cap must be a positive integer, got 0"):
             assert needle in message
 
     def test_lambda_too_large_for_a_float_rejected(self):
@@ -555,6 +563,22 @@ class TestCsvRoundTrip:
         path = tmp_path / "records.csv"
         export_records(records, str(path))
         assert read_records(str(path)) == records
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("correct", "True"), ("correct", "1"), ("recommendation", "1,2"),
+         ("recommendation", "0;1"), ("recommendation", "")],
+    )
+    def test_bad_field_names_its_line(self, tmp_path, field, value):
+        path = tmp_path / "records.csv"
+        export_records([run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed=s)
+                        for s in (1, 2)], str(path))
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[RECORD_FIELDS.index(field)] = f'"{value}"'
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError, match=rf"^line 3: {field} must be .*, got '{value}'$"):
+            read_records(str(path))
 
     def test_seventeen_digit_floats(self, tmp_path):
         rec = RunRecord(
