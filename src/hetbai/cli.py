@@ -131,8 +131,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "omega": [list(row) for row in alloc.weights],
                 "g_tilde_star": g_star,
                 "c_star_interval": [lower, upper],
-            },
-            indent=2,
+            }
         )
     )
     return 0
@@ -180,17 +179,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if labels_path is None:
         base = args.out[:-5] if args.out.endswith(".json") else args.out
         labels_path = base + ".labels.json"
+    labels = {
+        "clients": list(result.client_labels),
+        "arms": list(result.arm_labels),
+        "dropped": list(result.dropped),
+    }
     with open(labels_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "clients": list(result.client_labels),
-                "arms": list(result.arm_labels),
-                "dropped": list(result.dropped),
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+        fh.write(json.dumps(labels) + "\n")
     for message in result.dropped:
         print(message)
     print(

@@ -87,10 +87,9 @@ def parse_ratings(path: str) -> RatingsTable:
         last = reader.line_num  # physical lines read so far
         for row in reader:  # a record starts on the line after the previous one ends
             line, last = last + 1, reader.line_num
-            if not row:
-                continue
             if len(row) != 3:
-                skipped.append((line, f"expected 3 fields, got {len(row)}"))
+                if row:  # a blank line is no record
+                    skipped.append((line, f"expected 3 fields, got {len(row)}"))
                 continue
             client, arm, raw = row[0].strip(), row[1].strip(), row[2].strip()
             if not client or not arm:

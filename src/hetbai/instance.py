@@ -533,7 +533,7 @@ def gen_hardness_instance(
     return instance
 
 
-# --- JSON interchange (1-based indices, fixed field set) ---
+# --- JSON interchange (1-based indices, fixed field set, one line) ---
 
 _TOP_FIELDS = {"K", "M", "arm_sets", "means"}
 _MEAN_FIELDS = {"client", "arm", "mu"}
@@ -550,7 +550,7 @@ def to_json(instance: ProblemInstance) -> str:
             for i, mu in zip(arms, mus)
         ],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc)  # no indent: json's C encoder writes the document
 
 
 def _is_int(value: object) -> bool:
@@ -594,19 +594,20 @@ def from_json(text: str) -> ProblemInstance:
     if not isinstance(doc["means"], list):
         raise ValueError("means must be a list of records")
     for rec in doc["means"]:
-        if not isinstance(rec, dict):
+        if type(rec) is not dict:  # json.loads makes plain dicts
             raise ValueError("each means entry must be an object")
-        unknown = set(rec) - _MEAN_FIELDS
-        if unknown:
-            raise ValueError(f"unknown mean fields: {sorted(unknown)}")
-        if set(rec) != _MEAN_FIELDS:
-            raise ValueError(f"missing mean fields: {sorted(_MEAN_FIELDS - set(rec))}")
-        if not _is_int(rec["client"]) or not _is_int(rec["arm"]):
+        if rec.keys() != _MEAN_FIELDS:
+            unknown = rec.keys() - _MEAN_FIELDS
+            if unknown:
+                raise ValueError(f"unknown mean fields: {sorted(unknown)}")
+            raise ValueError(f"missing mean fields: {sorted(_MEAN_FIELDS - rec.keys())}")
+        client, arm, mu = rec["client"], rec["arm"], rec["mu"]
+        if not _is_int(client) or not _is_int(arm):
             raise ValueError("mean record client/arm must be integers")
-        key = (rec["client"] - 1, rec["arm"] - 1)
+        key = (client - 1, arm - 1)
         if key in means:
-            raise ValueError(f"duplicate mean for client {rec['client']}, arm {rec['arm']}")
-        means[key] = _json_mean(rec["mu"])
+            raise ValueError(f"duplicate mean for client {client}, arm {arm}")
+        means[key] = mu if type(mu) is float else _json_mean(mu)
     return ProblemInstance.from_means(sets, means, num_arms=K)
 
 

@@ -128,6 +128,11 @@ class InstantLog:
     stopped: bool
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def input_violations(
     policy: str,
     lam: float,
@@ -143,7 +148,9 @@ def input_violations(
     large for a float does not), and ``1 + lam`` must exceed 1, or the
     communication schedule never leaves its first instant; numpy seeds must
     be non-negative; a sweep's seeds count up from ``base_seed``; a step cap
-    below 1 leaves an episode no step to run.
+    below 1 leaves an episode no step to run.  Seeds, ``repetitions``,
+    ``workers`` and ``step_cap`` are Python or numpy integers (not ``bool``),
+    the last three at least 1.
     """
     problems = []
     if policy not in POLICIES:
@@ -159,13 +166,17 @@ def input_violations(
     if not deltas:
         problems.append("deltas must be nonempty")
     problems += [f"delta {d!r} outside (0, 1)" for d in dict.fromkeys(deltas) if not 0.0 < d < 1.0]
-    problems += [f"seed must be non-negative, got {s!r}" for s in dict.fromkeys(seeds) if s < 0]
-    if repetitions < 1:
-        problems.append(f"repetitions must be a positive integer, got {repetitions!r}")
-    if workers < 1:
-        problems.append(f"workers must be a positive integer, got {workers!r}")
-    if step_cap < 1:
-        problems.append(f"step_cap must be a positive integer, got {step_cap!r}")
+    for s in dict.fromkeys(seeds):
+        if not _is_integer(s):
+            problems.append(f"seed must be an integer, got {s!r}")
+        elif s < 0:
+            problems.append(f"seed must be non-negative, got {s!r}")
+    counts = {"repetitions": repetitions, "workers": workers, "step_cap": step_cap}
+    problems += [
+        f"{name} must be a positive integer, got {value!r}"
+        for name, value in counts.items()
+        if not _is_integer(value) or value < 1
+    ]
     return problems
 
 
@@ -194,6 +205,9 @@ class SweepConfig:
         )
         if problems:
             raise ValueError("invalid sweep: " + "; ".join(problems))
+        # stored as Python ints: numpy integers would wrap in the seed arithmetic
+        for name in ("repetitions", "base_seed", "workers", "step_cap"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -473,7 +487,26 @@ def export_records(records: Iterable[RunRecord], path: str) -> None:
         write_records(records, fh)
 
 
+# The numeric record fields in file order, each with its conversion.
+_NUMBER_FIELDS = {"lambda": float, "delta": float, "seed": int, "tau": int, "rounds": int}
+
+
+def _record_number(line: str, name: str, raw: str) -> float | int:
+    """Field ``name`` of a records row, or a ``ValueError`` naming the line, field and value."""
+    convert = _NUMBER_FIELDS[name]
+    try:
+        return convert(raw)
+    except ValueError:
+        kind = "a number" if convert is float else "an integer"
+        raise ValueError(f"{line}: {name} must be {kind}, got {raw!r}") from None
+
+
 def read_records(path: str) -> list[RunRecord]:
+    """Records written by :func:`write_records`; a bad row is a ``ValueError`` naming its line.
+
+    Policy, lambda, delta and seed follow :func:`input_violations`; ``tau``
+    is at least 1 and ``rounds`` at least 0.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -481,23 +514,33 @@ def read_records(path: str) -> list[RunRecord]:
             raise ValueError(f"unexpected records header: {header}")
         out = []
         for row in reader:
-            if len(row) != len(RECORD_FIELDS):
-                raise ValueError(f"malformed record row: {row}")
             line = f"line {reader.line_num}"
+            if len(row) != len(RECORD_FIELDS):
+                raise ValueError(f"{line}: malformed record row: {row}")
+            lam, delta, seed, tau, rounds = (
+                _record_number(line, name, raw) for name, raw in zip(_NUMBER_FIELDS, row[1:6])
+            )
+            problems = input_violations(row[0], lam, [delta], [seed])
+            if tau < 1:
+                problems.append(f"tau must be a positive integer, got {tau}")
+            if rounds < 0:
+                problems.append(f"rounds must be a non-negative integer, got {rounds}")
             if row[6] not in ("true", "false"):
-                raise ValueError(f"{line}: correct must be true or false, got {row[6]!r}")
+                problems.append(f"correct must be true or false, got {row[6]!r}")
             if not re.fullmatch(r"[1-9][0-9]*(;[1-9][0-9]*)*", row[7]):
-                raise ValueError(
-                    f"{line}: recommendation must be 1-based arms joined by ';', got {row[7]!r}"
+                problems.append(
+                    f"recommendation must be 1-based arms joined by ';', got {row[7]!r}"
                 )
+            if problems:
+                raise ValueError(f"{line}: " + "; ".join(problems))
             out.append(
                 RunRecord(
                     policy=row[0],
-                    lam=float(row[1]),
-                    delta=float(row[2]),
-                    seed=int(row[3]),
-                    tau=int(row[4]),
-                    rounds=int(row[5]),
+                    lam=lam,
+                    delta=delta,
+                    seed=seed,
+                    tau=tau,
+                    rounds=rounds,
                     correct=row[6] == "true",
                     recommendation=tuple(int(a) - 1 for a in row[7].split(";")),
                 )

@@ -321,6 +321,23 @@ class TestReportCommand:
         assert lines[0] == "policy,lambda,delta,n,mean_tau,std_tau,mean_rounds,error_rate"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("greedy,0.5,0.1,0,8,4,true,1;2", "policy must be one of het-ts, uniform, got 'greedy'"),
+         ("het-ts,0.5,0.1,0,-8,4,true,1;2", "tau must be a positive integer, got -8"),
+         ("het-ts,abc,0.1,0,8,4,true,1;2", "lambda must be a number, got 'abc'"),
+         ("het-ts,0.5,0.1,0,8,4,true", "malformed record row: ['het-ts', '0.5', '0.1', '0', '8', '4', 'true']")],
+        ids=["policy", "tau", "lambda", "arity"],
+    )
+    def test_bad_record_field_exits_two(self, tmp_path, capsys, row, message):
+        records = tmp_path / "records.csv"
+        records.write_text("policy,lambda,delta,seed,tau,rounds,correct,recommendation\n"
+                           "het-ts,0.5,0.1,1,8,4,true,1;2\n" + row + "\n")
+        summary = tmp_path / "summary.csv"
+        assert dispatch(["report", "--records", str(records), "--out", str(summary)]) == 2
+        assert f"line 3: {message}" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_bad_correct_flag_exits_two(self, tmp_path, capsys):
         # read as incorrect, this row would report error_rate 1.0
         records = tmp_path / "records.csv"

@@ -82,6 +82,14 @@ class TestParseRatings:
         assert rows_of(table) == [("b", "x", 2.0)]
         assert loop_parse_ratings(path) == ([("b", "x", 2.0)], list(expected))
 
+    def test_quoted_rating_over_two_lines_accepted_on_its_first(self, tmp_path):
+        path = write_csv(tmp_path, 'client,arm,rating\na,x,"1.5\n"\nb,y, 2 \nb,x,soup\n')
+        expected = ((5, "non-numeric rating 'soup'"),)
+        table = parse_ratings(path)
+        assert table.skipped == expected
+        assert rows_of(table) == [("a", "x", 1.5), ("b", "y", 2.0)]
+        assert loop_parse_ratings(path) == (rows_of(table), list(expected))
+
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_bytes("client,arm,rating\na,x,1\n".encode("utf-8-sig"))
@@ -220,7 +228,10 @@ def random_ratings_text(rng: np.random.Generator, min_samples: int) -> str:
     """A ratings CSV with shuffled rows, padded fields, and every kind of rejected line.
 
     Pair sizes straddle ``min_samples``; ratings are sometimes whole stars,
-    so ties and a constant table occur.
+    so ties and a constant table occur.  Among the odd rows, a quoted rating
+    spanning two lines, a rating padded with spaces and a rating ending in
+    ``\x1c`` (which ``str.strip`` removes and ``float`` does not skip) are
+    accepted.
     """
     stars = rng.random() < 0.3
     lines = []
@@ -236,8 +247,10 @@ def random_ratings_text(rng: np.random.Generator, min_samples: int) -> str:
                     client, arm = f" {client}", f"{arm}\t"
                 rating = rng.choice([repr(x), f"{x:.3e}", f" {x} "])
                 lines.append(f"{client},{arm},{rating}")
-    junk = ["", "c0,a0", "c0,a0,1,2", ",a0,1", "c1, ,2", "c0,a0,soup", "c0,a0,inf", "c1,a1,nan"]
-    lines += list(rng.choice(junk, size=int(rng.integers(0, 6))))
+    junk = ["", "c0", "c0,a0", "c0,a0,1,2", ",a0,1", "c1, ,2", "c0,a0,soup", "c0,a0,inf",
+            "c1,a1,nan", "c1,a0,-Infinity", '"c0\nx",a0,1', 'c0,"a\r\n0",1', 'c0,a0,"so\nup"',
+            'c0,a0,"1.5\n"', "c1,a1,   2.5   ", "c0,a1,3\x1c"]
+    lines += list(rng.choice(junk, size=int(rng.integers(0, 8))))
     order = rng.permutation(len(lines))
     return "client,arm,rating\n" + "\n".join(lines[k] for k in order) + "\n"
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -390,6 +391,60 @@ class TestSerialization:
         doc = json.loads(to_json(symmetric_two_arm()))
         doc["means"][0]["mu"] = 1
         assert from_json(json.dumps(doc)) == symmetric_two_arm()
+
+    # Each malformed mean record of a 5-client instance and its message.  The
+    # record stands in for the second mean of client 3, so clean records come
+    # before and after it; "duplicate" repeats the first mean of client 1.
+    BAD_RECORDS = {
+        "bool-client": ({"client": True, "arm": 2, "mu": 1.5}, "mean record client/arm must be integers"),
+        "bool-arm": ({"client": 3, "arm": True, "mu": 1.5}, "mean record client/arm must be integers"),
+        "float-client": ({"client": 3.0, "arm": 2, "mu": 1.5}, "mean record client/arm must be integers"),
+        "bool-mu": ({"client": 3, "arm": 2, "mu": True}, "mean record mu must be a number, got True"),
+        "string-mu": ({"client": 3, "arm": 2, "mu": "1.5"}, "mean record mu must be a number, got '1.5'"),
+        "list-mu": ({"client": 3, "arm": 2, "mu": [1.5]}, "mean record mu must be a number, got [1.5]"),
+        "null-mu": ({"client": 3, "arm": 2, "mu": None}, "mean record mu must be a number, got None"),
+        "huge-mu": ({"client": 3, "arm": 2, "mu": 10**400}, f"mean record mu {10**400} is too large for a float"),
+        "extra-key": ({"client": 3, "arm": 2, "mu": 1.5, "sd": 1}, "unknown mean fields: ['sd']"),
+        "missing-key": ({"client": 3, "arm": 2}, "missing mean fields: ['mu']"),
+        "duplicate": ({"client": 1, "arm": 1, "mu": 1.5}, "duplicate mean for client 1, arm 1"),
+        "non-object": ([3, 2, 1.5], "each means entry must be an object"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_RECORDS))
+    def test_malformed_record_message_between_clean_records(self, kind):
+        record, message = self.BAD_RECORDS[kind]
+        instance = gen_overlap_instance(1, seed=0)
+        doc = json.loads(to_json(instance))
+        position = sum(len(s) for s in instance.arm_sets[:2]) + 1
+        assert doc["means"][position]["client"] == 3
+        doc["means"][position] = record
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(json.dumps(doc))
+
+    def test_round_trip_on_generated_instances(self):
+        rng = np.random.default_rng(5)
+        instances = [gen_overlap_instance(p, seed=int(rng.integers(10**6))) for p in OVERLAP_PATTERNS]
+        for _ in range(20):
+            sets = random_admissible_instance(rng, max_arms=8, max_clients=6).arm_sets
+            num_arms = 1 + max(max(s) for s in sets)
+            instances.append(
+                gen_hardness_instance(float(rng.uniform(0.5, 200)), num_arms, len(sets), sets)
+            )
+        for v in instances:
+            text = to_json(v)
+            assert "\n" not in text
+            assert from_json(text) == v
+            indented = {
+                "K": v.num_arms,
+                "M": v.num_clients,
+                "arm_sets": [[i + 1 for i in s] for s in v.arm_sets],
+                "means": [
+                    {"client": m + 1, "arm": i + 1, "mu": mu}
+                    for m, (arms, mus) in enumerate(zip(v.arm_sets, v.means))
+                    for i, mu in zip(arms, mus)
+                ],
+            }
+            assert json.loads(text) == json.loads(json.dumps(indented, indent=2))
 
 
 class TestProblemInstanceApi:

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 from concurrent.futures import Future
 
 import numpy as np
@@ -113,12 +114,25 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match=r"seed must be non-negative, got -5$"):
             run_batch(symmetric_two_arm(), "het-ts", 0.5, tasks)
 
+    def test_batch_rejects_non_integer_seed_before_running(self):
+        for seed in (1.5, True):
+            with pytest.raises(ValueError, match=rf"seed must be an integer, got {seed}$"):
+                run_batch(symmetric_two_arm(), "het-ts", 0.5, [(0.1, 0), (0.1, seed)])
+
     def test_batch_rejects_step_cap_below_one_before_running(self):
         # not a StepCapExceeded: no episode ran, so none is unfinished
         for cap in (0, -5):
             message = rf"step_cap must be a positive integer, got {cap}$"
             with pytest.raises(ValueError, match=message):
                 run_batch(symmetric_two_arm(), "het-ts", 0.5, [(0.1, 1)], step_cap=cap)
+
+    def test_step_cap_must_be_an_integer(self):
+        for cap in (2.5, True):
+            message = rf"step_cap must be a positive integer, got {cap}$"
+            with pytest.raises(ValueError, match=message):
+                run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed=1, step_cap=cap)
+        rec = run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed=1, step_cap=np.int64(10**6))
+        assert rec == run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed=1)
 
     def test_uniform_policy_also_stops(self):
         rec = run_episode(symmetric_two_arm(), "uniform", 0.1, 0.5, seed=3)
@@ -316,6 +330,28 @@ class TestSweep:
                        "workers must be a positive integer, got 0",
                        "step_cap must be a positive integer, got 0"):
             assert needle in message
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), repetitions=2.5,
+                        workers=1.5, step_cap=2.5)
+        for needle in ("repetitions must be a positive integer, got 2.5",
+                       "workers must be a positive integer, got 1.5",
+                       "step_cap must be a positive integer, got 2.5"):
+            assert needle in str(exc.value)
+        for field in ("repetitions", "workers", "step_cap"):
+            with pytest.raises(ValueError, match=rf"{field} must be a positive integer, got True"):
+                SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), **{field: True})
+        with pytest.raises(ValueError, match=r"seed must be an integer, got 2\.5$"):
+            SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), base_seed=2.5)
+        fields = ("repetitions", "base_seed", "workers", "step_cap")
+        config = SweepConfig(instance=symmetric_two_arm(), deltas=(0.1, 0.2),
+                             repetitions=np.uint8(200), base_seed=np.uint8(3),
+                             workers=np.int32(1), step_cap=np.int64(10**4))
+        # kept as Python ints, so seed 1 * 200 + 199 does not wrap in uint8
+        assert [type(getattr(config, f)) for f in fields] == [int] * 4
+        assert config == SweepConfig(instance=symmetric_two_arm(), deltas=(0.1, 0.2),
+                                     repetitions=200, base_seed=3, workers=1, step_cap=10**4)
 
     def test_lambda_too_large_for_a_float_rejected(self):
         # compared exactly, 10**400 lies in (0, inf); as a float it overflows
@@ -564,12 +600,33 @@ class TestCsvRoundTrip:
         export_records(records, str(path))
         assert read_records(str(path)) == records
 
+    # (field, bad value, message after "line 3: ")
+    BAD_FIELDS = [
+        ("correct", "True", "correct must be true or false, got 'True'"),
+        ("correct", "1", "correct must be true or false, got '1'"),
+        ("recommendation", "1,2", "recommendation must be 1-based arms joined by ';', got '1,2'"),
+        ("recommendation", "0;1", "recommendation must be 1-based arms joined by ';', got '0;1'"),
+        ("recommendation", "", "recommendation must be 1-based arms joined by ';', got ''"),
+        ("policy", "greedy", "policy must be one of het-ts, uniform, got 'greedy'"),
+        ("lambda", "abc", "lambda must be a number, got 'abc'"),
+        ("lambda", "0", "lambda must be a positive finite number, got 0.0"),
+        ("lambda", "inf", "lambda must be a positive finite number, got inf"),
+        ("delta", "", "delta must be a number, got ''"),
+        ("delta", "nan", "delta nan outside (0, 1)"),
+        ("delta", "1.5", "delta 1.5 outside (0, 1)"),
+        ("seed", "-1", "seed must be non-negative, got -1"),
+        ("seed", "1.0", "seed must be an integer, got '1.0'"),
+        ("tau", "-8", "tau must be a positive integer, got -8"),
+        ("tau", "0", "tau must be a positive integer, got 0"),
+        ("tau", "abc", "tau must be an integer, got 'abc'"),
+        ("rounds", "-1", "rounds must be a non-negative integer, got -1"),
+        ("rounds", "2.5", "rounds must be an integer, got '2.5'"),
+    ]
+
     @pytest.mark.parametrize(
-        "field, value",
-        [("correct", "True"), ("correct", "1"), ("recommendation", "1,2"),
-         ("recommendation", "0;1"), ("recommendation", "")],
+        "field, value, message", BAD_FIELDS, ids=[f"{f}-{v}" for f, v, _ in BAD_FIELDS]
     )
-    def test_bad_field_names_its_line(self, tmp_path, field, value):
+    def test_bad_field_names_its_line(self, tmp_path, field, value, message):
         path = tmp_path / "records.csv"
         export_records([run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed=s)
                         for s in (1, 2)], str(path))
@@ -577,8 +634,19 @@ class TestCsvRoundTrip:
         cells = second.split(",")
         cells[RECORD_FIELDS.index(field)] = f'"{value}"'
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
-        with pytest.raises(ValueError, match=rf"^line 3: {field} must be .*, got '{value}'$"):
+        with pytest.raises(ValueError, match=f"^{re.escape('line 3: ' + message)}$"):
             read_records(str(path))
+
+    def test_every_bad_field_of_a_row_named_at_once(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\nuniform,0.5,1.5,0,0,-1,yes,1;2\n")
+        with pytest.raises(ValueError) as exc:
+            read_records(str(path))
+        assert str(exc.value) == (
+            "line 2: delta 1.5 outside (0, 1); tau must be a positive integer, got 0; "
+            "rounds must be a non-negative integer, got -1; "
+            "correct must be true or false, got 'yes'"
+        )
 
     def test_seventeen_digit_floats(self, tmp_path):
         rec = RunRecord(
