@@ -149,11 +149,11 @@ class PowerIterationError(RuntimeError):
         self.residual = residual
 
 
-def _inverse_scale(stats: ArmStats) -> np.ndarray:
+def _inverse_scale(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     """Diagonal ``D`` of ``H = D C``: ``1 / (gap^2 * mult^2)`` per arm (per row when stacked)."""
-    if not stats.gaps.min() > 0.0:
+    if not stats.all_admissible:
         raise ValueError("inadmissible instance: zero separation gap")
-    return 1.0 / (stats.gaps**2 * stats.multiplicities.astype(float) ** 2)
+    return 1.0 / (stats.gaps**2 * index.squared_multiplicities)
 
 
 def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> HMatrix:
@@ -161,7 +161,7 @@ def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> HMatri
     index = slot_index(instance)
     if stats is None:
         stats = slot_stats(index, index.flatten(instance.means))
-    scale = _inverse_scale(stats)
+    scale = _inverse_scale(index, stats)
     return HMatrix(matrix=index.co_ownership * scale[:, None], partition=index.partition)
 
 
@@ -252,7 +252,7 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     eigensolver and the polish run once per class over the whole stack,
     and each row equals that configuration's vector alone bit for bit.
     """
-    scale = _inverse_scale(stats)
+    scale = _inverse_scale(index, stats)
     rows = scale.reshape(-1, index.num_arms)
     entries = np.zeros(rows.shape)
     for arms, co in index.class_blocks:
@@ -312,7 +312,7 @@ def optimal_allocation(
 
 
 def _pair_rate(
-    index: SlotIndex,
+    stack: SlotIndex,
     stats: ArmStats,
     slot_values: np.ndarray,
     i1: np.ndarray,
@@ -325,19 +325,18 @@ def _pair_rate(
     zero value counts as ``1/0 = inf`` (so every pair touching it has rate 0).
     On pull counts this is ``Z(t)``; on slot-ordered weights, ``g_exact``.
     ``inf`` when there are no pairs.  ``slot_values`` may stack configurations
-    as ``(B, K')`` rows (with ``stats`` stacked alike); the pair ends then
-    index the flattened per-arm arrays (arm ``i`` of row ``b`` is
-    ``b * K + i``), shaped ``(B, P)``, and the minimum over the entries where
-    ``pairs`` holds is taken per row.
+    as ``(B, K')`` rows (with ``stats`` stacked alike), and ``stack`` is then
+    ``index.stacked(B)``; the pair ends index the flattened per-arm arrays
+    (arm ``i`` of row ``b`` is ``b * K + i``), shaped ``(B, P)``, and the
+    minimum over the entries where ``pairs`` holds is taken per row.
     """
-    values = np.asarray(slot_values, dtype=float).ravel()
-    rows = len(values) // index.num_slots
-    stack = index.stacked(rows)
-    recip = np.full(len(values), np.inf)
+    values = np.ravel(slot_values)
+    recip = np.full(values.shape, np.inf)
     np.divide(1.0, values, out=recip, where=values > 0)
-    bins = rows * index.num_arms
-    mult = stack.multiplicities[:bins]
-    T = np.bincount(stack.slot_arm[: len(values)], weights=recip, minlength=bins) / (mult * mult)
+    T = (
+        np.bincount(stack.slot_arm, weights=recip, minlength=stack.num_arms)
+        / stack.squared_multiplicities
+    )
     means = stats.global_means.ravel()
     gap = means[i1] - means[i2]
     rates = gap * gap / 2.0 / (T[i1] + T[i2])
@@ -350,7 +349,7 @@ def _arm_rates(index: SlotIndex, stats: ArmStats, allocation: Allocation) -> np.
     if np.any(w <= ZERO_WEIGHT):
         return None
     recip = np.bincount(index.slot_arm, weights=1.0 / w, minlength=index.num_arms)
-    return stats.gaps**2 * stats.multiplicities.astype(float) ** 2 / recip
+    return stats.gaps**2 * index.squared_multiplicities / recip
 
 
 def g_tilde(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) -> float:

@@ -73,7 +73,10 @@ def parse_ratings(path: str) -> RatingsTable:
 
     Malformed rows (wrong arity, empty labels or labels holding a line break,
     non-numeric or non-finite ratings) are collected with the physical line
-    each starts on.  An unreadable file or a table with no valid rows is an error.
+    each starts on.  An unreadable file, a table with no valid rows, or a
+    record the CSV reader rejects is an error; the last (a field longer than
+    ``csv.field_size_limit()``, as a stray opening quote makes of the rest
+    of the file) is a ``ValueError`` naming the line the record starts on.
     """
     clients: list[str] = []
     arms: list[str] = []
@@ -81,34 +84,38 @@ def parse_ratings(path: str) -> RatingsTable:
     skipped: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise ValueError(f"expected header {','.join(_HEADER)!r}, got {header}")
-        last = reader.line_num  # physical lines read so far
-        for row in reader:  # a record starts on the line after the previous one ends
-            line, last = last + 1, reader.line_num
-            if len(row) != 3:
-                if row:  # a blank line is no record
-                    skipped.append((line, f"expected 3 fields, got {len(row)}"))
-                continue
-            client, arm, raw = row[0].strip(), row[1].strip(), row[2].strip()
-            if not client or not arm:
-                skipped.append((line, "empty client or arm label"))
-                continue
-            if last > line and any(c in client or c in arm for c in "\r\n"):
-                skipped.append((line, "line break in client or arm label"))
-                continue
-            try:
-                rating = float(raw)
-            except ValueError:
-                skipped.append((line, f"non-numeric rating {raw!r}"))
-                continue
-            if not math.isfinite(rating):
-                skipped.append((line, f"non-finite rating {raw!r}"))
-                continue
-            clients.append(client)
-            arms.append(arm)
-            ratings.append(rating)
+        last = 0  # physical lines read so far
+        try:
+            header = next(reader, None)
+            if header != _HEADER:
+                raise ValueError(f"expected header {','.join(_HEADER)!r}, got {header}")
+            last = reader.line_num
+            for row in reader:  # a record starts on the line after the previous one ends
+                line, last = last + 1, reader.line_num
+                if len(row) != 3:
+                    if row:  # a blank line is no record
+                        skipped.append((line, f"expected 3 fields, got {len(row)}"))
+                    continue
+                client, arm, raw = row[0].strip(), row[1].strip(), row[2].strip()
+                if not client or not arm:
+                    skipped.append((line, "empty client or arm label"))
+                    continue
+                if last > line and any(c in client or c in arm for c in "\r\n"):
+                    skipped.append((line, "line break in client or arm label"))
+                    continue
+                try:
+                    rating = float(raw)
+                except ValueError:
+                    skipped.append((line, f"non-numeric rating {raw!r}"))
+                    continue
+                if not math.isfinite(rating):
+                    skipped.append((line, f"non-finite rating {raw!r}"))
+                    continue
+                clients.append(client)
+                arms.append(arm)
+                ratings.append(rating)
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"line {last + 1}: {exc}") from None
     if not ratings:
         raise ValueError(f"no valid rating rows in {path}")
     return RatingsTable(

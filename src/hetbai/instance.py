@@ -131,16 +131,25 @@ class ArmStats:
     ``multiplicities[i]`` the number of owning clients, ``gaps[i]`` the
     minimal separation of arm ``i`` from the best other arm within any
     owning client's subset, and ``best_arms[m]`` each client's best arm.
+    :func:`slot_stats` also keeps ``top_arms``, the best arms numbered as in
+    the stack it reduced over (see :meth:`SlotIndex.stacked`), flat; other
+    stats, and those cut by :meth:`rows`, have none.
     """
 
     global_means: np.ndarray
     multiplicities: np.ndarray
     gaps: np.ndarray
     best_arms: np.ndarray
+    top_arms: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def is_admissible(self) -> np.bool_ | np.ndarray:
         """Whether every gap is positive; one flag per row of stacked stats."""
         return self.gaps.min(axis=-1) > 0.0
+
+    @cached_property
+    def all_admissible(self) -> bool:
+        """Whether every row is admissible: one test shared by the server's calls."""
+        return bool(self.gaps.min() > 0.0)
 
     def rows(self, keep: np.ndarray) -> ArmStats:
         """The stacked stats of the rows selected by ``keep`` (a mask or row indices)."""
@@ -189,7 +198,7 @@ class SlotIndex:
     slot_arm: np.ndarray
     starts: np.ndarray
     multiplicities: np.ndarray
-    _stacks: list = field(default_factory=list, init=False, repr=False)  # see stacked()
+    _stacks: dict = field(default_factory=dict, init=False, repr=False)  # see stacked()
 
     @classmethod
     def _of(cls, num_arms: int, sizes: Sequence[int], slot_arm: Sequence[int]) -> "SlotIndex":
@@ -215,23 +224,63 @@ class SlotIndex:
         )
 
     def stacked(self, rows: int) -> "SlotIndex":
-        """Slot index of at least ``rows`` disjoint copies of this one; the index itself for one.
+        """Slot index of ``rows`` disjoint copies of this one; the index itself for one.
 
         Copy ``b`` owns arms ``b * K + i`` and clients ``b * M + m``, hence
         slots ``b * K' + s``, so a stack is the slot index of disjoint copies
-        and every reduction gives each row what the row alone gives.  Built
-        for the largest row count asked so far; the first ``r`` copies are
-        the prefixes of length ``r * K'``, ``r * M`` and ``r * K``, so a batch
-        whose episodes stop one by one never rebuilds it.
+        and every reduction gives each row what the row alone gives.  Only
+        the largest stack asked for so far is built; the first ``r`` copies
+        are its prefixes of length ``r * K'``, ``r * M`` and ``r * K`` (also
+        in the arm runs, since copy ``b``'s arms all precede copy ``b + 1``'s),
+        so a smaller stack is views of its arrays, sliced once per row count,
+        and a batch whose episodes stop one by one allocates no array.
         """
         if rows == 1:
             return self
-        cache = self._stacks
-        if not cache or cache[0].num_clients < rows * self.num_clients:
-            sizes, copies = np.tile(np.diff(self.starts), rows), np.arange(rows)[:, None]
-            slot_arm = (self.slot_arm + self.num_arms * copies).ravel()
-            cache[:] = [SlotIndex._of(rows * self.num_arms, sizes, slot_arm)]
-        return cache[0]
+        stacks = self._stacks
+        if rows not in stacks:
+            if not stacks or max(stacks) < rows:
+                sizes, copies = np.tile(np.diff(self.starts), rows), np.arange(rows)[:, None]
+                slot_arm = (self.slot_arm + self.num_arms * copies).ravel()
+                stacks.clear()
+                stacks[rows] = SlotIndex._of(rows * self.num_arms, sizes, slot_arm)
+            else:
+                largest = stacks[max(stacks)]
+                stacks[rows] = largest._prefix(
+                    rows * self.num_slots, rows * self.num_clients, rows * self.num_arms
+                )
+        return stacks[rows]
+
+    def _prefix(self, slots: int, clients: int, arms: int) -> "SlotIndex":
+        """The index of the first ``clients`` clients, owning the first ``slots`` and ``arms``.
+
+        Its arrays, and the cached ones a reduction reads, are views of this index's.
+        """
+        prefix = SlotIndex(
+            num_arms=arms,
+            num_clients=clients,
+            slot_client=self.slot_client[:slots],
+            slot_arm=self.slot_arm[:slots],
+            starts=self.starts[: clients + 1],
+            multiplicities=self.multiplicities[:arms],
+        )
+        order, arm_starts = self.arm_runs
+        prefix.__dict__.update(  # cached_property values, as views
+            arm_runs=(order[:slots], arm_starts[:arms]),
+            slot_positions=self.slot_positions[:slots],
+            squared_multiplicities=self.squared_multiplicities[:arms],
+        )
+        return prefix
+
+    @cached_property
+    def slot_positions(self) -> np.ndarray:
+        """``0, 1, ..., K' - 1``: each slot's own number."""
+        return _frozen(np.arange(self.num_slots))
+
+    @cached_property
+    def squared_multiplicities(self) -> np.ndarray:
+        """``multiplicities ** 2`` as floats, each the float ``mult * mult`` converts to."""
+        return _frozen(self.multiplicities.astype(float) ** 2)
 
     @cached_property
     def arm_runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -409,18 +458,15 @@ def _top_slots(
     client's top mean, and each client's first top slot (the argmax, ties to
     the lowest arm), all numbered as in the stack.
     """
-    rows = slot_means.size // index.num_slots
-    stack = index.stacked(rows)
-    size = rows * index.num_slots
-    slot_arm = stack.slot_arm[:size]
-    starts = stack.starts[: rows * index.num_clients]
+    stack = index.stacked(slot_means.size // index.num_slots)
     global_means = (
-        np.bincount(slot_arm, weights=slot_means.ravel(), minlength=rows * index.num_arms)
-        / stack.multiplicities[: rows * index.num_arms]
+        np.bincount(stack.slot_arm, weights=slot_means.ravel(), minlength=stack.num_arms)
+        / stack.multiplicities
     )
-    g = global_means[slot_arm]
-    top = np.maximum.reduceat(g, starts)[stack.slot_client[:size]]
-    first = np.minimum.reduceat(np.where(g == top, np.arange(size), size), starts)
+    g = global_means[stack.slot_arm]
+    starts = stack.starts[:-1]
+    top = np.maximum.reduceat(g, starts)[stack.slot_client]
+    first = np.minimum.reduceat(np.where(g == top, stack.slot_positions, stack.num_slots), starts)
     return stack, global_means, g, top, first
 
 
@@ -431,19 +477,20 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
     means equal a client-by-client accumulation bit for bit), each client's
     top and runner-up aggregate mean, and per-arm minima of the separations.
     A ``(B, K')`` array stacks ``B`` configurations, and every field but
-    ``multiplicities`` then gains a leading batch axis; the stack is the
-    slot index of disjoint copies, so every reduction gives each row what
-    the row alone gives, bit for bit.
+    ``multiplicities`` and the flat ``top_arms`` then gains a leading batch
+    axis; the stack is the slot index of disjoint copies, so every
+    reduction gives each row what the row alone gives, bit for bit.
     """
     means = np.asarray(slot_means, dtype=float)
     stack, global_means, g, other, first = _top_slots(index, means)
-    starts = stack.starts[: len(first)]
+    starts = stack.starts[:-1]
     rest = g.copy()
     rest[first] = -np.inf
     other[first] = np.maximum.reduceat(rest, starts)  # the lead slot competes with the runner-up
     order, arm_starts = stack.arm_runs
-    gaps = np.minimum.reduceat(np.abs(g - other)[order[: len(g)]], arm_starts[: len(global_means)])
-    best_arms = index.slot_arm[first % index.num_slots]
+    gaps = np.minimum.reduceat(np.abs(g - other)[order], arm_starts)
+    top_arms = stack.slot_arm[first]
+    best_arms = top_arms if stack is index else top_arms % index.num_arms
     if means.ndim > 1:
         rows = len(means)
         global_means = global_means.reshape(rows, index.num_arms)
@@ -454,6 +501,7 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
         multiplicities=index.multiplicities,
         gaps=gaps,
         best_arms=best_arms,
+        top_arms=top_arms,
     )
 
 

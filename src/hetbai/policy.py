@@ -116,8 +116,8 @@ def comm_schedule(lam: float) -> CommSchedule:
 
 
 def track_pulls(
-    counts: list[int], weights: list[float], t: int, stop: int, rng: np.random.Generator
-) -> list[int]:
+    counts: list[float], weights: list[float], t: int, stop: int, rng: np.random.Generator
+) -> list[float]:
     """Advance one client's D-tracking pull ``counts`` over steps ``t+1..stop``, in place.
 
     At step ``s`` the client pulls a least-pulled arm whenever the minimum
@@ -125,34 +125,49 @@ def track_pulls(
     the arm minimizing ``count - s * weight``; ties are broken uniformly by
     ``rng.integers(number of tied arms)``, drawn only when there is a tie.
     No reward enters the rule, so a whole block between two communication
-    instants is one call.  The forced check is skipped while
-    ``s - 1 < low^2 * |S_m|`` for a minimum ``low`` seen earlier: counts only
-    grow, and ``/`` and ``sqrt`` are correctly rounded, so the check could
-    not fire there.
+    instants is one call.
+
+    The forced check runs at a step ``s`` with minimum count ``low``; if it
+    does not fire, the steps through ``low^2 * |S_m|`` (an exact integer)
+    cannot fire either, since counts only grow and ``/`` and ``sqrt`` are
+    correctly rounded, so they run as one inner loop without the check.
+    That loop keeps the step as a float: every count and step up to 2**53
+    (the largest step cap an episode accepts) converts to a float exactly,
+    so ``count - s * weight`` is the same float whether the counts are ints
+    or whole-number floats, and so is every argmin, every exact tie and
+    every draw.  Each entry keeps its type (a pull adds the int 1); callers
+    that advance a client many times keep its counts as floats, which
+    spares a conversion per step.
     """
     size = len(counts)
     arms = range(size)
-    floor = 0  # the forced check cannot fire while step - 1 < floor
+    pairs = tuple(enumerate(weights))
+    first, rest = weights[0], pairs[1:]
     while t < stop:
         t += 1
-        if t - 1 >= floor:
-            low = min(counts)
-            floor = low * low * size
-            if low < math.sqrt((t - 1) / size):
-                ties = [k for k in arms if counts[k] == low]
-                counts[ties[0] if len(ties) == 1 else ties[rng.integers(len(ties))]] += 1
-                continue
-        best = math.inf
-        for k in arms:
-            score = counts[k] - t * weights[k]
-            if score < best:
-                best, pick, tied = score, k, False
-            elif score == best:
-                tied = True
-        if tied:
-            ties = [k for k in arms if counts[k] - t * weights[k] == best]
-            pick = ties[rng.integers(len(ties))]
-        counts[pick] += 1
+        low = min(counts)
+        if low < math.sqrt((t - 1) / size):
+            ties = [k for k in arms if counts[k] == low]
+            counts[ties[0] if len(ties) == 1 else ties[rng.integers(len(ties))]] += 1
+            continue
+        last = min(stop, max(t, int(low) ** 2 * size))  # no forced pull through this step
+        s, end = float(t), float(last)
+        while True:
+            best, pick, tied = counts[0] - s * first, 0, False
+            for k, w in rest:
+                score = counts[k] - s * w
+                if score < best:
+                    best, pick, tied = score, k, False
+                elif score == best:
+                    tied = True
+            if tied:
+                ties = [k for k, w in pairs if counts[k] - s * w == best]
+                pick = ties[rng.integers(len(ties))]
+            counts[pick] += 1
+            if s == end:
+                break
+            s += 1.0
+        t = last
     return counts
 
 
@@ -177,7 +192,7 @@ def slot_server_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
 
     Stacked stats give one vector per row, all-ones on the inadmissible rows.
     """
-    if stats.gaps.min() > 0.0:  # every row admissible
+    if stats.all_admissible:
         return slot_global_vector(index, stats)
     admissible = stats.is_admissible()
     out = np.ones(stats.gaps.shape)
@@ -197,24 +212,21 @@ def slot_z_statistic(
     divided by the two arms' reciprocal-count sums (scaled by squared
     multiplicities).  Zero when the empirical
     configuration has a tied best arm or when any count entering a pair is
-    zero.  Stacked ``(B, K')`` counts with stacked ``stats`` give one value
-    per row, each equal to that row's value alone.
+    zero.  ``stats`` are :func:`~hetbai.instance.slot_stats`' own, whose
+    ``top_arms`` give each client's best arm in the stack's numbering.
+    Stacked ``(B, K')`` counts with stacked ``stats`` give one value per
+    row, each equal to that row's value alone.
     """
     counts = np.asarray(slot_counts)
-    size = counts.size
-    stack = index.stacked(size // index.num_slots)
-    # Every slot pairs its client's best arm with its own arm; the best arm's own slot is no pair.
-    best = stats.best_arms.ravel()[stack.slot_client[:size]]
-    i2 = stack.slot_arm[:size]
-    own = i2 % index.num_arms
-    i1 = i2 + (best - own)
     shape = counts.shape
-    z = _pair_rate(
-        index, stats, counts, i1.reshape(shape), i2.reshape(shape), (best != own).reshape(shape)
-    )
-    if counts.ndim == 1:
-        return float(z) if stats.is_admissible() else 0.0
-    return z if stats.gaps.min() > 0.0 else np.where(stats.is_admissible(), z, 0.0)
+    stack = index.stacked(counts.size // index.num_slots)
+    # Every slot pairs its client's best arm with its own arm; the best arm's own slot is no pair.
+    best = stats.top_arms[stack.slot_client].reshape(shape)
+    own = stack.slot_arm.reshape(shape)
+    z = _pair_rate(stack, stats, counts, best, own, best != own)
+    if stats.all_admissible:
+        return float(z) if counts.ndim == 1 else z
+    return 0.0 if counts.ndim == 1 else np.where(stats.is_admissible(), z, 0.0)
 
 
 def _log_tail(x: float, log_factorials: np.ndarray) -> tuple[float, float]:

@@ -148,9 +148,11 @@ def input_violations(
     large for a float does not), and ``1 + lam`` must exceed 1, or the
     communication schedule never leaves its first instant; numpy seeds must
     be non-negative; a sweep's seeds count up from ``base_seed``; a step cap
-    below 1 leaves an episode no step to run.  Seeds, ``repetitions``,
-    ``workers`` and ``step_cap`` are Python or numpy integers (not ``bool``),
-    the last three at least 1.
+    below 1 leaves an episode no step to run, and one above ``2**53`` would
+    let the step and the pull counts pass the integers a float holds
+    exactly, which D-tracking relies on (see :func:`~hetbai.policy.track_pulls`).
+    Seeds, ``repetitions``, ``workers`` and ``step_cap`` are Python or numpy
+    integers (not ``bool``), the last three at least 1.
     """
     problems = []
     if policy not in POLICIES:
@@ -177,6 +179,8 @@ def input_violations(
         for name, value in counts.items()
         if not _is_integer(value) or value < 1
     ]
+    if _is_integer(step_cap) and step_cap > 2**53:
+        problems.append(f"step_cap must be at most 2**53, got {step_cap!r}")
     return problems
 
 
@@ -295,7 +299,8 @@ def run_batch(
         for _, seed in tasks
     ]
     reward_rngs = [np.random.default_rng((seed, 0, 1)) for _, seed in tasks]
-    tracked = [[[0] * size for size in sizes] for _ in tasks]  # het-ts pull counts per client
+    # het-ts pull counts per client, as floats: track_pulls steps on them without converting
+    tracked = [[[0.0] * size for size in sizes] for _ in tasks]
     weights = [[[1.0 / size] * size for size in sizes] for _ in tasks]
     counts = np.zeros((len(tasks), kprime), dtype=np.int64)  # one row per running episode
     sums = np.zeros((len(tasks), kprime))
@@ -505,47 +510,55 @@ def read_records(path: str) -> list[RunRecord]:
     """Records written by :func:`write_records`; a bad row is a ``ValueError`` naming its line.
 
     Policy, lambda, delta and seed follow :func:`input_violations`; ``tau``
-    is at least 1 and ``rounds`` at least 0.
+    is at least 1 and ``rounds`` at least 0.  A record the CSV reader
+    rejects (a field longer than ``csv.field_size_limit()``) is named by the
+    line it starts on.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RECORD_FIELDS:
-            raise ValueError(f"unexpected records header: {header}")
         out = []
-        for row in reader:
-            line = f"line {reader.line_num}"
-            if len(row) != len(RECORD_FIELDS):
-                raise ValueError(f"{line}: malformed record row: {row}")
-            lam, delta, seed, tau, rounds = (
-                _record_number(line, name, raw) for name, raw in zip(_NUMBER_FIELDS, row[1:6])
-            )
-            problems = input_violations(row[0], lam, [delta], [seed])
-            if tau < 1:
-                problems.append(f"tau must be a positive integer, got {tau}")
-            if rounds < 0:
-                problems.append(f"rounds must be a non-negative integer, got {rounds}")
-            if row[6] not in ("true", "false"):
-                problems.append(f"correct must be true or false, got {row[6]!r}")
-            if not re.fullmatch(r"[1-9][0-9]*(;[1-9][0-9]*)*", row[7]):
-                problems.append(
-                    f"recommendation must be 1-based arms joined by ';', got {row[7]!r}"
-                )
-            if problems:
-                raise ValueError(f"{line}: " + "; ".join(problems))
-            out.append(
-                RunRecord(
-                    policy=row[0],
-                    lam=lam,
-                    delta=delta,
-                    seed=seed,
-                    tau=tau,
-                    rounds=rounds,
-                    correct=row[6] == "true",
-                    recommendation=tuple(int(a) - 1 for a in row[7].split(";")),
-                )
-            )
+        last = 0  # physical lines read so far
+        try:
+            header = next(reader, None)
+            if header != RECORD_FIELDS:
+                raise ValueError(f"unexpected records header: {header}")
+            last = reader.line_num
+            for row in reader:
+                last = reader.line_num
+                out.append(_record(f"line {last}", row))
+        except csv.Error as exc:
+            raise ValueError(f"line {last + 1}: {exc}") from None
     return out
+
+
+def _record(line: str, row: list[str]) -> RunRecord:
+    """The record of one CSV row, or a ``ValueError`` naming ``line`` and every broken rule."""
+    if len(row) != len(RECORD_FIELDS):
+        raise ValueError(f"{line}: malformed record row: {row}")
+    lam, delta, seed, tau, rounds = (
+        _record_number(line, name, raw) for name, raw in zip(_NUMBER_FIELDS, row[1:6])
+    )
+    problems = input_violations(row[0], lam, [delta], [seed])
+    if tau < 1:
+        problems.append(f"tau must be a positive integer, got {tau}")
+    if rounds < 0:
+        problems.append(f"rounds must be a non-negative integer, got {rounds}")
+    if row[6] not in ("true", "false"):
+        problems.append(f"correct must be true or false, got {row[6]!r}")
+    if not re.fullmatch(r"[1-9][0-9]*(;[1-9][0-9]*)*", row[7]):
+        problems.append(f"recommendation must be 1-based arms joined by ';', got {row[7]!r}")
+    if problems:
+        raise ValueError(f"{line}: " + "; ".join(problems))
+    return RunRecord(
+        policy=row[0],
+        lam=lam,
+        delta=delta,
+        seed=seed,
+        tau=tau,
+        rounds=rounds,
+        correct=row[6] == "true",
+        recommendation=tuple(int(a) - 1 for a in row[7].split(";")),
+    )
 
 
 def export_summary(rows: Iterable[SummaryRow], path: str) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 from hetbai import c_star_interval, load_instance, read_records, save_instance
 from hetbai import cli
 from hetbai.cli import dispatch, load_sweep_config
-from hetbai.simulator import POLICIES
+from hetbai.simulator import POLICIES, RECORD_FIELDS
 
 from helpers import chain_three_arm, make_instance, symmetric_two_arm
 
@@ -304,6 +305,23 @@ class TestIngestCommand:
         ) == 0
         instance = load_instance(str(out))
         assert instance.num_arms == 3  # gamma survives at the lower threshold
+
+
+class TestCsvReaderErrors:
+    @pytest.mark.parametrize("command", ["ingest", "report"])
+    def test_oversized_field_exits_two(self, tmp_path, capsys, command):
+        # a stray opening quote on line 3 makes one field past the CSV reader's limit
+        header = "client,arm,rating" if command == "ingest" else ",".join(RECORD_FIELDS)
+        row = "a,x,1" if command == "ingest" else "het-ts,0.5,0.1,1,8,4,true,1;2"
+        path = tmp_path / "input.csv"
+        head, last = row.rsplit(",", 1)
+        rest = f"{row}\n" * (csv.field_size_limit() // len(row))
+        path.write_text(f'{header}\n{row}\n{head},"{last}\n' + rest)
+        flag = "--ratings" if command == "ingest" else "--records"
+        argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+        assert dispatch(argv) == 2
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReportCommand:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import re
@@ -89,6 +90,18 @@ class TestParseRatings:
         assert table.skipped == expected
         assert rows_of(table) == [("a", "x", 1.5), ("b", "y", 2.0)]
         assert loop_parse_ratings(path) == (rows_of(table), list(expected))
+
+    @pytest.mark.parametrize("bad", ["stray-quote", "long-label"])
+    def test_oversized_field_names_the_line_it_starts_on(self, tmp_path, bad):
+        # A stray opening quote makes one field of the rest of the file; the CSV
+        # reader rejects any field longer than its limit, at the record's start.
+        limit = csv.field_size_limit()
+        rows = "".join(f"c{k},x,{k}\n" for k in range(limit // 6))
+        record = 'b,y,"2\n' if bad == "stray-quote" else f"b,{'y' * (limit + 1)},2\n"
+        path = write_csv(tmp_path, "client,arm,rating\na,x,1\n" + record + rows)
+        message = rf"^line 3: field larger than field limit \({limit}\)$"
+        with pytest.raises(ValueError, match=message):
+            parse_ratings(path)
 
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "ratings.csv"

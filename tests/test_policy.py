@@ -171,6 +171,39 @@ class TestBlockAdvanceMatchesPerPullLoop:
             assert block_rng.integers(2**62) == ref_rng.integers(2**62), case
         assert 250 <= forced_starts <= 750
 
+    def test_long_blocks_late_starts_and_skip_bounds_inside(self):
+        # Long blocks, starts near 10**6, and starved arms whose skip bound
+        # low^2 * |S| falls inside the block, so the forced check fires mid-block;
+        # some of those blocks end 1-3 steps past the bound, where it first can.
+        rng = np.random.default_rng(2025)
+        forced_inside = 0
+        for case in range(15):
+            size = int(rng.integers(2, 7))
+            weights = rng.dirichlet(np.full(size, 0.5))
+            if case % 4 == 3:  # repeated values, so scores tie exactly
+                g = rng.choice([1.0, 2.0], size=size)
+                weights = g / g.sum()
+            kind = case % 3
+            if kind < 2:
+                t = int(rng.integers(0, 4000)) if kind == 0 else 10**6 - int(rng.integers(0, 500))
+                start = rng.multinomial(t, weights).tolist()
+                stop = t + int(rng.integers(1000, 3001))
+            else:  # arm 0 just above the forced threshold and (almost) never tracked
+                weights = np.concatenate(([1e-4], weights[1:] / weights[1:].sum() * (1 - 1e-4)))
+                t = int(rng.integers(1000, 200_000))
+                low = math.isqrt(t // size) + 1
+                start = [low] + rng.multinomial(t - low, weights[1:] / weights[1:].sum()).tolist()
+                stop = low * low * size + (1, 2, 3, 500, 1500)[case // 3]
+            bound = min(start) ** 2 * size
+            seed = int(rng.integers(2**32))
+            ref_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = per_pull_block(start, weights, t, stop, ref_rng)
+            got = track_pulls([float(c) for c in start], weights.tolist(), t, stop, block_rng)
+            assert got == expected, (case, size, t, stop)
+            assert block_rng.integers(2**62) == ref_rng.integers(2**62), case
+            forced_inside += t < bound < stop and got[0] > start[0] and kind == 2
+        assert forced_inside == 4, forced_inside  # every starved case ending 2+ steps past
+
 
 class TestObserve:
     """The per-pull reference that the block advance is checked against."""

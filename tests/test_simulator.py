@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import os
@@ -330,6 +331,14 @@ class TestSweep:
                        "workers must be a positive integer, got 0",
                        "step_cap must be a positive integer, got 0"):
             assert needle in message
+        # past 2**53 the step and the float pull counts of D-tracking stop being exact
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), workers=0, step_cap=2**53 + 1)
+        for needle in ("workers must be a positive integer, got 0",
+                       f"step_cap must be at most 2**53, got {2**53 + 1}"):
+            assert needle in str(exc.value)
+        largest = SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), step_cap=2**53)
+        assert largest.step_cap == 2**53
 
     def test_counts_must_be_integers(self):
         with pytest.raises(ValueError) as exc:
@@ -635,6 +644,17 @@ class TestCsvRoundTrip:
         cells[RECORD_FIELDS.index(field)] = f'"{value}"'
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape('line 3: ' + message)}$"):
+            read_records(str(path))
+
+    def test_oversized_field_names_the_line_it_starts_on(self, tmp_path):
+        # a stray opening quote on line 3 runs past the CSV reader's field limit
+        path = tmp_path / "records.csv"
+        export_records([run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed=1)], str(path))
+        limit = csv.field_size_limit()
+        rest = "het-ts,0.5,0.1,2,8,4,true,1;2\n" * (limit // 20)
+        path.write_text(path.read_text() + 'het-ts,0.5,0.1,1,8,4,"true,1;2\n' + rest)
+        message = rf"^line 3: field larger than field limit \({limit}\)$"
+        with pytest.raises(ValueError, match=message):
             read_records(str(path))
 
     def test_every_bad_field_of_a_row_named_at_once(self, tmp_path):

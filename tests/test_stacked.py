@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hetbai import slot_index, slot_server_vector, slot_stats, slot_z_statistic, uniform_pulls
+from hetbai.instance import SlotIndex
 from hetbai.allocation import _client_weights, _perron_polish, slot_global_vector
 
 from helpers import loop_perron, random_structural_instance, wide_gap_instance
@@ -58,6 +59,45 @@ class TestStackedStats:
                         assert bitwise_equal(getattr(stacked, field)[row], want), field
                     assert admissible[row] == alone.is_admissible()
                     assert z[row] == slot_z_statistic(index, alone, counts[row])
+
+    def test_row_counts_are_views_of_the_largest_stack(self):
+        # A batch passes through up to one row count per episode; each reads
+        # prefixes of the largest stack's arrays, sliced once, and allocates none.
+        rng = np.random.default_rng(77)
+        fields = ("slot_client", "slot_arm", "starts", "multiplicities",
+                  "slot_positions", "squared_multiplicities")
+        for _ in range(20):
+            index = slot_index(random_structural_instance(rng))
+            for largest_rows in (4, 7):  # a larger batch later replaces the largest stack
+                largest = index.stacked(largest_rows)
+                for rows in range(largest_rows, 1, -1):
+                    stack = index.stacked(rows)
+                    assert stack is index.stacked(rows)
+                    fresh = SlotIndex._of(index.num_arms, np.diff(index.starts), index.slot_arm)
+                    alone = fresh.stacked(rows)  # built for this row count only
+                    for name in fields:
+                        got = getattr(stack, name)
+                        assert np.shares_memory(got, getattr(largest, name)), name
+                        assert bitwise_equal(got, getattr(alone, name)), name
+                    for got, big, want in zip(stack.arm_runs, largest.arm_runs, alone.arm_runs):
+                        assert np.shares_memory(got, big) and bitwise_equal(got, want)
+
+    def test_rows_equal_single_configurations_as_episodes_stop(self):
+        # the running rows of a batch shrink one stopped episode at a time, down to one
+        rng = np.random.default_rng(78)
+        for index, means, counts in stacked_cases(rng, 60):
+            running = list(range(len(means)))
+            while running:
+                stacked = slot_stats(index, means[running])
+                z = slot_z_statistic(index, stacked, counts[running])
+                vectors = slot_server_vector(index, stacked)
+                for row, k in enumerate(running):
+                    alone = slot_stats(index, means[k])
+                    for field in ("global_means", "gaps", "best_arms"):
+                        assert bitwise_equal(getattr(stacked, field)[row], getattr(alone, field))
+                    assert z[row] == slot_z_statistic(index, alone, counts[k])
+                    assert bitwise_equal(vectors[row], slot_server_vector(index, alone))
+                running.pop(int(rng.integers(len(running))))
 
     def test_server_vector_rows_equal_single_configurations(self):
         rng = np.random.default_rng(71)
