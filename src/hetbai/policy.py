@@ -35,21 +35,24 @@ __all__ = [
 ]
 
 
+# Relative error allowed for the float estimates of CommSchedule (see _grow).
+_ESTIMATE_ERROR = 2.0**-44
+
+
 class CommSchedule:
     """Deduplicated communication instants ``ceil((1+lam)^r)``, lazily grown.
 
-    Instants are computed with exact integer arithmetic on the binary
-    representation of ``1 + lam``, so the sequence is reproducible and exact
-    for arbitrarily large times.  Each instant remembers the smallest
-    exponent ``r`` that produces it, which is the protocol's round index
-    (repeated values of the ceiling collapse to a single instant but keep
-    their first exponent).
+    ``q = 1 + lam`` is taken as the float it rounds to, and every instant
+    is exact for that ``q``, for arbitrarily large times.  Each instant
+    remembers the smallest exponent ``r`` that produces it, which is the
+    protocol's round index (repeated values of the ceiling collapse to a
+    single instant but keep their first exponent).  Each instant costs a
+    few float operations, however many rounds it skips; the exact integer
+    power is computed only when the float estimate cannot decide (see
+    :meth:`_grow`).
 
     ``1 + lam`` must exceed 1 as a float, or no power ever passes the first
-    instant.  A small ``lam`` that does is slow rather than wrong: the exact
-    power gains about 53 bits per round, and the instants near ``t`` need
-    about ``log(t) / lam`` rounds, so at ``lam = 1e-4`` the first 200
-    instants take several seconds (about 8 s on a 2-vCPU host).
+    instant.
     """
 
     def __init__(self, lam: float) -> None:
@@ -58,26 +61,58 @@ class CommSchedule:
         if 1.0 + lam == 1.0:
             raise ValueError(f"lam must not vanish against 1 (1 + lam == 1), got {lam!r}")
         self.lam = float(lam)
-        num, den = (1.0 + self.lam).as_integer_ratio()
+        q = 1.0 + self.lam
+        num, den = q.as_integer_ratio()
         self._num = num
         self._shift_step = den.bit_length() - 1  # den is a power of two
-        self._power = 1  # num ** r
-        self._shift = 0  # r * log2(den)
-        self._r = 0
+        self._log_q = math.log1p(q - 1.0)  # log(q): q - 1 is exact below 2**53
+        self._power = (0, 1)  # the last (r, num**r) computed
         self._instants: list[int] = []
         self._exponents: list[int] = []
 
     def _grow(self) -> None:
+        """Append the next instant: ``ceil(q^r)`` for the least ``r`` with ``q^r > last``.
+
+        That ``r`` is ``floor(x) + 1`` for ``x = log(last) / log(q)``, and
+        the instant is ``ceil(v)`` for ``v = exp(r log(q))``.  Both come from
+        floats.  If ``math.log``, ``math.log1p`` and ``math.exp`` are each
+        within ``2**-47`` of the exact value, relative (32 ulp; libms in
+        common use stay within a few), the computed ``x`` is within
+        ``2**-45.9 * x`` of the exact value, and for ``y = r log(q) < 700``
+        the computed ``v`` is within ``2**-46.9 * (y + 1) * v`` of ``q^r``.
+        Each estimate is used only when the interval of ``_ESTIMATE_ERROR``
+        (``2**-44``) times that scale around it holds no integer: then it
+        decides the floor, or the ceiling.  Otherwise exact integer
+        comparisons of ``q^r`` with ``last`` settle ``r``, and the exact
+        power gives the instant; each power extends the last one computed,
+        so a run of instants past the float range costs what stepping the
+        power round by round would.
+        """
         last = self._instants[-1] if self._instants else 1
-        while True:
-            self._r += 1
-            self._power *= self._num
-            self._shift += self._shift_step
-            value = -((-self._power) >> self._shift)  # ceil(power / 2**shift)
-            if value > last:
-                self._instants.append(value)
-                self._exponents.append(self._r)
-                return
+        x = math.log(last) / self._log_q
+        margin = x * _ESTIMATE_ERROR
+        r = math.floor(x - margin) + 1  # at most the least r
+        if r != math.floor(x + margin) + 1:
+            while not self._exact_power(r) > last << (self._shift_step * r):  # q^r <= last
+                r += 1
+        y = r * self._log_q
+        ceiling = 0  # ceil(q^r), once decided
+        if y < 700.0:
+            v = math.exp(y)
+            margin = v * (y + 1.0) * _ESTIMATE_ERROR
+            if v - margin > math.floor(v + margin):  # no integer from v - margin to v + margin
+                ceiling = math.floor(v + margin) + 1
+        if not ceiling:
+            ceiling = -((-self._exact_power(r)) >> (self._shift_step * r))
+        self._instants.append(ceiling)
+        self._exponents.append(r)
+
+    def _exact_power(self, r: int) -> int:
+        """``num**r``, with ``q = num / 2**shift_step``, from the last power computed."""
+        last_r, power = self._power
+        power = power * self._num ** (r - last_r) if r >= last_r else self._num**r
+        self._power = (r, power)
+        return power
 
     def _ensure_value(self, t: int) -> None:
         while not self._instants or self._instants[-1] < t:

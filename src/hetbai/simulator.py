@@ -23,18 +23,22 @@ instants, so :func:`run_batch` runs many in lockstep: each advances its own
 clients and draws its own rewards, and at every instant the server work of
 all running episodes is one stacked computation whose rows equal a lone
 episode's values bit for bit.  :func:`run_episode` is the batch of one, and
-:func:`sweep` deals its task list round-robin into one batch per worker.
+:func:`sweep` deals its task list round-robin into one batch per worker;
+the calling process runs the first batch, and a child process started for
+each other batch sends its records back through a pipe.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, takewhile
+from multiprocessing.connection import Connection
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -294,11 +298,9 @@ def run_batch(
     schedule = CommSchedule(lam)
     instants = iter(schedule)
     sizes = [len(arms) for arms in instance.arm_sets]
-    select_rngs = [
-        [np.random.default_rng((seed, m, 0)) for m in range(instance.num_clients)]
-        for _, seed in tasks
-    ]
-    reward_rngs = [np.random.default_rng((seed, 0, 1)) for _, seed in tasks]
+    select_rngs, reward_rngs = zip(
+        *(_episode_streams(seed, instance.num_clients) for _, seed in tasks)
+    )
     # het-ts pull counts per client, as floats: track_pulls steps on them without converting
     tracked = [[[0.0] * size for size in sizes] for _ in tasks]
     weights = [[[1.0 / size] * size for size in sizes] for _ in tasks]
@@ -385,6 +387,27 @@ def run_batch(
         done += len(chunk)
 
 
+def _episode_streams(
+    seed: int, num_clients: int
+) -> tuple[list[np.random.Generator], np.random.Generator]:
+    """Episode ``seed``'s selection streams ``(seed, m, 0)``, one per client, and ``(seed, 0, 1)``.
+
+    numpy's ``SeedSequence`` turns a tuple of ints into the concatenation
+    of each int's 32-bit little-endian words (0 is one word); each generator
+    is seeded with those words as a ``uint32`` array, which gives the same
+    state as the tuple and skips its conversion.
+    """
+    seed = int(seed)
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    select = [
+        np.random.default_rng(np.array([*words, m, 0], dtype=np.uint32))
+        for m in range(num_clients)
+    ]
+    return select, np.random.default_rng(np.array([*words, 0, 1], dtype=np.uint32))
+
+
 def sweep(config: SweepConfig) -> list[RunRecord]:
     """Run ``repetitions`` episodes per delta; seeds are ``base_seed + index``.
 
@@ -392,9 +415,15 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
     the returned order matches it.  The tasks are dealt round-robin into one
     batch per worker, so every batch gets its share of each delta (small
     deltas run longest); records depend neither on the split nor on the
-    worker count.  When episodes pass the step cap, every batch still runs
-    to its end, and one :class:`StepCapExceeded` names the unfinished
-    episodes of all batches in task order, as the one-batch run would.
+    worker count.  The calling process runs the first batch itself, and each
+    other batch runs in a child process of the default ``multiprocessing``
+    context, which sends its outcome back through a pipe; one batch starts
+    no process.  When episodes pass the step cap, every batch still runs to
+    its end, and one :class:`StepCapExceeded` names the unfinished episodes
+    of all batches in task order, as the one-batch run would.  Any other
+    exception of a batch reaches the caller; a child that exits without
+    sending its outcome is a ``RuntimeError`` naming its batch.  No child
+    outlives the call, whatever it raises.
     """
     tasks = [
         (delta, config.base_seed + d_idx * config.repetitions + rep)
@@ -402,21 +431,34 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
         for rep in range(config.repetitions)
     ]
     workers = pool_size(config.workers, len(tasks))
-    batches = [
-        (config.instance, config.policy, config.lam, tasks[w::workers], config.step_cap)
-        for w in range(workers)
-    ]
-    if workers == 1:
-        return run_batch(*batches[0])
+    run = partial(run_batch, config.instance, config.policy, config.lam, step_cap=config.step_cap)
+    children: list[tuple[multiprocessing.Process, Connection]] = []
+    try:
+        for w in range(1, workers):
+            children.append(_start_batch(run, tasks[w::workers]))
+        try:
+            outcomes = [(True, run(tasks[0::workers]))]
+        except StepCapExceeded as exc:
+            outcomes = [(False, exc)]
+        outcomes += [_receive(w, *child) for w, child in enumerate(children, 1)]
+    except BaseException:
+        for process, _ in children:
+            process.terminate()
+        raise
+    finally:
+        for process, reader in children:
+            reader.close()
+            process.join()
+            process.close()
     records: list = [None] * len(tasks)
     unfinished: list[tuple[float, int]] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_batch, *batch) for batch in batches]
-        for w, future in enumerate(futures):
-            try:
-                records[w::workers] = future.result()
-            except StepCapExceeded as exc:
-                unfinished += exc.episodes
+    for w, (ok, outcome) in enumerate(outcomes):
+        if ok:
+            records[w::workers] = outcome
+        elif isinstance(outcome, StepCapExceeded):
+            unfinished += outcome.episodes
+        else:
+            raise outcome
     if unfinished:
         position = {task: k for k, task in enumerate(tasks)}
         episodes = tuple(sorted(unfinished, key=position.__getitem__))
@@ -424,11 +466,46 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
     return records
 
 
-def pool_size(workers: int, num_tasks: int) -> int:
-    """Worker processes for a sweep: never more than there are episodes or CPUs.
+def _start_batch(
+    run, batch: list[tuple[float, int]]
+) -> tuple[multiprocessing.Process, Connection]:
+    """A started child running ``run(batch)``, and the end of the pipe its outcome arrives on."""
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    process = multiprocessing.Process(
+        target=_run_batch_child, args=(writer, run, batch), daemon=True
+    )
+    try:
+        process.start()
+    finally:
+        writer.close()  # the child's copy is the only writer left, so its exit ends the pipe
+    return process, reader
 
-    The default ``fork`` start method launches every worker up front,
-    whatever the task count, so an unclamped request forks idle processes.
+
+def _run_batch_child(writer: Connection, run, batch: list[tuple[float, int]]) -> None:
+    """Child body: send ``(True, records)`` or ``(False, exception)``."""
+    try:
+        outcome = True, run(batch)
+    except Exception as exc:
+        outcome = False, exc
+    writer.send(outcome)
+
+
+def _receive(w: int, process: multiprocessing.Process, reader: Connection) -> tuple:
+    """Batch ``w``'s outcome, read before the child is joined: a large one blocks it until read."""
+    try:
+        return reader.recv()
+    except EOFError:
+        process.join()
+        raise RuntimeError(
+            f"sweep batch {w} exited with code {process.exitcode} without sending its outcome"
+        ) from None
+
+
+def pool_size(workers: int, num_tasks: int) -> int:
+    """Batches of a sweep: never more than there are episodes or CPUs.
+
+    Every batch but the first runs in a child process, so an unclamped
+    request would start processes that sit idle or compete for one CPU.
     Records do not depend on the worker count, so clamping changes no result.
     """
     return min(workers, num_tasks, os.cpu_count() or 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
+from hetbai import policy
 from hetbai import (
     Allocation,
     arm_stats,
@@ -36,6 +37,86 @@ def exact_ratio_leq(numer: int, denom: int, bound: float) -> bool:
     """numer/denom <= bound, exactly, for arbitrarily large integers."""
     bn, bd = float(bound).as_integer_ratio()
     return numer * bd <= bn * denom
+
+
+def _cut(m: int, e: int, bits: int, up: bool) -> tuple[int, int]:
+    """``m * 2**e`` rounded down (up, if ``up``) to ``bits`` significant bits, as ``(m, e)``."""
+    extra = m.bit_length() - bits
+    if extra <= 0:
+        return m, e
+    return (-((-m) >> extra) if up else m >> extra), e + extra
+
+
+def _power_bound(num: int, r: int, bits: int, up: bool) -> tuple[int, int]:
+    """``(m, e)`` with ``m * 2**e`` at most (at least, if ``up``) ``num**r``.
+
+    Binary powering with every product rounded the same way to ``bits``
+    bits; all factors are positive, so the bound holds, and it is exact
+    once ``bits`` covers ``num**r``.
+    """
+    acc, base = (1, 0), (num, 0)
+    while r:
+        if r & 1:
+            acc = _cut(acc[0] * base[0], acc[1] + base[1], bits, up)
+        r >>= 1
+        if r:
+            base = _cut(base[0] * base[0], 2 * base[1], bits, up)
+    return acc
+
+
+def _q_power_bounds(lam: float, r: int):
+    """Ever tighter ``(m_lo, e_lo, m_hi, e_hi)``: ``m_lo 2**e_lo <= q^r <= m_hi 2**e_hi``."""
+    num, den = (1.0 + lam).as_integer_ratio()  # den is a power of two
+    shift = (den.bit_length() - 1) * r
+    bits = 64
+    while True:
+        lo, hi = _power_bound(num, r, bits, False), _power_bound(num, r, bits, True)
+        yield lo[0], lo[1] - shift, hi[0], hi[1] - shift
+        bits *= 2
+
+
+def _scaled_minus(m: int, e: int, n: int) -> int:
+    """``m * 2**e - n`` scaled by a power of two: its sign is exact."""
+    return (m << e) - n if e >= 0 else m - (n << -e)
+
+
+def _scaled_ceil(m: int, e: int) -> int:
+    return m << e if e >= 0 else -((-m) >> -e)
+
+
+def q_power_exceeds(lam: float, r: int, n: int) -> bool:
+    """Whether ``q^r > n`` for ``q = 1 + lam`` as a float, exactly."""
+    for lo, le, hi, he in _q_power_bounds(lam, r):
+        if _scaled_minus(lo, le, n) > 0:
+            return True
+        if _scaled_minus(hi, he, n) <= 0:
+            return False
+
+
+def q_power_ceil(lam: float, r: int) -> int:
+    """``ceil(q^r)`` for ``q = 1 + lam`` as a float, exactly."""
+    for lo, le, hi, he in _q_power_bounds(lam, r):
+        if _scaled_ceil(lo, le) == _scaled_ceil(hi, he):
+            return _scaled_ceil(lo, le)
+
+
+def exact_schedule(lam: float, count: int) -> tuple[list[int], list[int]]:
+    """The first ``count`` distinct ``ceil(q^r)`` and the least ``r`` of each, in integers.
+
+    A float estimate only says where to start looking: each exponent is
+    proved least by exact comparisons, ``q^(r-1) <= last < q^r``.
+    """
+    instants, exponents, last, r = [], [], 1, 0
+    while len(instants) < count:
+        r = max(r + 1, math.floor(math.log(last) / math.log(1.0 + lam)))
+        while not q_power_exceeds(lam, r, last):
+            r += 1
+        while q_power_exceeds(lam, r - 1, last):  # stops at the last exponent, q^r0 <= last
+            r -= 1
+        last = q_power_ceil(lam, r)
+        instants.append(last)
+        exponents.append(r)
+    return instants, exponents
 
 
 class TestCommSchedule:
@@ -78,6 +159,29 @@ class TestCommSchedule:
         assert not sched.is_instant(5)
         with pytest.raises(ValueError):
             sched.round_exponent(5)
+
+    @pytest.mark.parametrize(
+        "lam, count",
+        [(1e-4, 200), (3e-4, 300), (1e-3, 600), (0.003, 800), (0.01, 1500), (0.0137, 800),
+         (0.05, 400), (0.1, 400), (0.2, 300), (1 / 3, 300), (0.5, 600), (0.7, 200), (1.0, 300),
+         (2.0, 200), (3.0, 150), (7.3, 150), (10.0, 150)],
+    )
+    def test_instants_and_exponents_equal_exact_reference(self, lam, count):
+        # instants from 2 to past 2**300: the float estimates, where they decide,
+        # and the exact powers past them
+        sched = comm_schedule(lam)
+        instants = sched.instants(count)
+        exponents = [sched.round_exponent(t) for t in instants]
+        assert (instants, exponents) == exact_schedule(lam, count)
+
+    @pytest.mark.parametrize("lam, count", [(1e-3, 120), (0.01, 400), (0.5, 300), (1.0, 100)])
+    def test_exact_fallback_equals_reference(self, monkeypatch, lam, count):
+        # a wide error bound leaves most estimates undecided, so the exact powers run
+        monkeypatch.setattr(policy, "_ESTIMATE_ERROR", 2.0**-10)
+        sched = comm_schedule(lam)
+        instants = sched.instants(count)
+        exponents = [sched.round_exponent(t) for t in instants]
+        assert (instants, exponents) == exact_schedule(lam, count)
 
     def test_iteration_is_lazy_and_unbounded(self):
         it = iter(comm_schedule(1.0))

@@ -1,9 +1,10 @@
 import csv
 import io
 import math
+import multiprocessing
 import os
 import re
-from concurrent.futures import Future
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ from helpers import (
     random_overlap_instance,
     symmetric_two_arm,
 )
+
+
+@pytest.fixture
+def fork_children(monkeypatch):
+    """Start sweep children with ``fork``, so they run the test's patched functions."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
 
 
 class TestRunEpisode:
@@ -239,6 +248,18 @@ class TestEpisodeLaw:
         assert stats.ks_2samp(block, per_pull).pvalue > 0.01
 
 
+class TestEpisodeStreams:
+    @pytest.mark.parametrize(
+        "seed", [0, 7000001, 2**32 - 1, 2**32, 2**64 + 5, np.int64(7000001), np.uint64(2**64 - 1)]
+    )
+    def test_same_state_as_the_tuple_keys(self, seed):
+        select, reward = simulator._episode_streams(seed, 3)
+        assert [rng.bit_generator.state for rng in select] == [
+            np.random.default_rng((seed, m, 0)).bit_generator.state for m in range(3)
+        ]
+        assert reward.bit_generator.state == np.random.default_rng((seed, 0, 1)).bit_generator.state
+
+
 class TestSweep:
     def test_seed_layout(self):
         config = SweepConfig(
@@ -266,38 +287,35 @@ class TestSweep:
         parallel = sweep(SweepConfig(workers=4, **base))
         assert serial == parallel
 
-    def test_batches_deal_tasks_round_robin(self, monkeypatch):
-        # The 2-worker sweep with its pool run in-process, to see the batches:
-        # each gets every delta, and the records come back in task order.
+    def test_batches_deal_tasks_round_robin(self, monkeypatch, fork_children):
+        # The 2-worker sweep: the calling process runs batch 0 through run_batch and
+        # starts one child for batch 1; each gets every delta, and the records come
+        # back in task order.
         v = chain_three_arm()
         config = SweepConfig(
             instance=v, deltas=(0.1, 1e-3, 1e-6), repetitions=3, base_seed=40, lam=0.3, workers=2
         )
         tasks = [(d, 40 + k * 3 + rep) for k, d in enumerate(config.deltas) for rep in range(3)]
-        batches = []
+        lone = [run_episode(v, "het-ts", d, 0.3, seed) for d, seed in tasks]
+        ran, started = [], []  # the calling process's batch, the children's batches
+        real_run, real_start = simulator.run_batch, simulator._start_batch
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                assert max_workers == 2
+        def run_batch(*args, **kwargs):
+            ran.append(args[3])  # a child appends to its own copy of the list
+            return real_run(*args, **kwargs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                batches.append(args)
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+        def start_batch(run, batch):
+            started.append(batch)
+            return real_start(run, batch)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InlinePool)
-        assert sweep(config) == [run_episode(v, "het-ts", d, 0.3, seed) for d, seed in tasks]
-        assert [batch[3] for batch in batches] == [tasks[0::2], tasks[1::2]]
+        monkeypatch.setattr(simulator, "run_batch", run_batch)
+        monkeypatch.setattr(simulator, "_start_batch", start_batch)
+        assert sweep(config) == lone
+        batches = ran + started
+        assert batches == [tasks[0::2], tasks[1::2]]
         for batch in batches:
-            assert {d for d, _ in batch[3]} == set(config.deltas)
+            assert {d for d, _ in batch} == set(config.deltas)
 
     def test_mean_tau_nondecreasing_in_confidence(self):
         # With a common seed the trajectory does not depend on delta and the
@@ -390,6 +408,78 @@ class TestSweep:
         assert errors[0].episodes == tuple((1e-8, seed) for seed in range(4))
         assert errors[1].episodes == errors[0].episodes
         assert str(errors[1]) == str(errors[0])
+
+
+class TestSweepDispatch:
+    """The calling process runs batch 0; each other batch runs in a child started for it."""
+
+    CONFIG = dict(deltas=(0.1, 0.05), repetitions=3, lam=0.5, workers=2)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def patch_batches(self, monkeypatch, parent=None, child=None):
+        """Run ``parent(tasks)`` for the calling process's batch and ``child(tasks)`` for a child's."""
+        real, caller = simulator.run_batch, os.getpid()
+
+        def run_batch(*args, **kwargs):
+            replace = parent if os.getpid() == caller else child
+            return real(*args, **kwargs) if replace is None else replace(args[3])
+
+        monkeypatch.setattr(simulator, "run_batch", run_batch)
+
+    def test_child_exception_reaches_the_caller(self, monkeypatch, fork_children):
+        def child(tasks):
+            raise ValueError(f"batch of {len(tasks)} failed in process {os.getpid()}")
+
+        self.patch_batches(monkeypatch, child=child)
+        with pytest.raises(ValueError, match=r"batch of 3 failed in process (\d+)") as err:
+            sweep(SweepConfig(instance=symmetric_two_arm(), **self.CONFIG))
+        assert int(re.search(r"\d+$", str(err.value)).group()) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_without_a_result(self, monkeypatch, fork_children):
+        self.patch_batches(monkeypatch, child=lambda tasks: os._exit(3))
+        with pytest.raises(RuntimeError, match="sweep batch 1 exited with code 3 "):
+            sweep(SweepConfig(instance=symmetric_two_arm(), **self.CONFIG))
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_left_after_a_sweep_returns(self):
+        records = sweep(SweepConfig(instance=symmetric_two_arm(), **self.CONFIG))
+        assert len(records) == 6
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_left_after_a_step_cap_error(self):
+        config = dict(self.CONFIG, deltas=(1e-8,), step_cap=50)
+        with pytest.raises(StepCapExceeded) as err:
+            sweep(SweepConfig(instance=chain_three_arm(), **config))
+        assert err.value.episodes == tuple((1e-8, seed) for seed in range(3))
+        assert multiprocessing.active_children() == []
+
+    def test_parent_batch_error_stops_the_children(self, monkeypatch, fork_children):
+        # the child would sleep for a minute; the caller's own error terminates it
+        def parent(tasks):
+            raise KeyboardInterrupt
+
+        self.patch_batches(monkeypatch, parent=parent, child=lambda tasks: time.sleep(60))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            sweep(SweepConfig(instance=symmetric_two_arm(), **self.CONFIG))
+        assert time.monotonic() - started < 30
+        assert multiprocessing.active_children() == []
+
+    def test_one_batch_starts_no_process(self, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a one-batch sweep started a process")
+
+        monkeypatch.setattr(multiprocessing, "Process", no_process)
+        v = symmetric_two_arm()
+        config = SweepConfig(instance=v, **dict(self.CONFIG, workers=1))
+        assert len(sweep(config)) == 6
+        # two workers asked for, one episode: one batch
+        one = sweep(SweepConfig(instance=v, deltas=(0.1,), repetitions=1, lam=0.5, workers=2))
+        assert one == [run_episode(v, "het-ts", 0.1, 0.5, 0)]
 
 
 class TestPoolSize:
