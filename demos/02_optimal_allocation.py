@@ -35,7 +35,7 @@ print("\ngap/ownership matrix (row i scaled by 1 / (gap_i^2 * owners_i^2)):")
 print(np.round(H.matrix, 4))
 
 gvec, alloc = optimal_allocation(v, stats)
-print(f"\nglobal vector (positive, unit norm per class): {np.round(gvec.entries, 4)}")
+print(f"\nglobal vector (positive, unit norm per class): {np.round(gvec, 4)}")
 for m, (arms, row) in enumerate(zip(alloc.arm_sets, alloc.weights)):
     pretty = ", ".join(f"arm {i + 1}: {w:.3f}" for i, w in zip(arms, row))
     print(f"  client {m + 1} samples  {pretty}")

@@ -6,10 +6,10 @@ and shows the server's view at each communication instant: the evidence
 statistic climbing against the moving threshold until the stop fires.
 """
 
-from hetbai import InstantLog, arm_stats, comm_schedule, gen_overlap_instance, run_episode
+from hetbai import CommSchedule, InstantLog, arm_stats, gen_overlap_instance, run_episode
 
 lam = 0.5
-sched = comm_schedule(lam)
+sched = CommSchedule(lam)
 print(f"communication instants for lambda = {lam}: {sched.instants(14)} ...")
 print("consecutive ratios stay below 2 + lambda; rounds are the exponents "
       f"{[sched.round_exponent(t) for t in sched.instants(6)]}")

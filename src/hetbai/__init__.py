@@ -29,14 +29,12 @@ from .instance import (
 )
 from .allocation import (
     Allocation,
-    GlobalVector,
     HMatrix,
     PowerIterationError,
     allocation_from_global,
     balance_residuals,
     brute_force_g_tilde_max,
     c_star_interval,
-    closest_alternative,
     g_exact,
     g_tilde,
     g_tilde_per_class,
@@ -45,11 +43,9 @@ from .allocation import (
     optimal_allocation,
     perron_positive_eigenvector,
     slot_global_vector,
-    transport_cost,
 )
 from .policy import (
     CommSchedule,
-    comm_schedule,
     f_eval,
     f_inverse,
     should_stop,

@@ -51,7 +51,6 @@ from .instance import (
 
 __all__ = [
     "Allocation",
-    "GlobalVector",
     "HMatrix",
     "PowerIterationError",
     "h_matrix",
@@ -63,8 +62,6 @@ __all__ = [
     "g_tilde",
     "g_tilde_per_class",
     "g_exact",
-    "closest_alternative",
-    "transport_cost",
     "c_star_interval",
     "balance_residuals",
     "brute_force_g_tilde_max",
@@ -122,13 +119,6 @@ class Allocation:
             arm_sets=instance.arm_sets,
             weights=tuple(tuple(float(w) for w in row) for row in rows),
         )
-
-
-@dataclass
-class GlobalVector:
-    """Positive arm vector with unit 2-norm on every arm class."""
-
-    entries: np.ndarray
 
 
 @dataclass
@@ -263,12 +253,12 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     return entries.reshape(scale.shape)
 
 
-def global_vector(instance: ProblemInstance, stats: ArmStats | None = None) -> GlobalVector:
-    """Class-wise Perron vectors assembled into one length-K vector."""
+def global_vector(instance: ProblemInstance, stats: ArmStats | None = None) -> np.ndarray:
+    """Class-wise Perron vectors assembled into one length-K vector, unit 2-norm per class."""
     index = slot_index(instance)
     if stats is None:
         stats = slot_stats(index, index.flatten(instance.means))
-    return GlobalVector(entries=slot_global_vector(index, stats))
+    return slot_global_vector(index, stats)
 
 
 def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
@@ -306,9 +296,9 @@ def allocation_from_global(entries: np.ndarray, instance: ProblemInstance) -> Al
 
 def optimal_allocation(
     instance: ProblemInstance, stats: ArmStats | None = None
-) -> tuple[GlobalVector, Allocation]:
+) -> tuple[np.ndarray, Allocation]:
     gvec = global_vector(instance, stats)
-    return gvec, allocation_from_global(gvec.entries, instance)
+    return gvec, allocation_from_global(gvec, instance)
 
 
 def _pair_rate(
@@ -390,51 +380,6 @@ def g_exact(
         return 0.0
     ends = np.array(pairs.pairs, dtype=np.int64).reshape(-1, 2)
     return float(_pair_rate(index, stats, w, ends[:, 0], ends[:, 1]))
-
-
-def closest_alternative(
-    instance: ProblemInstance,
-    stats: ArmStats,
-    allocation: Allocation,
-    pair: tuple[int, int],
-) -> ProblemInstance:
-    """Nearest mean configuration that ties the pair's aggregate means.
-
-    Shifts only the means of the two arms; the result satisfies
-    ``mu'(i1) == mu'(i2)`` and its transport cost under ``allocation`` equals
-    the pair's term in ``g_exact``.
-    """
-    i1, i2 = pair
-    index = slot_index(instance)
-    w = index.flatten(allocation.weights)
-    on1, on2 = index.slot_arm == i1, index.slot_arm == i2
-    on = on1 | on2
-    if np.any(w[on] <= ZERO_WEIGHT):
-        raise ValueError("closest_alternative requires strictly positive owned weights")
-    gap = float(stats.global_means[i1] - stats.global_means[i2])
-    mult = stats.multiplicities[index.slot_arm[on]].astype(float)
-    denom = float(np.sum(1.0 / (w[on] * mult**2)))
-    means = index.flatten(instance.means)
-    means[on1] -= gap / (stats.multiplicities[i1] * w[on1] * denom)
-    means[on2] += gap / (stats.multiplicities[i2] * w[on2] * denom)
-    rows = means.tolist()
-    return ProblemInstance(
-        num_arms=instance.num_arms,
-        num_clients=instance.num_clients,
-        arm_sets=instance.arm_sets,
-        means=tuple(tuple(rows[a:b]) for a, b in zip(index.starts[:-1], index.starts[1:])),
-    )
-
-
-def transport_cost(
-    instance: ProblemInstance, allocation: Allocation, alternative: ProblemInstance
-) -> float:
-    """Weighted squared-distance between two mean configurations."""
-    if alternative.arm_sets != instance.arm_sets:
-        raise ValueError("alternative does not have the instance's arm sets")
-    index = slot_index(instance)
-    diff = index.flatten(instance.means) - index.flatten(alternative.means)
-    return float(np.sum(index.flatten(allocation.weights) * diff * diff / 2.0))
 
 
 def c_star_interval(

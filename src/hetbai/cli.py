@@ -2,7 +2,8 @@
 
 Subcommands: ``validate``, ``solve``, ``run``, ``sweep``, ``ingest``,
 ``report``.  Exit codes: 0 on success, 1 on usage errors, 2 on domain errors
-(invalid files, inadmissible instances, schema violations).  The
+(invalid files, inadmissible instances, schema violations, and episodes past
+the step cap, after ``sweep`` has written the finished records).  The
 ``HETBAI_SEED`` environment variable overrides the sweep config's base seed;
 an explicit ``--workers`` flag overrides the config's worker count.
 """
@@ -20,6 +21,7 @@ from .ingest import build_instance, parse_ratings
 from .instance import arm_stats, load_instance, save_instance, validate
 from .simulator import (
     POLICIES,
+    StepCapExceeded,
     SweepConfig,
     aggregate,
     export_records,
@@ -127,7 +129,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(
         json.dumps(
             {
-                "G": [float(x) for x in gvec.entries],
+                "G": gvec.tolist(),
                 "omega": [list(row) for row in alloc.weights],
                 "g_tilde_star": g_star,
                 "c_star_interval": [lower, upper],
@@ -163,7 +165,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers is not None:
         overrides["workers"] = args.workers
     config = replace(config, **overrides)  # SweepConfig checks the overridden fields
-    records = sweep(config)
+    try:
+        records = sweep(config)
+    except StepCapExceeded as exc:  # write the finished episodes; the error names the others
+        export_records(exc.records, args.out)
+        raise
     export_records(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0

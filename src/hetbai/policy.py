@@ -24,7 +24,6 @@ from .instance import ArmStats, SlotIndex
 
 __all__ = [
     "CommSchedule",
-    "comm_schedule",
     "track_pulls",
     "uniform_pulls",
     "slot_server_vector",
@@ -144,10 +143,6 @@ class CommSchedule:
                 self._grow()
             yield self._instants[k]
             k += 1
-
-
-def comm_schedule(lam: float) -> CommSchedule:
-    return CommSchedule(lam)
 
 
 def track_pulls(

@@ -3,29 +3,29 @@
 All clients advance in lockstep discrete time.  Rewards are unit-variance
 Gaussians around the instance means.  Between two communication instants
 neither selection rule looks at a reward, and the server sees only counts
-and sums at the instants, so an episode runs one block per instant: each
-client advances its counts over the block in one call, then one Gaussian
-draw per (client, arm) slot gives the block's reward total, ``N(n mu, n)``
-for a slot pulled ``n`` times.  Randomness is split per episode seed:
-stream ``(seed, m, 0)`` drives client ``m``'s selection (D-tracking
-tie-breaks, or the uniform block counts) and stream ``(seed, 0, 1)`` the
-rewards, so a run is bit-reproducible for a fixed seed regardless of how
-episodes are batched or scheduled across workers.  The reward stream and a
-uniform client's stream are drawn one chunk of blocks at a time (one
-``(instants, K')`` array of standard normals; one multinomial over the
-chunk's block lengths), which numpy fills in the order of the per-block
-calls; what is left of a chunk when its episode stops is discarded, and no
-other stream moves.  D-tracking tie-breaks depend on the counts, so they are
-drawn as they arise.
+and sums at the instants, so an episode runs one block per instant, in two
+phases: the client advance moves each client's counts over the block in one
+call and one Gaussian draw per (client, arm) slot gives the block's reward
+total, ``N(n mu, n)`` for a slot pulled ``n`` times; then the server step
+stops or broadcasts.  Randomness is split per episode seed: stream
+``(seed, m, 0)`` drives client ``m``'s selection (D-tracking tie-breaks, or
+the uniform block counts) and stream ``(seed, 0, 1)`` the rewards, so a run
+is bit-reproducible for a fixed seed regardless of how episodes are batched
+or scheduled across workers.  The reward stream and a uniform client's
+stream are drawn one chunk of blocks at a time (one ``(instants, K')`` array
+of standard normals; one multinomial over the chunk's block lengths), which
+numpy fills in the order of the per-block calls; what is left of a chunk
+when its episode stops is discarded, and no other stream moves.  D-tracking
+tie-breaks depend on the counts, so they are drawn as they arise.
 
 Episodes of one instance, policy and ``lambda`` share the communication
-instants, so :func:`run_batch` runs many in lockstep: each advances its own
-clients and draws its own rewards, and at every instant the server work of
-all running episodes is one stacked computation whose rows equal a lone
-episode's values bit for bit.  :func:`run_episode` is the batch of one, and
-:func:`sweep` deals its task list round-robin into one batch per worker;
-the calling process runs the first batch, and a child process started for
-each other batch sends its records back through a pipe.
+instants, so :func:`run_batch` runs many in lockstep with the policy's client
+advance: each episode advances its own clients and draws its own rewards,
+and the server step of all running episodes is one stacked computation
+whose rows equal a lone episode's values bit for bit.  :func:`run_episode`
+is the batch of one, and :func:`sweep` deals its task list round-robin into
+one batch per worker; the calling process runs the first batch, and a child
+process started for each other batch sends its records back through a pipe.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .allocation import _client_weights
-from .instance import ProblemInstance, slot_index, slot_stats, validate
+from .instance import ArmStats, ProblemInstance, SlotIndex, slot_index, slot_stats, validate
 from .policy import (
     CommSchedule,
     f_inverse,
@@ -90,21 +90,22 @@ class StepCapExceeded(RuntimeError):
     """Episodes ran past the hard step cap without stopping.
 
     ``episodes`` holds the ``(delta, seed)`` of every episode still running,
-    each reproducible on its own with ``hetbai run``.
+    each reproducible on its own with ``hetbai run``, and ``records`` the
+    :class:`RunRecord` of every episode that finished, in task order.
     """
 
-    def __init__(self, message: str, episodes: tuple[tuple[float, int], ...] = ()):
+    def __init__(self, message: str, episodes: tuple = (), records: tuple = ()):
         super().__init__(message)
         self.episodes = episodes
+        self.records = records
 
 
-def _step_cap_error(
-    step_cap: int, policy: str, lam: float, episodes: tuple[tuple[float, int], ...]
-) -> StepCapExceeded:
+def _step_cap_error(step_cap: int, policy: str, lam: float, episodes, records) -> StepCapExceeded:
     return StepCapExceeded(
         f"no stop by step cap {step_cap} (policy={policy}, lambda={lam!r}) for "
         + "; ".join(f"delta={d!r}, seed={s}" for d, s in episodes),
-        episodes,
+        tuple(episodes),
+        tuple(records),
     )
 
 
@@ -263,20 +264,20 @@ def run_batch(
     """Run one episode per ``(delta, seed)`` task in lockstep; records in task order.
 
     All episodes share the communication schedule, so they reach the server
-    on the same instants.  Between instants each episode advances its own
-    clients and draws its own rewards, from its own streams in the order a
-    lone episode uses them; each stream draws for the next chunk of instants
-    in one call (the next ``max(16, instants run)``, fewer when the batch's
-    buffers would pass ``_DRAW_ENTRIES`` entries, never past ``step_cap``),
-    and each instant reads its slice.  At an instant the server work of
-    every running episode is one stacked computation (``slot_stats``,
-    ``slot_z_statistic``, the stopping rule with a per-episode threshold
-    offset, ``slot_server_vector``) whose rows equal the lone episode's
-    values bit for bit; so every record equals :func:`run_episode` for its
-    task, whatever the batch or the chunks.  ``traces[k]``, when given, receives task
-    ``k``'s :class:`InstantLog` entries.  Raises :class:`StepCapExceeded`
-    naming every episode still running at the first instant past
-    ``step_cap``.
+    on the same instants.  In each block the policy's client advance moves
+    every running episode's clients and the block's rewards are drawn, each
+    from the episode's own streams in the order a lone episode uses them;
+    then one stacked server step (``slot_stats``, ``slot_z_statistic``, the
+    stopping rule with a per-episode threshold offset) gives rows equal to
+    the lone episode's values bit for bit, and a het-ts episode that runs on
+    applies its broadcast (``slot_server_vector``) in its next advance.  Each
+    stream draws the next chunk of instants in one call (``max(16, instants
+    run)``, fewer when the buffers would pass ``_DRAW_ENTRIES`` entries,
+    never past ``step_cap``), so every record equals :func:`run_episode` for
+    its task, whatever the batch or the chunks.  ``traces[k]``, when given,
+    receives task ``k``'s :class:`InstantLog` entries.  Raises
+    :class:`StepCapExceeded` naming every episode still running at the first
+    instant past ``step_cap``, with the finished records.
     """
     if not tasks:
         return []
@@ -297,63 +298,41 @@ def run_batch(
 
     schedule = CommSchedule(lam)
     instants = iter(schedule)
-    sizes = [len(arms) for arms in instance.arm_sets]
     select_rngs, reward_rngs = zip(
         *(_episode_streams(seed, instance.num_clients) for _, seed in tasks)
     )
-    # het-ts pull counts per client, as floats: track_pulls steps on them without converting
-    tracked = [[[0.0] * size for size in sizes] for _ in tasks]
-    weights = [[[1.0 / size] * size for size in sizes] for _ in tasks]
+    # The client advance returns the running rows' cumulative slot counts at chunk[step].
+    clients = _uniform_clients if policy == "uniform" else _tracking_clients
+    advance = clients(index, np.diff(index.starts).tolist(), select_rngs)
     counts = np.zeros((len(tasks), kprime), dtype=np.int64)  # one row per running episode
     sums = np.zeros((len(tasks), kprime))
     running = list(range(len(tasks)))  # task of each row
     records: list[RunRecord | None] = [None] * len(tasks)
-    uniform = policy == "uniform"
 
     t = 0
     done = 0  # instants run so far
+    stats = None  # the server's last view of the running rows
     while True:
         ahead = max(1, min(max(16, done), _DRAW_ENTRIES // (len(running) * kprime)))
         chunk = list(takewhile(lambda s: s <= step_cap, islice(instants, ahead)))
         if not chunk:
-            raise _step_cap_error(step_cap, policy, lam, tuple(tasks[k] for k in running))
+            finished = [r for r in records if r is not None]
+            raise _step_cap_error(step_cap, policy, lam, [tasks[k] for k in running], finished)
         # Each stream draws the whole chunk in one call, which numpy fills from the
         # stream in the order of the per-block calls, so every block reads the same
         # values as a per-block draw would.  A stopped row's leftover draws are dropped.
         noise = np.empty((len(running), len(chunk), kprime))
         for row, k in zip(noise, running):
             reward_rngs[k].standard_normal(out=row)
-        if uniform:
-            lengths = np.diff(chunk, prepend=t)
-            pulls = np.empty(noise.shape, dtype=np.int64)
-            for row, k in zip(pulls, running):
-                np.concatenate(
-                    [uniform_pulls(size, lengths, rng) for size, rng in zip(sizes, select_rngs[k])],
-                    axis=1,
-                    out=row,
-                )
         for step, instant in enumerate(chunk):
-            if uniform:
-                block = pulls[:, step]
-            else:
-                pulled = []
-                for k in running:
-                    for row, w, rng in zip(tracked[k], weights[k], select_rngs[k]):
-                        pulled += track_pulls(row, w, t, instant, rng)
-                block = np.array(pulled, dtype=np.int64).reshape(counts.shape) - counts
+            block = advance(running, stats, t, chunk, step) - counts
             # The block's reward total on a slot pulled n times is N(n * mu, n); n = 0 adds 0.
             # Generator.normal(loc, scale) is loc + scale * (one standard normal draw per
             # entry), so scaling the episodes' standard normals stacked gives the same floats.
             sums += block * slot_means + np.sqrt(block) * noise[:, step]
             counts += block
             t = instant
-            # The server's view: every client's counts and empirical means, in slot order.
-            means = np.zeros(counts.shape)
-            np.divide(sums, counts, out=means, where=counts > 0)
-            stats = slot_stats(index, means)
-            z = slot_z_statistic(index, stats, counts)
-            stop, beta = should_stop(z, t, offsets, kprime, instance.num_arms)
-            stop = stop.tolist()
+            stats, z, stop, beta = _server_step(index, instance.num_arms, counts, sums, t, offsets)
             if traces is not None:
                 for k, zk, bk, sk in zip(running, z.tolist(), beta.tolist(), stop):
                     traces[k].append(InstantLog(t=t, z=zk, beta=bk, stopped=sk))
@@ -377,14 +356,61 @@ def run_batch(
                 if not running:
                     return records
                 counts, sums, offsets, noise = counts[keep], sums[keep], offsets[keep], noise[keep]
-                if uniform:
-                    pulls = pulls[keep]
                 stats = stats.rows(keep)
-            if not uniform:
-                gvec = slot_server_vector(index, stats)
-                for k, row in zip(running, _client_weights(index, gvec)):
-                    weights[k] = row
         done += len(chunk)
+
+
+def _server_step(index: SlotIndex, num_arms: int, counts, sums, t: int, offsets) -> tuple:
+    """The server at instant ``t``: each row's stats, ``Z(t)``, stop flag and threshold."""
+    means = np.zeros(counts.shape)
+    np.divide(sums, counts, out=means, where=counts > 0)
+    stats = slot_stats(index, means)
+    z = slot_z_statistic(index, stats, counts)
+    stop, beta = should_stop(z, t, offsets, index.num_slots, num_arms)
+    return stats, z, stop.tolist(), beta
+
+
+def _tracking_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[list]):
+    """Client advance of het-ts: apply the broadcast for the server's view, then D-track."""
+    # pull counts per client as floats: track_pulls steps on them without converting
+    tracked = [[[0.0] * size for size in sizes] for _ in select_rngs]
+    weights = [[[1.0 / size] * size for size in sizes] for _ in select_rngs]
+
+    def advance(running: list[int], stats: ArmStats | None, t: int, chunk: list[int], step: int):
+        if stats is not None:
+            for k, row in zip(running, _client_weights(index, slot_server_vector(index, stats))):
+                weights[k] = row
+        pulled = []
+        for k in running:
+            for row, w, rng in zip(tracked[k], weights[k], select_rngs[k]):
+                pulled += track_pulls(row, w, t, chunk[step], rng)
+        return np.array(pulled, dtype=np.int64).reshape(len(running), -1)
+
+    return advance
+
+
+def _uniform_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[list]):
+    """Client advance of the uniform baseline: each client draws a chunk's blocks at its start."""
+    # counts at every instant of the chunk, one row per episode running when it was drawn
+    drawn = np.zeros((len(select_rngs), 1, index.num_slots), dtype=np.int64)
+    rows = list(range(len(select_rngs)))  # task of each row
+
+    def advance(running: list[int], stats: ArmStats | None, t: int, chunk: list[int], step: int):
+        nonlocal drawn, rows
+        if len(rows) > len(running):  # rows stop in order, so keep the running ones
+            drawn, rows = drawn[np.isin(rows, running)], running
+        if step == 0:
+            lengths = np.diff(chunk, prepend=t)
+            start = drawn[:, -1:]
+            drawn = np.empty((len(rows), len(chunk), index.num_slots), dtype=np.int64)
+            for row, k in zip(drawn, rows):
+                pulls = [uniform_pulls(n, lengths, rng) for n, rng in zip(sizes, select_rngs[k])]
+                np.concatenate(pulls, axis=1, out=row)
+            np.cumsum(drawn, axis=1, out=drawn)
+            drawn += start
+        return drawn[:, step]
+
+    return advance
 
 
 def _episode_streams(
@@ -420,10 +446,10 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
     context, which sends its outcome back through a pipe; one batch starts
     no process.  When episodes pass the step cap, every batch still runs to
     its end, and one :class:`StepCapExceeded` names the unfinished episodes
-    of all batches in task order, as the one-batch run would.  Any other
-    exception of a batch reaches the caller; a child that exits without
-    sending its outcome is a ``RuntimeError`` naming its batch.  No child
-    outlives the call, whatever it raises.
+    of all batches and carries the finished records, each in task order.
+    Any other exception of a batch reaches the caller; a child that exits
+    without sending its outcome is a ``RuntimeError`` naming its batch.  No
+    child outlives the call, whatever it raises.
     """
     tasks = [
         (delta, config.base_seed + d_idx * config.repetitions + rep)
@@ -450,19 +476,21 @@ def sweep(config: SweepConfig) -> list[RunRecord]:
             reader.close()
             process.join()
             process.close()
-    records: list = [None] * len(tasks)
+    position = {task: k for k, task in enumerate(tasks)}
+    records: list[RunRecord] = []
     unfinished: list[tuple[float, int]] = []
-    for w, (ok, outcome) in enumerate(outcomes):
+    for ok, outcome in outcomes:
         if ok:
-            records[w::workers] = outcome
+            records += outcome
         elif isinstance(outcome, StepCapExceeded):
+            records += outcome.records
             unfinished += outcome.episodes
         else:
             raise outcome
+    records.sort(key=lambda r: position[r.delta, r.seed])
     if unfinished:
-        position = {task: k for k, task in enumerate(tasks)}
-        episodes = tuple(sorted(unfinished, key=position.__getitem__))
-        raise _step_cap_error(config.step_cap, config.policy, config.lam, episodes)
+        unfinished.sort(key=position.__getitem__)
+        raise _step_cap_error(config.step_cap, config.policy, config.lam, unfinished, records)
     return records
 
 

@@ -328,37 +328,6 @@ def loop_balanced(allocation: Allocation) -> float:
     return balanced
 
 
-def loop_closest_alternative(instance, stats, allocation, pair) -> ProblemInstance:
-    i1, i2 = pair
-    gap = float(stats.global_means[i1] - stats.global_means[i2])
-    denom = 0.0
-    for i in (i1, i2):
-        mult_sq = float(stats.multiplicities[i]) ** 2
-        for m, arms in enumerate(instance.arm_sets):
-            if i in arms:
-                denom += 1.0 / (weight_of(allocation, m, i) * mult_sq)
-    updates = {}
-    for m, arms in enumerate(instance.arm_sets):
-        if i1 in arms:
-            w = weight_of(allocation, m, i1)
-            shift = gap / (stats.multiplicities[i1] * w * denom)
-            updates[(m, i1)] = mean_of(instance, m, i1) - shift
-        if i2 in arms:
-            w = weight_of(allocation, m, i2)
-            shift = gap / (stats.multiplicities[i2] * w * denom)
-            updates[(m, i2)] = mean_of(instance, m, i2) + shift
-    return with_means(instance, updates)
-
-
-def loop_transport_cost(instance, allocation, alternative) -> float:
-    total = 0.0
-    for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means)):
-        for i, mu in zip(arms, mus):
-            diff = mu - mean_of(alternative, m, i)
-            total += weight_of(allocation, m, i) * diff * diff / 2.0
-    return total
-
-
 # --- Reference per-pull client rules and episode loop ---
 
 

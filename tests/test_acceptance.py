@@ -13,6 +13,7 @@ import pytest
 from scipy import optimize
 
 from hetbai import (
+    CommSchedule,
     SweepConfig,
     aggregate,
     arm_stats,
@@ -20,7 +21,6 @@ from hetbai import (
     brute_force_g_tilde_max,
     build_instance,
     c_star_interval,
-    comm_schedule,
     confusion_pairs,
     f_eval,
     f_inverse,
@@ -134,7 +134,7 @@ def test_criterion_2_allocation_optimality():
         rates = g_tilde_per_class(v, stats, part, alloc)
         for j, cls in enumerate(part.classes):
             idx = np.array(cls)
-            G_j = gvec.entries[idx]
+            G_j = gvec[idx]
             resid = float(np.max(np.abs(H.matrix[np.ix_(idx, idx)] @ G_j - G_j / rates[j])))
             assert resid <= 1e-8, (name, j, resid)
     report(
@@ -338,14 +338,14 @@ def test_criterion_8_uniform_baseline_and_ingest():
 def test_criterion_9_schedule_and_determinism():
     # every recorded stopping time is a schedule instant
     for lam in (0.1, 0.5):
-        sched = comm_schedule(lam)
+        sched = CommSchedule(lam)
         for seed in range(3):
             rec = run_episode(symmetric_two_arm(), "het-ts", 0.1, lam, seed)
             assert sched.is_instant(rec.tau)
             assert rec.rounds == sched.round_exponent(rec.tau)
     # deduplicated consecutive ratios stay below 2 + lambda (exact arithmetic)
     for lam in (0.01, 0.5, 1.0):
-        instants = comm_schedule(lam).instants(10_000)
+        instants = CommSchedule(lam).instants(10_000)
         bn, bd = float(2.0 + lam).as_integer_ratio()
         assert all(b * bd <= bn * a for a, b in zip(instants, instants[1:])), lam
     # identical seeds give bitwise-identical records under 1 and 8 workers

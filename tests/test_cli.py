@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from hetbai import c_star_interval, load_instance, read_records, save_instance
-from hetbai import cli
+from hetbai import c_star_interval, load_instance, read_records, run_episode, save_instance
+from hetbai import cli, simulator
 from hetbai.cli import dispatch, load_sweep_config
 from hetbai.simulator import POLICIES, RECORD_FIELDS
 
@@ -207,6 +208,23 @@ class TestSweepCommand:
         assert '"lambda": 1000' in open(config).read()
         assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
         assert "lambda must be a positive finite number, got 1000" in capsys.readouterr().err
+
+    def test_step_cap_writes_finished_records_and_exits_two(self, tmp_path, monkeypatch, capsys):
+        # wide gap: delta=0.5 stops within a step cap of 20, delta=1e-300 runs past it
+        v = make_instance([(0, 1), (0, 1)], {(0, 0): 10.0, (0, 1): 0.0, (1, 0): 10.0, (1, 1): 0.0})
+        save_instance(v, str(tmp_path / "wide.json"))
+        config = self.write_config(tmp_path, str(tmp_path / "wide.json"), deltas=[0.5, 1e-300])
+        monkeypatch.setattr(
+            cli, "sweep", lambda config: simulator.sweep(dataclasses.replace(config, step_cap=20))
+        )
+        out = tmp_path / "records.csv"
+        assert dispatch(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert read_records(str(out)) == [
+            run_episode(v, "het-ts", 0.5, 0.5, seed, step_cap=20) for seed in (0, 1)
+        ]
+        err = capsys.readouterr().err
+        assert "delta=1e-300, seed=2; delta=1e-300, seed=3" in err
+        assert "seed=0" not in err and "seed=1" not in err
 
     def test_workers_flag(self, tmp_path, instance_file):
         config = self.write_config(tmp_path, instance_file)

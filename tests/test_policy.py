@@ -7,8 +7,8 @@ from scipy import special, stats as sps
 from hetbai import policy
 from hetbai import (
     Allocation,
+    CommSchedule,
     arm_stats,
-    comm_schedule,
     confusion_pairs,
     f_eval,
     f_inverse,
@@ -121,13 +121,13 @@ def exact_schedule(lam: float, count: int) -> tuple[list[int], list[int]]:
 
 class TestCommSchedule:
     def test_powers_of_two(self):
-        assert comm_schedule(1.0).instants(5) == [2, 4, 8, 16, 32]
+        assert CommSchedule(1.0).instants(5) == [2, 4, 8, 16, 32]
 
     def test_lambda_half(self):
-        assert comm_schedule(0.5).instants(8) == [2, 3, 4, 6, 8, 12, 18, 26]
+        assert CommSchedule(0.5).instants(8) == [2, 3, 4, 6, 8, 12, 18, 26]
 
     def test_lambda_hundredth_dedups(self):
-        sched = comm_schedule(0.01)
+        sched = CommSchedule(0.01)
         assert sched.instants(2) == [2, 3]
         # ceil(1.01^r) == 2 for r = 1..69; the first exponent producing 3 is 70
         assert sched.round_exponent(2) == 1
@@ -135,26 +135,26 @@ class TestCommSchedule:
 
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
-            comm_schedule(0.0)
+            CommSchedule(0.0)
         with pytest.raises(ValueError):
-            comm_schedule(-0.5)
+            CommSchedule(-0.5)
 
     def test_rejects_lambda_that_vanishes_against_one(self):
         # 1 + 2**-53 rounds to 1, so no power would ever pass the first instant
         for lam in (1e-17, 2.0**-53):
             with pytest.raises(ValueError, match=f"got {lam!r}"):
-                comm_schedule(lam)
-        assert comm_schedule(2.0**-52).lam == 2.0**-52  # representable, only slow
+                CommSchedule(lam)
+        assert CommSchedule(2.0**-52).lam == 2.0**-52  # representable, only slow
 
     def test_strictly_increasing_and_ratio_bounded(self):
         for lam in (0.01, 0.5, 1.0):
-            instants = comm_schedule(lam).instants(2000)
+            instants = CommSchedule(lam).instants(2000)
             assert all(b > a for a, b in zip(instants, instants[1:]))
             for a, b in zip(instants, instants[1:]):
                 assert exact_ratio_leq(b, a, 2.0 + lam)
 
     def test_round_lookup(self):
-        sched = comm_schedule(0.5)
+        sched = CommSchedule(0.5)
         assert sched.is_instant(6)
         assert not sched.is_instant(5)
         with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ class TestCommSchedule:
     def test_instants_and_exponents_equal_exact_reference(self, lam, count):
         # instants from 2 to past 2**300: the float estimates, where they decide,
         # and the exact powers past them
-        sched = comm_schedule(lam)
+        sched = CommSchedule(lam)
         instants = sched.instants(count)
         exponents = [sched.round_exponent(t) for t in instants]
         assert (instants, exponents) == exact_schedule(lam, count)
@@ -178,13 +178,13 @@ class TestCommSchedule:
     def test_exact_fallback_equals_reference(self, monkeypatch, lam, count):
         # a wide error bound leaves most estimates undecided, so the exact powers run
         monkeypatch.setattr(policy, "_ESTIMATE_ERROR", 2.0**-10)
-        sched = comm_schedule(lam)
+        sched = CommSchedule(lam)
         instants = sched.instants(count)
         exponents = [sched.round_exponent(t) for t in instants]
         assert (instants, exponents) == exact_schedule(lam, count)
 
     def test_iteration_is_lazy_and_unbounded(self):
-        it = iter(comm_schedule(1.0))
+        it = iter(CommSchedule(1.0))
         assert [next(it) for _ in range(4)] == [2, 4, 8, 16]
 
 

@@ -11,13 +11,13 @@ import pytest
 from scipy import stats
 
 from hetbai import (
+    CommSchedule,
     InstantLog,
     ProblemInstance,
     RunRecord,
     StepCapExceeded,
     SweepConfig,
     aggregate,
-    comm_schedule,
     export_records,
     export_summary,
     gen_hardness_instance,
@@ -51,7 +51,7 @@ def fork_children(monkeypatch):
 
 class TestRunEpisode:
     def test_stops_at_schedule_instant(self):
-        sched = comm_schedule(0.5)
+        sched = CommSchedule(0.5)
         for seed in range(5):
             rec = run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed)
             assert sched.is_instant(rec.tau)
@@ -83,7 +83,7 @@ class TestRunEpisode:
     def test_rounds_are_exponents_not_dedup_positions(self):
         # at small lambda many exponents collapse onto the first instants, so
         # the protocol round index exceeds the dedup position by a constant
-        sched = comm_schedule(0.1)
+        sched = CommSchedule(0.1)
         rec = run_episode(chain_three_arm(), "het-ts", math.exp(-8), 0.1, seed=5)
         assert rec.rounds == sched.round_exponent(rec.tau)
         # the k-th instant has exponent >= k, so tau is among the first `rounds`
@@ -107,6 +107,7 @@ class TestRunEpisode:
         with pytest.raises(StepCapExceeded) as err:
             run_batch(v, "het-ts", 0.5, [(0.5, 7), (1e-300, 8)], step_cap=20)
         assert err.value.episodes == ((1e-300, 8),)
+        assert err.value.records == (run_episode(v, "het-ts", 0.5, 0.5, seed=7, step_cap=20),)
         assert "delta=1e-300, seed=8" in str(err.value)
         assert "seed=7" not in str(err.value)
 
@@ -147,7 +148,7 @@ class TestRunEpisode:
     def test_uniform_policy_also_stops(self):
         rec = run_episode(symmetric_two_arm(), "uniform", 0.1, 0.5, seed=3)
         assert rec.policy == "uniform"
-        assert comm_schedule(0.5).is_instant(rec.tau)
+        assert CommSchedule(0.5).is_instant(rec.tau)
 
 
 class TestBatchMatchesBatchOfOne:
@@ -184,6 +185,33 @@ class TestBatchMatchesBatchOfOne:
                 reference: list[tuple] = []
                 assert record == block_run_episode(v, policy, delta, lam, seed, reference)
                 assert [(e.t, e.z, e.beta, e.stopped) for e in trace] == reference
+
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    def test_tied_empirical_best_arms(self, monkeypatch, policy):
+        # Every mean is negative and an unpulled slot reads 0, so unpulled arms tie at the
+        # top: some server steps see admissible and inadmissible rows together, whose Z is
+        # 0 and whose het-ts broadcast is all-ones.
+        sets = [tuple(range(6)), tuple(range(6)), (4, 5, 6)]
+        v = make_instance(sets, {(m, i): -3 - 0.8 * (i + 1) for m, s in enumerate(sets) for i in s})
+        mixed = {"slot_z_statistic": 0, "slot_server_vector": 0}
+
+        def spy(name, fn):
+            def wrapper(index, stats, *args):
+                mixed[name] += np.unique(stats.is_admissible()).size > 1
+                return fn(index, stats, *args)
+            return wrapper
+
+        for name in mixed:
+            monkeypatch.setattr(simulator, name, spy(name, getattr(simulator, name)))
+        tasks = [(0.1, seed) for seed in range(8)]
+        traces = [[] for _ in tasks]
+        batch = run_batch(v, policy, 0.05, tasks, traces=traces)
+        for (delta, seed), record, trace in zip(tasks, batch, traces):
+            reference: list[tuple] = []
+            assert record == block_run_episode(v, policy, delta, 0.05, seed, reference)
+            assert [(e.t, e.z, e.beta, e.stopped) for e in trace] == reference
+        assert mixed["slot_z_statistic"] > 0
+        assert mixed["slot_server_vector"] > 0 or policy == "uniform"
 
     def test_traces_match(self):
         v = chain_three_arm()
@@ -408,6 +436,22 @@ class TestSweep:
         assert errors[0].episodes == tuple((1e-8, seed) for seed in range(4))
         assert errors[1].episodes == errors[0].episodes
         assert str(errors[1]) == str(errors[0])
+        assert errors[0].records == errors[1].records == ()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_step_cap_error_keeps_finished_records(self, monkeypatch, workers):
+        # wide gap: delta=0.5 stops within the cap, delta=1e-300 runs past it; with two
+        # workers each batch finishes some episodes, and the sweep merges them in task order
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        v = make_instance([(0, 1), (0, 1)], {(0, 0): 10.0, (0, 1): 0.0, (1, 0): 10.0, (1, 1): 0.0})
+        config = SweepConfig(instance=v, deltas=(0.5, 1e-300), repetitions=3, lam=0.5,
+                             workers=workers, step_cap=20)
+        with pytest.raises(StepCapExceeded) as err:
+            sweep(config)
+        assert err.value.episodes == ((1e-300, 3), (1e-300, 4), (1e-300, 5))
+        assert err.value.records == tuple(
+            run_episode(v, "het-ts", 0.5, 0.5, seed, step_cap=20) for seed in range(3)
+        )
 
 
 class TestSweepDispatch:
@@ -569,7 +613,7 @@ class TestDrawChunks:
         # rows stop at several instants of the first 16-instant chunk, so the
         # buffers lose rows part way through it
         assert len({r.tau for r in records}) >= 3
-        assert max(r.tau for r in records) <= comm_schedule(0.5).instants(16)[-1]
+        assert max(r.tau for r in records) <= CommSchedule(0.5).instants(16)[-1]
 
     @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
     def test_step_cap_error(self, monkeypatch, policy):
