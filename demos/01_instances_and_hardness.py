@@ -41,7 +41,7 @@ v = gen_overlap_instance(1, seed=11)
 part = partition_arms(v)
 print(f"cyclic pairs connect every arm: classes = {part.classes}")
 pairs = confusion_pairs(v)
-print(f"confusion pairs (best vs challenger, 0-based): {pairs.pairs}")
+print(f"confusion pairs (best vs challenger, 0-based): {pairs}")
 
 print()
 print("=" * 70)

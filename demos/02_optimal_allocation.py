@@ -18,7 +18,6 @@ from hetbai import (
     g_tilde,
     h_matrix,
     optimal_allocation,
-    partition_arms,
 )
 
 # Two clients share arm 2 (1-based); arm 1 is easy to separate, arm 3 hard.
@@ -32,7 +31,7 @@ print(f"aggregate means {stats.global_means}, gaps {stats.gaps}, owners {stats.m
 
 H = h_matrix(v, stats)
 print("\ngap/ownership matrix (row i scaled by 1 / (gap_i^2 * owners_i^2)):")
-print(np.round(H.matrix, 4))
+print(np.round(H, 4))
 
 gvec, alloc = optimal_allocation(v, stats)
 print(f"\nglobal vector (positive, unit norm per class): {np.round(gvec, 4)}")
@@ -44,7 +43,7 @@ value = g_tilde(v, stats, alloc)
 print(f"\nidentification rate at this allocation: {value:.4f}")
 print(f"same rate under uniform sampling      : {g_tilde(v, stats, Allocation.uniform(v)):.4f}")
 
-balanced, pseudo = balance_residuals(v, stats, partition_arms(v), alloc)
+balanced, pseudo = balance_residuals(v, stats, alloc)
 print(f"\noptimality conditions: ratio mismatch {balanced:.2e}, per-class spread {pseudo:.2e}")
 
 grid_alloc, grid_value = brute_force_g_tilde_max(v, grid_step=0.01)

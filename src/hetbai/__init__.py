@@ -10,7 +10,6 @@ communicates only at exponentially spaced instants.
 from .instance import (
     ArmPartition,
     ArmStats,
-    ConfusionPairs,
     ProblemInstance,
     SlotIndex,
     ValidationReport,
@@ -29,7 +28,6 @@ from .instance import (
 )
 from .allocation import (
     Allocation,
-    HMatrix,
     PowerIterationError,
     allocation_from_global,
     balance_residuals,

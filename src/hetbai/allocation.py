@@ -17,16 +17,17 @@ Two rate functionals drive everything:
 
 * ``g_tilde`` -- per-arm relaxed rate, ``min_i (gap_i^2 / 2) / T_i`` with
   ``T_i = (1/mult_i^2) * sum_m 1/w[i, m]`` over owning clients.
-* ``g_exact`` -- pairwise rate over the confusion pairs,
-  ``min_pair ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)``; it equals the distance of
-  the instance to the nearest configuration whose best-arm vector differs,
-  and always lies within a factor of two of ``g_tilde``.
+* ``g_exact`` -- pairwise rate over the confusion pairs (each client's best
+  arm against every other arm it owns),
+  ``min_pair ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)``; it always lies within a
+  factor of two of ``g_tilde``.
 
-Both return 0 when any owned weight is zero.  Every functional is an array
-expression over the instance's slots (one slot per (client, arm) pair), and
-one kernel computes ``T`` and the pairwise minimum: ``g_exact`` applies it
-to the weights, and the stopping statistic ``Z(t)`` applies it to the raw
-pull counts, so ``Z(t) = t * g_exact(N(t) / t)`` by construction.
+Both return 0 when any owned weight is zero.  Every functional takes
+``(instance, stats, allocation)`` and is an array expression over the
+instance's slots (one slot per (client, arm) pair).  One helper pairs each
+slot's arm with its client's best arm and takes the pairwise minimum:
+``g_exact`` applies it to the weights, and the stopping statistic ``Z(t)``
+to the raw pull counts, so ``Z(t) = t * g_exact(N(t) / t)`` by construction.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ from typing import Sequence
 import numpy as np
 
 from .instance import (
-    ArmPartition,
     ArmStats,
-    ConfusionPairs,
     ProblemInstance,
     SlotIndex,
+    _confusion_best,
     arm_stats,
     slot_index,
     slot_stats,
@@ -51,7 +51,6 @@ from .instance import (
 
 __all__ = [
     "Allocation",
-    "HMatrix",
     "PowerIterationError",
     "h_matrix",
     "perron_positive_eigenvector",
@@ -121,18 +120,6 @@ class Allocation:
         )
 
 
-@dataclass
-class HMatrix:
-    """Dense nonnegative matrix whose per-class blocks carry the allocation.
-
-    Entry (i1, i2) is the number of clients owning both arms, divided by
-    ``gap(i1)^2 * mult(i1)^2``.  Entries across distinct classes are zero.
-    """
-
-    matrix: np.ndarray
-    partition: ArmPartition
-
-
 class PowerIterationError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None) -> None:
         super().__init__(message if residual is None else f"{message} (residual {residual:.3e})")
@@ -146,13 +133,16 @@ def _inverse_scale(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     return 1.0 / (stats.gaps**2 * index.squared_multiplicities)
 
 
-def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> HMatrix:
-    """Allocation matrix; requires all separation gaps to be positive."""
+def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> np.ndarray:
+    """The K x K allocation matrix ``H = D C``; requires all separation gaps to be positive.
+
+    Entry (i1, i2) is the number of clients owning both arms, divided by
+    ``gap(i1)^2 * mult(i1)^2``.  Entries across distinct classes are zero.
+    """
     index = slot_index(instance)
     if stats is None:
         stats = slot_stats(index, index.flatten(instance.means))
-    scale = _inverse_scale(index, stats)
-    return HMatrix(matrix=index.co_ownership * scale[:, None], partition=index.partition)
+    return index.co_ownership * _inverse_scale(index, stats)[:, None]
 
 
 def perron_positive_eigenvector(
@@ -301,25 +291,24 @@ def optimal_allocation(
     return gvec, allocation_from_global(gvec, instance)
 
 
-def _pair_rate(
-    stack: SlotIndex,
-    stats: ArmStats,
-    slot_values: np.ndarray,
-    i1: np.ndarray,
-    i2: np.ndarray,
-    pairs: np.ndarray | bool = True,
+def _confusion_rate(
+    stack: SlotIndex, stats: ArmStats, slot_values: np.ndarray, best: np.ndarray
 ) -> np.ndarray:
-    """``min ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)`` over the pairs ``(i1[k], i2[k])``.
+    """``min ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)`` over the confusion pairs.
 
+    Slot ``s`` pairs its client's best arm ``best[s]`` with its own arm unless
+    the two are one: each client's best arm against every other arm it owns.
     ``T_i = (1 / mult_i^2) * sum 1/value`` over the slots of arm ``i``, where a
     zero value counts as ``1/0 = inf`` (so every pair touching it has rate 0).
     On pull counts this is ``Z(t)``; on slot-ordered weights, ``g_exact``.
-    ``inf`` when there are no pairs.  ``slot_values`` may stack configurations
-    as ``(B, K')`` rows (with ``stats`` stacked alike), and ``stack`` is then
-    ``index.stacked(B)``; the pair ends index the flattened per-arm arrays
-    (arm ``i`` of row ``b`` is ``b * K + i``), shaped ``(B, P)``, and the
-    minimum over the entries where ``pairs`` holds is taken per row.
+    ``slot_values`` may stack configurations as ``(B, K')`` rows (with
+    ``stats`` stacked alike), and ``stack`` is then ``index.stacked(B)``;
+    ``best`` then names arms as the stack does (arm ``i`` of row ``b`` is
+    ``b * K + i``), and the minimum is taken per row.
     """
+    shape = np.shape(slot_values)
+    best = best.reshape(shape)
+    own = stack.slot_arm.reshape(shape)
     values = np.ravel(slot_values)
     recip = np.full(values.shape, np.inf)
     np.divide(1.0, values, out=recip, where=values > 0)
@@ -328,9 +317,9 @@ def _pair_rate(
         / stack.squared_multiplicities
     )
     means = stats.global_means.ravel()
-    gap = means[i1] - means[i2]
-    rates = gap * gap / 2.0 / (T[i1] + T[i2])
-    return np.minimum.reduce(rates, axis=-1, initial=np.inf, where=pairs)
+    gap = means[best] - means[own]
+    rates = gap * gap / 2.0 / (T[best] + T[own])
+    return np.minimum.reduce(rates, axis=-1, initial=np.inf, where=best != own)
 
 
 def _arm_rates(index: SlotIndex, stats: ArmStats, allocation: Allocation) -> np.ndarray | None:
@@ -349,17 +338,17 @@ def g_tilde(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) 
 
 
 def g_tilde_per_class(
-    instance: ProblemInstance,
-    stats: ArmStats,
-    partition: ArmPartition,
-    allocation: Allocation,
+    instance: ProblemInstance, stats: ArmStats, allocation: Allocation
 ) -> np.ndarray:
     """Per-class variant without the 1/2 factor (eigenvalue convention).
 
-    The top eigenvalue of class block ``j`` equals the reciprocal of this
-    value at the optimal allocation.
+    One entry per class of :func:`~hetbai.instance.partition_arms`.  The top
+    eigenvalue of class block ``j`` equals the reciprocal of this value at
+    the optimal allocation.
     """
-    values = _arm_rates(slot_index(instance), stats, allocation)
+    index = slot_index(instance)
+    partition = index.partition
+    values = _arm_rates(index, stats, allocation)
     if values is None:
         return np.zeros(len(partition.classes))
     out = np.full(len(partition.classes), np.inf)
@@ -367,19 +356,20 @@ def g_tilde_per_class(
     return out
 
 
-def g_exact(
-    instance: ProblemInstance,
-    stats: ArmStats,
-    pairs: ConfusionPairs,
-    allocation: Allocation,
-) -> float:
-    """Pairwise identification rate over the confusion pairs."""
+def g_exact(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) -> float:
+    """Pairwise identification rate over the confusion pairs.
+
+    The pairs are those of :func:`~hetbai.instance.confusion_pairs`, and the
+    pairing is the stopping statistic's (``Z(t) = t * g_exact(N(t) / t)``).
+    Raises ``ValueError`` when ``stats`` have a zero gap (the pairs are
+    undefined under ties); 0 when an owned weight is at most ``ZERO_WEIGHT``.
+    """
     index = slot_index(instance)
+    best = _confusion_best(index, stats)
     w = index.flatten(allocation.weights)
     if np.any(w <= ZERO_WEIGHT):
         return 0.0
-    ends = np.array(pairs.pairs, dtype=np.int64).reshape(-1, 2)
-    return float(_pair_rate(index, stats, w, ends[:, 0], ends[:, 1]))
+    return float(_confusion_rate(index, stats, w, best))
 
 
 def c_star_interval(
@@ -404,16 +394,14 @@ def c_star_interval(
 
 
 def balance_residuals(
-    instance: ProblemInstance,
-    stats: ArmStats,
-    partition: ArmPartition,
-    allocation: Allocation,
+    instance: ProblemInstance, stats: ArmStats, allocation: Allocation
 ) -> tuple[float, float]:
     """How far an allocation is from the two optimality conditions.
 
     Returns ``(balanced, pseudo_balanced)``: the worst mismatch of arm-weight
     ratios across clients sharing both arms, and the worst relative spread of
-    the per-arm rate values within a class.  Per ordered arm pair, the worst
+    the per-arm rate values within a class of
+    :func:`~hetbai.instance.partition_arms`.  Per ordered arm pair, the worst
     mismatch over two sharing clients is the largest ratio minus the smallest.
     """
     index = slot_index(instance)
@@ -432,7 +420,7 @@ def balance_residuals(
         np.minimum.at(low, pair, ratio)
     balanced = float(np.max(high - low, initial=0.0))
     pseudo = 0.0
-    for cls in partition.classes:
+    for cls in index.partition.classes:
         vals = values[np.array(cls)]
         if len(vals) > 1:
             pseudo = max(pseudo, float((vals.max() - vals.min()) / vals.mean()))

@@ -45,27 +45,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Optional numeric config fields -> (SweepConfig field, JSON type, name of that type).
-_OPTIONAL = {
-    "lambda": ("lam", (int, float), "a number"),
-    "repetitions": ("repetitions", int, "an integer"),
-    "seed": ("base_seed", int, "an integer"),
-    "workers": ("workers", int, "an integer"),
-}
+# Optional config fields -> SweepConfig field.
+_OPTIONAL = {"lambda": "lam", "repetitions": "repetitions", "seed": "base_seed", "workers": "workers"}
 _CONFIG_FIELDS = {"instance", "deltas", "policy", *_OPTIONAL}
 _DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
-
-
-def _of_type(value: object, kind: type | tuple[type, ...]) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_sweep_config(path: str) -> SweepConfig:
     """Parse and validate a sweep config JSON, listing every violation.
 
     Required fields: ``instance`` (path, relative to the config file) and
-    ``deltas``; the others default to :class:`SweepConfig`'s.  Value ranges
-    are the rules of :func:`hetbai.simulator.input_violations`.
+    ``deltas``; the others default to :class:`SweepConfig`'s.  Value types
+    and ranges are the rules of :func:`hetbai.simulator.input_violations`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -78,19 +69,12 @@ def load_sweep_config(path: str) -> SweepConfig:
     for name in ("instance", "deltas"):
         if name not in doc:
             problems.append(f"missing required field {name!r}")
-    cfg = {"policy": doc.get("policy", _DEFAULTS["policy"])}  # SweepConfig field -> value
-    for name, (field, kind, noun) in _OPTIONAL.items():
-        value = doc.get(name, _DEFAULTS[field])
-        if not _of_type(value, kind):
-            problems.append(f"{name} must be {noun}, got {value!r}")
-            value = _DEFAULTS[field]  # reported; the range rules see the default
-        cfg[field] = value
+    cfg = {field: doc.get(name, _DEFAULTS[field]) for name, field in _OPTIONAL.items()}
+    cfg["policy"] = doc.get("policy", _DEFAULTS["policy"])
     deltas = doc.get("deltas", [])
     if not isinstance(deltas, list):
         problems.append(f"deltas must be a list, got {deltas!r}")
         deltas = []
-    problems += [f"delta {d!r} is not a number" for d in deltas if not _of_type(d, (int, float))]
-    deltas = [d for d in deltas if _of_type(d, (int, float))]
     if not isinstance(doc.get("instance", ""), str):
         problems.append("instance must be a path string")
     problems += input_violations(

@@ -27,7 +27,6 @@ __all__ = [
     "ValidationReport",
     "ArmStats",
     "ArmPartition",
-    "ConfusionPairs",
     "SlotIndex",
     "validate",
     "arm_stats",
@@ -164,13 +163,6 @@ class ArmPartition:
 
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ConfusionPairs:
-    """Ordered (best arm, challenger) pairs, one group per client, deduplicated."""
-
-    pairs: tuple[tuple[int, int], ...]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -505,19 +497,30 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
     )
 
 
-def confusion_pairs(instance: ProblemInstance, stats: ArmStats | None = None) -> ConfusionPairs:
-    """All (client best arm, other arm in that client's set) pairs."""
+def _confusion_best(index: SlotIndex, stats: ArmStats) -> np.ndarray:
+    """Each slot's client best arm, the arm every other slot of the client is confused with.
+
+    Raises ``ValueError`` when ``stats`` have a zero gap.
+    """
+    if not stats.all_admissible:
+        raise ValueError("inadmissible instance: confusion pairs are undefined under ties")
+    return stats.best_arms[index.slot_client]
+
+
+def confusion_pairs(
+    instance: ProblemInstance, stats: ArmStats | None = None
+) -> tuple[tuple[int, int], ...]:
+    """Sorted, distinct (client best arm, other arm in that client's set) pairs.
+
+    Built from the slot arrays as ``allocation.g_exact`` pairs them, so these
+    are exactly the pairs it minimizes over.
+    """
     if stats is None:
         stats = arm_stats(instance)
-    if not stats.is_admissible():
-        raise ValueError("inadmissible instance: confusion pairs are undefined under ties")
-    pairs = {
-        (int(stats.best_arms[m]), i)
-        for m, arms in enumerate(instance.arm_sets)
-        for i in arms
-        if i != int(stats.best_arms[m])
-    }
-    return ConfusionPairs(pairs=tuple(sorted(pairs)))
+    index = slot_index(instance)
+    best = _confusion_best(index, stats)
+    pairs = best != index.slot_arm
+    return tuple(sorted(set(zip(best[pairs].tolist(), index.slot_arm[pairs].tolist()))))
 
 
 def partition_arms(instance: ProblemInstance) -> ArmPartition:

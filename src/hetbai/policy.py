@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .allocation import _pair_rate, slot_global_vector
+from .allocation import _confusion_rate, slot_global_vector
 from .instance import ArmStats, SlotIndex
 
 __all__ = [
@@ -236,7 +236,7 @@ def slot_z_statistic(
 ) -> float | np.ndarray:
     """Distance of the empirical configuration from the nearest alternative.
 
-    Evaluated on raw pull counts (one per slot) by the pair-rate kernel of
+    Evaluated on raw pull counts (one per slot) by the pairing helper of
     ``allocation.g_exact``: the minimum over confusion pairs (each client's
     best arm against every other arm it owns) of ``(mu1 - mu2)^2 / 2``
     divided by the two arms' reciprocal-count sums (scaled by squared
@@ -248,12 +248,8 @@ def slot_z_statistic(
     row, each equal to that row's value alone.
     """
     counts = np.asarray(slot_counts)
-    shape = counts.shape
     stack = index.stacked(counts.size // index.num_slots)
-    # Every slot pairs its client's best arm with its own arm; the best arm's own slot is no pair.
-    best = stats.top_arms[stack.slot_client].reshape(shape)
-    own = stack.slot_arm.reshape(shape)
-    z = _pair_rate(stack, stats, counts, best, own, best != own)
+    z = _confusion_rate(stack, stats, counts, stats.top_arms[stack.slot_client])
     if stats.all_admissible:
         return float(z) if counts.ndim == 1 else z
     return 0.0 if counts.ndim == 1 else np.where(stats.is_admissible(), z, 0.0)

@@ -138,6 +138,11 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value: object) -> bool:
+    """A Python or numpy int or float, not a ``bool``."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def input_violations(
     policy: str,
     lam: float,
@@ -149,6 +154,7 @@ def input_violations(
 ) -> list[str]:
     """One message per broken input rule of a sweep or an episode batch, each bad value once.
 
+    ``lam`` and the deltas are Python or numpy ints or floats (not ``bool``);
     ``lam`` must be positive and convert to a finite float (an integer too
     large for a float does not), and ``1 + lam`` must exceed 1, or the
     communication schedule never leaves its first instant; numpy seeds must
@@ -157,23 +163,28 @@ def input_violations(
     let the step and the pull counts pass the integers a float holds
     exactly, which D-tracking relies on (see :func:`~hetbai.policy.track_pulls`).
     Seeds, ``repetitions``, ``workers`` and ``step_cap`` are Python or numpy
-    integers (not ``bool``), the last three at least 1.
+    integers (not ``bool``), the last three at least 1.  A bad delta or seed
+    is named once per ``repr``: no value is hashed, so a list gets a message.
     """
     problems = []
     if policy not in POLICIES:
         problems.append(f"policy must be one of {', '.join(POLICIES)}, got {policy!r}")
     try:
-        finite = math.isfinite(lam)  # an int too large for a float raises
+        finite = _is_real(lam) and math.isfinite(lam)  # an int too large for a float raises
     except OverflowError:
         finite = False
-    if not (finite and lam > 0.0):
+    if not _is_real(lam):
+        problems.append(f"lambda must be a number, got {lam!r}")
+    elif not (finite and lam > 0.0):
         problems.append(f"lambda must be a positive finite number, got {lam!r}")
     elif 1.0 + lam == 1.0:
         problems.append(f"lambda must not vanish against 1 (1 + lambda == 1), got {lam!r}")
     if not deltas:
         problems.append("deltas must be nonempty")
-    problems += [f"delta {d!r} outside (0, 1)" for d in dict.fromkeys(deltas) if not 0.0 < d < 1.0]
-    for s in dict.fromkeys(seeds):
+    deltas = {repr(d): d for d in deltas}.values()
+    problems += [f"delta must be a number, got {d!r}" for d in deltas if not _is_real(d)]
+    problems += [f"delta {d!r} outside (0, 1)" for d in deltas if _is_real(d) and not 0.0 < d < 1.0]
+    for s in {repr(s): s for s in seeds}.values():
         if not _is_integer(s):
             problems.append(f"seed must be an integer, got {s!r}")
         elif s < 0:

@@ -289,7 +289,7 @@ def loop_g_exact(instance, stats, pairs, allocation) -> float:
     mult = stats.multiplicities.astype(float)
     T = recip / mult**2
     best = math.inf
-    for i1, i2 in pairs.pairs:
+    for i1, i2 in pairs:
         gap = stats.global_means[i1] - stats.global_means[i2]
         best = min(best, (gap * gap / 2.0) / (T[i1] + T[i2]))
     return float(best)

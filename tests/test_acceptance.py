@@ -87,9 +87,9 @@ def test_criterion_1_sandwich_and_pairwise_oracle():
         pairs = confusion_pairs(v, stats)
         alloc = random_positive_allocation(rng, v)
         gt = g_tilde(v, stats, alloc)
-        ge = g_exact(v, stats, pairs, alloc)
+        ge = g_exact(v, stats, alloc)
         assert gt / 2.0 * (1.0 - 1e-9) <= ge <= gt * (1.0 + 1e-9)
-        oracle = min(pair_rate_by_scalar_search(v, stats, alloc, p) for p in pairs.pairs)
+        oracle = min(pair_rate_by_scalar_search(v, stats, alloc, p) for p in pairs)
         assert math.isclose(ge, oracle, rel_tol=1e-6)
         worst_ratio = max(worst_ratio, abs(ge - oracle) / max(ge, 1e-300))
     report("criterion 1 (sandwich + pairwise oracle)", True, f"worst oracle gap {worst_ratio:.2e}")
@@ -127,15 +127,15 @@ def test_criterion_2_allocation_optimality():
         _, grid_value = brute_force_g_tilde_max(v, 0.01)
         assert value >= grid_value - 1e-3, (name, value, grid_value)
         worst_gap = max(worst_gap, grid_value - value)
-        balanced, pseudo = balance_residuals(v, stats, part, alloc)
+        balanced, pseudo = balance_residuals(v, stats, alloc)
         assert balanced <= 1e-12, (name, balanced)
         assert pseudo <= 1e-8, (name, pseudo)
         H = h_matrix(v, stats)
-        rates = g_tilde_per_class(v, stats, part, alloc)
+        rates = g_tilde_per_class(v, stats, alloc)
         for j, cls in enumerate(part.classes):
             idx = np.array(cls)
             G_j = gvec[idx]
-            resid = float(np.max(np.abs(H.matrix[np.ix_(idx, idx)] @ G_j - G_j / rates[j])))
+            resid = float(np.max(np.abs(H[np.ix_(idx, idx)] @ G_j - G_j / rates[j])))
             assert resid <= 1e-8, (name, j, resid)
     report(
         "criterion 2 (eigenvector allocation optimal, balanced, eigen-consistent)",

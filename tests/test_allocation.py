@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -13,7 +14,6 @@ from hetbai import (
     balance_residuals,
     brute_force_g_tilde_max,
     c_star_interval,
-    ConfusionPairs,
     confusion_pairs,
     g_exact,
     g_tilde,
@@ -103,20 +103,20 @@ class TestHMatrix:
     def test_symmetric_two_by_two(self):
         v = symmetric_two_arm()
         H = h_matrix(v, arm_stats(v))
-        np.testing.assert_allclose(H.matrix, [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(H, [[0.5, 0.5], [0.5, 0.5]])
 
     def test_unequal_gaps_synthetic_stats(self):
         v = single_client_two_arm()
         H = h_matrix(v, synthetic_stats_gap_1_2(v))
-        np.testing.assert_allclose(H.matrix, [[1.0, 1.0], [0.25, 0.25]])
+        np.testing.assert_allclose(H, [[1.0, 1.0], [0.25, 0.25]])
 
     def test_disjoint_classes_block_diagonal(self):
         v = make_instance(
             [(0, 1), (2, 3)], {(0, 0): 1.0, (0, 1): 0.0, (1, 2): 1.0, (1, 3): 0.0}
         )
         H = h_matrix(v, arm_stats(v))
-        assert np.all(H.matrix[np.ix_([0, 1], [2, 3])] == 0.0)
-        assert np.all(H.matrix[np.ix_([2, 3], [0, 1])] == 0.0)
+        assert np.all(H[np.ix_([0, 1], [2, 3])] == 0.0)
+        assert np.all(H[np.ix_([2, 3], [0, 1])] == 0.0)
 
     def test_rejects_zero_gap(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0})
@@ -133,9 +133,9 @@ class TestHMatrix:
             v = random_admissible_instance(rng)
             H = h_matrix(v, arm_stats(v))
             stats = arm_stats(v)
-            for cls in H.partition.classes:
+            for cls in partition_arms(v).classes:
                 idx = np.array(cls)
-                B = H.matrix[np.ix_(idx, idx)]
+                B = H[np.ix_(idx, idx)]
                 scale = 1.0 / (stats.gaps[idx] ** 2 * stats.multiplicities[idx].astype(float) ** 2)
                 root = np.sqrt(scale)
                 conjugated = (1.0 / root)[:, None] * B * root[None, :]
@@ -189,8 +189,8 @@ class TestPowerIteration:
         for _ in range(20):
             v = random_admissible_instance(rng)
             H = h_matrix(v, arm_stats(v))
-            for cls in H.partition.classes:
-                B = H.matrix[np.ix_(cls, cls)]
+            for cls in partition_arms(v).classes:
+                B = H[np.ix_(cls, cls)]
                 u, lam = perron_positive_eigenvector(B)
                 assert np.min(u) > 0
                 assert math.isclose(float(np.linalg.norm(u)), 1.0, rel_tol=1e-10)
@@ -262,11 +262,11 @@ class TestGlobalVector:
             part = partition_arms(v)
             H = h_matrix(v, stats)
             gv, alloc = optimal_allocation(v, stats)
-            rates = g_tilde_per_class(v, stats, part, alloc)
+            rates = g_tilde_per_class(v, stats, alloc)
             for j, cls in enumerate(part.classes):
                 idx = np.array(cls)
                 G_j = gv[idx]
-                resid = np.max(np.abs(H.matrix[np.ix_(idx, idx)] @ G_j - G_j / rates[j]))
+                resid = np.max(np.abs(H[np.ix_(idx, idx)] @ G_j - G_j / rates[j]))
                 assert resid <= 1e-8 * max(1.0, 1.0 / rates[j])
 
 
@@ -325,8 +325,24 @@ class TestAllocationFromGlobal:
             v = random_admissible_instance(rng)
             stats = arm_stats(v)
             alloc = allocation_from_global(rng.uniform(0.2, 3.0, size=v.num_arms), v)
-            balanced, _ = balance_residuals(v, stats, partition_arms(v), alloc)
+            balanced, _ = balance_residuals(v, stats, alloc)
             assert balanced <= 1e-12
+
+
+class TestAllocationFields:
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (((0.5, 0.5),), "weights not aligned with arm sets"),
+            (((0.5, 0.5), (1.0,)), "client 2: weights not aligned with arm set"),
+            (((0.5, 0.5), (1.5, -0.5)), "client 2: negative weight"),
+            (((0.5, 0.5), (0.25, 0.25)), "client 2: weights sum to 0.5, not 1"),
+        ],
+        ids=["rows", "row-length", "negative", "sum"],
+    )
+    def test_rejects(self, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Allocation(arm_sets=((0, 1), (0, 1)), weights=weights)
 
 
 class TestRateFunctionals:
@@ -347,7 +363,7 @@ class TestRateFunctionals:
     def test_g_exact_symmetric_uniform(self):
         v = symmetric_two_arm()
         stats = arm_stats(v)
-        value = g_exact(v, stats, confusion_pairs(v, stats), Allocation.uniform(v))
+        value = g_exact(v, stats, Allocation.uniform(v))
         assert math.isclose(value, 0.25, rel_tol=1e-12)
 
     def test_g_exact_single_client(self):
@@ -355,24 +371,30 @@ class TestRateFunctionals:
         v = single_client_two_arm()
         stats = arm_stats(v)
         alloc = Allocation.from_rows(v, [(0.8, 0.2)])
-        value = g_exact(v, stats, confusion_pairs(v, stats), alloc)
+        value = g_exact(v, stats, alloc)
         assert math.isclose(value, 0.08, rel_tol=1e-12)
+
+    def test_g_exact_rejects_ties(self):
+        # the pairs are undefined when a client's best arm is tied
+        v = single_client_two_arm()
+        stats = arm_stats(make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0}))
+        with pytest.raises(ValueError, match="^inadmissible instance: confusion pairs are undefined"):
+            g_exact(v, stats, Allocation.uniform(v))
 
     def test_g_exact_zero_weight(self):
         v = symmetric_two_arm()
         stats = arm_stats(v)
         alloc = Allocation.from_rows(v, [(1.0, 0.0), (0.5, 0.5)])
-        assert g_exact(v, stats, confusion_pairs(v, stats), alloc) == 0.0
+        assert g_exact(v, stats, alloc) == 0.0
 
     def test_sandwich_randomized(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             v = random_admissible_instance(rng)
             stats = arm_stats(v)
-            pairs = confusion_pairs(v, stats)
             alloc = random_positive_allocation(rng, v)
             gt = g_tilde(v, stats, alloc)
-            ge = g_exact(v, stats, pairs, alloc)
+            ge = g_exact(v, stats, alloc)
             assert gt / 2 * (1 - 1e-9) <= ge <= gt * (1 + 1e-9)
 
     def test_g_exact_matches_scalar_search_oracle(self):
@@ -382,8 +404,8 @@ class TestRateFunctionals:
             stats = arm_stats(v)
             pairs = confusion_pairs(v, stats)
             alloc = random_positive_allocation(rng, v)
-            oracle = min(pairwise_rate_oracle(v, stats, alloc, p) for p in pairs.pairs)
-            value = g_exact(v, stats, pairs, alloc)
+            oracle = min(pairwise_rate_oracle(v, stats, alloc, p) for p in pairs)
+            value = g_exact(v, stats, alloc)
             assert math.isclose(value, oracle, rel_tol=1e-6)
 
 
@@ -411,7 +433,7 @@ class TestBalanceResiduals:
         for v in (symmetric_two_arm(), chain_three_arm()):
             stats = arm_stats(v)
             _, alloc = optimal_allocation(v, stats)
-            balanced, pseudo = balance_residuals(v, stats, partition_arms(v), alloc)
+            balanced, pseudo = balance_residuals(v, stats, alloc)
             assert balanced <= 1e-8
             assert pseudo <= 1e-8
 
@@ -419,7 +441,7 @@ class TestBalanceResiduals:
         # per-arm values are {0.5, 2.0}: spread 1.5 over mean 1.25 -> 1.2
         v = single_client_two_arm()
         stats = synthetic_stats_gap_1_2(v)
-        _, pseudo = balance_residuals(v, stats, partition_arms(v), Allocation.uniform(v))
+        _, pseudo = balance_residuals(v, stats, Allocation.uniform(v))
         assert math.isclose(pseudo, 1.2, rel_tol=1e-12)
 
     def test_balanced_equals_pairwise_loop(self):
@@ -428,15 +450,13 @@ class TestBalanceResiduals:
             v = random_overlap_instance(rng) if k % 2 else random_admissible_instance(rng)
             stats = arm_stats(v)
             alloc = optimal_allocation(v, stats)[1] if k % 3 == 0 else random_positive_allocation(rng, v)
-            balanced, _ = balance_residuals(v, stats, partition_arms(v), alloc)
+            balanced, _ = balance_residuals(v, stats, alloc)
             assert balanced == loop_balanced(alloc)
 
     def test_requires_positive_weights(self):
         v = single_client_two_arm()
         with pytest.raises(ValueError):
-            balance_residuals(
-                v, arm_stats(v), partition_arms(v), Allocation.from_rows(v, [(1.0, 0.0)])
-            )
+            balance_residuals(v, arm_stats(v), Allocation.from_rows(v, [(1.0, 0.0)]))
 
 
 class TestSlotFunctionalsMatchLoops:
@@ -455,13 +475,13 @@ class TestSlotFunctionalsMatchLoops:
         for v, stats, alloc in self.cases():
             part = partition_arms(v)
             pairs = confusion_pairs(v, stats)
-            assert g_exact(v, stats, pairs, alloc) == loop_g_exact(v, stats, pairs, alloc)
+            assert g_exact(v, stats, alloc) == loop_g_exact(v, stats, pairs, alloc)
             assert g_tilde(v, stats, alloc) == loop_g_tilde(v, stats, alloc)
             assert np.array_equal(
-                g_tilde_per_class(v, stats, part, alloc),
+                g_tilde_per_class(v, stats, alloc),
                 loop_g_tilde_per_class(v, stats, part, alloc),
             )
-            _, pseudo = balance_residuals(v, stats, part, alloc)
+            _, pseudo = balance_residuals(v, stats, alloc)
             assert pseudo == loop_pseudo_balance(v, stats, part, alloc)
 
     def test_tiny_owned_weight_gives_zero(self):
@@ -470,13 +490,8 @@ class TestSlotFunctionalsMatchLoops:
         stats = arm_stats(v)
         alloc = Allocation.from_rows(v, [(1.0, ZERO_WEIGHT), (0.5, 0.5)])
         assert g_tilde(v, stats, alloc) == 0.0
-        assert g_exact(v, stats, confusion_pairs(v, stats), alloc) == 0.0
-        assert np.array_equal(g_tilde_per_class(v, stats, partition_arms(v), alloc), [0.0])
-
-    def test_no_pairs_give_infinite_rate(self):
-        v = chain_three_arm()
-        stats = arm_stats(v)
-        assert g_exact(v, stats, ConfusionPairs(pairs=()), Allocation.uniform(v)) == math.inf
+        assert g_exact(v, stats, alloc) == 0.0
+        assert np.array_equal(g_tilde_per_class(v, stats, alloc), [0.0])
 
 
 class TestBruteForceOracle:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -209,6 +210,16 @@ class TestSweepCommand:
         assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
         assert "lambda must be a positive finite number, got 1000" in capsys.readouterr().err
 
+    def test_non_number_lambda_and_delta_exit_two_naming_both(
+        self, tmp_path, instance_file, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "sweep", None)
+        config = self.write_config(tmp_path, instance_file, **{"lambda": "0.1", "deltas": [[0.1]]})
+        assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "lambda must be a number, got '0.1'" in err
+        assert "delta must be a number, got [0.1]" in err
+
     def test_step_cap_writes_finished_records_and_exits_two(self, tmp_path, monkeypatch, capsys):
         # wide gap: delta=0.5 stops within a step cap of 20, delta=1e-300 runs past it
         v = make_instance([(0, 1), (0, 1)], {(0, 0): 10.0, (0, 1): 0.0, (1, 0): 10.0, (1, 1): 0.0})
@@ -296,6 +307,23 @@ class TestLoadSweepConfig:
                        "workers must be a positive integer, got 0",
                        "seed must be an integer, got 'one'"):
             assert needle in message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"instance": "v.json", "deltas": [0.1]', "invalid sweep config JSON: "),
+            ('["v.json", [0.1]]', "sweep config must be a JSON object"),
+            ('{"instance": "v.json"}', "invalid sweep config: missing required field 'deltas'"),
+            ('{"instance": "v.json", "deltas": 0.1}', "invalid sweep config: deltas must be a list, got 0.1"),
+            ('{"instance": 3, "deltas": [0.1]}', "invalid sweep config: instance must be a path string"),
+        ],
+        ids=["invalid-json", "not-an-object", "no-deltas", "deltas-not-a-list", "instance-not-a-string"],
+    )
+    def test_file_level_rejections(self, tmp_path, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_sweep_config(str(path))
 
     def test_unknown_policy_rejected(self, tmp_path, instance_file):
         path = self.write(

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -100,6 +101,27 @@ class TestValidate:
         assert not report.structurally_valid
         assert any("arm 3" in msg for msg in report.violations)
 
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            (ProblemInstance(num_arms=0, num_clients=1, arm_sets=((),), means=((),)),
+             "instance has no arms"),
+            (ProblemInstance(num_arms=2, num_clients=0, arm_sets=(), means=()),
+             "instance has no clients"),
+            (ProblemInstance(num_arms=2, num_clients=1, arm_sets=((0, 1, 5),), means=((1.0, 0.0, 2.0),)),
+             "client 1: arm index 6 outside 1..2"),
+            (ProblemInstance(num_arms=2, num_clients=1, arm_sets=((0, 1),), means=((1.0, math.nan),)),
+             "client 1: non-finite mean for arm 2"),
+            (ProblemInstance(num_arms=2, num_clients=1, arm_sets=((0, 1),), means=((-math.inf, 0.0),)),
+             "client 1: non-finite mean for arm 1"),
+        ],
+        ids=["no-arms", "no-clients", "arm-outside", "nan-mean", "infinite-mean"],
+    )
+    def test_structural_violation_reported(self, instance, message):
+        report = validate(instance)
+        assert not report.structurally_valid and not report.admissible
+        assert message in report.violations
+
     def test_admissible_iff_all_gaps_positive(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -197,10 +219,10 @@ class TestSlotReductions:
 class TestConfusionPairs:
     def test_single_client(self):
         v = make_instance([(0, 1, 2)], {(0, 0): 3.0, (0, 1): 2.0, (0, 2): 1.0})
-        assert confusion_pairs(v).pairs == ((0, 1), (0, 2))
+        assert confusion_pairs(v) == ((0, 1), (0, 2))
 
     def test_shared_pair_deduplicated(self):
-        assert confusion_pairs(symmetric_two_arm()).pairs == ((0, 1),)
+        assert confusion_pairs(symmetric_two_arm()) == ((0, 1),)
 
     def test_overlap_pattern_against_enumeration(self):
         v = gen_overlap_instance(1, seed=5)
@@ -211,7 +233,7 @@ class TestConfusionPairs:
             for i in arms:
                 if i != best:
                     expected.add((best, i))
-        assert set(confusion_pairs(v, stats).pairs) == expected
+        assert set(confusion_pairs(v, stats)) == expected
 
     def test_rejects_inadmissible(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0})
@@ -223,7 +245,7 @@ class TestConfusionPairs:
         for _ in range(20):
             v = random_admissible_instance(rng)
             part = partition_arms(v)
-            for i1, i2 in confusion_pairs(v).pairs:
+            for i1, i2 in confusion_pairs(v):
                 assert part.class_of[i1] == part.class_of[i2]
 
 
@@ -369,6 +391,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="duplicate mean"):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"doc": [1, 2]}, "instance JSON must be an object"),
+            ({"K": 2.0}, "K and M must be integers"),
+            ({"M": True}, "K and M must be integers"),
+            ({"arm_sets": [[1, 2]]}, "arm_sets must be a list with one entry per client"),
+            ({"arm_sets": {"1": [1, 2]}}, "arm_sets must be a list with one entry per client"),
+            ({"arm_sets": [[1, 2], [1, 2.0]]}, "each arm set must be a list of integers"),
+            ({"arm_sets": [[1, 2], 3]}, "each arm set must be a list of integers"),
+            ({"means": {"client": 1, "arm": 1, "mu": 1.0}}, "means must be a list of records"),
+        ],
+        ids=["not-an-object", "float-K", "bool-M", "short-arm-sets", "arm-sets-object",
+             "float-arm", "arm-set-not-a-list", "means-object"],
+    )
+    def test_malformed_document_rejected(self, change, message):
+        doc = {**json.loads(to_json(symmetric_two_arm())), **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(json.dumps(doc.get("doc", doc)))
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             from_json("not json at all")
@@ -459,6 +501,37 @@ class TestProblemInstanceApi:
         w = with_means(v, {(0, 0): 0.25})
         assert mean_of(w, 0, 0) == 0.25
         assert mean_of(w, 1, 0) == 1.0
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"arm_sets": ((0, 1),)}, "arm_sets length does not match num_clients"),
+            ({"means": ((1.0, 0.0),)}, "means length does not match num_clients"),
+            ({"means": ((1.0, 0.0), (1.0,))}, "client 2: means not aligned with arm set"),
+            ({"arm_sets": ((0, 1), (1, 0))}, "client 2: arm set must be sorted and duplicate-free"),
+            ({"arm_sets": ((0, 1), (1, 1))}, "client 2: arm set must be sorted and duplicate-free"),
+        ],
+        ids=["arm-sets-length", "means-length", "misaligned-row", "unsorted-set", "duplicate-arm"],
+    )
+    def test_constructor_rejects_inconsistent_fields(self, change, message):
+        fields = {"num_arms": 2, "num_clients": 2, "arm_sets": ((0, 1), (0, 1)),
+                  "means": ((1.0, 0.0), (1.0, 0.0)), **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProblemInstance(**fields)
+
+    def test_from_means_rejects_missing_mean(self):
+        with pytest.raises(ValueError, match=r"^missing mean for client 2, arm 1$"):
+            make_instance([(0, 1), (0, 1)], {(0, 0): 1.0, (0, 1): 0.0, (1, 1): 0.0})
+
+    def test_pickle_round_trip_carries_fields_only(self):
+        # a spawned sweep child receives the instance this way
+        v = gen_overlap_instance(2, seed=3)
+        slot_index(v)  # fills both cached properties
+        assert {"_slots", "_violations"} <= v.__dict__.keys()
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy == v
+        assert "_slots" not in copy.__dict__ and "_violations" not in copy.__dict__
+        assert np.array_equal(slot_index(copy).slot_arm, slot_index(v).slot_arm)
 
     def test_from_means_rejects_extraneous_entry(self):
         with pytest.raises(ValueError, match="inaccessible"):

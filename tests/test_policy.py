@@ -9,7 +9,6 @@ from hetbai import (
     Allocation,
     CommSchedule,
     arm_stats,
-    confusion_pairs,
     f_eval,
     f_inverse,
     g_exact,
@@ -393,13 +392,12 @@ class TestZStatistic:
                 split = rng.multinomial(t - len(s), np.full(len(s), 1.0 / len(s)))
                 counts.append(split.astype(np.int64) + 1)  # keep all counts positive
             stats = arm_stats(v)
-            pairs = confusion_pairs(v, stats)
             fractions = Allocation(
                 arm_sets=v.arm_sets,
                 weights=tuple(tuple(float(x) for x in c / t) for c in counts),
             )
             z = slot_z_statistic(*empirical_slots(v, counts))
-            assert math.isclose(z, t * g_exact(v, stats, pairs, fractions), rel_tol=1e-12)
+            assert math.isclose(z, t * g_exact(v, stats, fractions), rel_tol=1e-12)
 
 
 class TestFMachinery:

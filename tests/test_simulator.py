@@ -422,6 +422,33 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             run_episode(symmetric_two_arm(), "het-ts", 0.1, 1e-17, seed=0)
 
+    # (input, non-number value, message): each is a ValueError naming it, never a TypeError
+    NON_NUMBERS = [
+        ("lam", "0.1", "lambda must be a number, got '0.1'"),
+        ("lam", None, "lambda must be a number, got None"),
+        ("lam", True, "lambda must be a number, got True"),
+        ("delta", "x", "delta must be a number, got 'x'"),
+        ("delta", "0.1", "delta must be a number, got '0.1'"),
+        ("delta", [0.1], "delta must be a number, got [0.1]"),
+        ("seed", [1], "seed must be an integer, got [1]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "name, value, message", NON_NUMBERS, ids=[f"{n}-{v!r}" for n, v, _ in NON_NUMBERS]
+    )
+    def test_non_number_inputs_named(self, name, value, message):
+        given = {"lam": 0.5, "delta": 0.1, "seed": 0, name: value}
+        lam, delta, seed = given["lam"], given["delta"], given["seed"]
+        with pytest.raises(ValueError, match=f"^invalid sweep: {re.escape(message)}$"):
+            SweepConfig(instance=symmetric_two_arm(), deltas=(delta,), lam=lam, base_seed=seed)
+        with pytest.raises(ValueError, match=f"^invalid episode: {re.escape(message)}$"):
+            run_episode(symmetric_two_arm(), "het-ts", delta, lam, seed)
+
+    def test_numpy_reals_accepted(self):
+        deltas = (np.float32(0.25), np.float64(0.1))
+        config = SweepConfig(instance=symmetric_two_arm(), deltas=deltas, lam=np.float64(0.5))
+        assert config.lam == 0.5 and config.deltas == (np.float32(0.25), 0.1)
+
     def test_step_cap_error_names_every_batch_episode(self, monkeypatch):
         # every episode passes the cap; with two workers each batch raises, and the
         # sweep must name all four in task order, as the one-batch run does
@@ -789,6 +816,17 @@ class TestCsvRoundTrip:
         path.write_text(path.read_text() + 'het-ts,0.5,0.1,1,8,4,"true,1;2\n' + rest)
         message = rf"^line 3: field larger than field limit \({limit}\)$"
         with pytest.raises(ValueError, match=message):
+            read_records(str(path))
+
+    @pytest.mark.parametrize(
+        "header",
+        ["", ",".join(RECORD_FIELDS[:-1]) + "\n", ",".join(["lambda", "policy", *RECORD_FIELDS[2:]]) + "\n"],
+        ids=["empty", "short", "reordered"],
+    )
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "records.csv"
+        path.write_text(header)
+        with pytest.raises(ValueError, match="^unexpected records header: "):
             read_records(str(path))
 
     def test_every_bad_field_of_a_row_named_at_once(self, tmp_path):
