@@ -18,6 +18,7 @@ from hetbai import (
     g_tilde,
     h_matrix,
     optimal_allocation,
+    slot_index,
 )
 
 # Two clients share arm 2 (1-based); arm 1 is easy to separate, arm 3 hard.
@@ -27,7 +28,7 @@ v = ProblemInstance.from_means(
 )
 stats = arm_stats(v)
 print("instance: client 1 sees arms {1,2}, client 2 sees arms {2,3}")
-print(f"aggregate means {stats.global_means}, gaps {stats.gaps}, owners {stats.multiplicities}")
+print(f"aggregate means {stats.global_means}, gaps {stats.gaps}, owners {slot_index(v).multiplicities}")
 
 H = h_matrix(v, stats)
 print("\ngap/ownership matrix (row i scaled by 1 / (gap_i^2 * owners_i^2)):")

@@ -36,7 +36,6 @@ from .allocation import (
     g_exact,
     g_tilde,
     g_tilde_per_class,
-    global_vector,
     h_matrix,
     optimal_allocation,
     perron_positive_eigenvector,

@@ -23,8 +23,9 @@ Two rate functionals drive everything:
   factor of two of ``g_tilde``.
 
 Both return 0 when any owned weight is zero.  Every functional takes
-``(instance, stats, allocation)`` and is an array expression over the
-instance's slots (one slot per (client, arm) pair).  One helper pairs each
+``(instance, stats, allocation)``, rejects an allocation over other arm
+sets than the instance's, and is an array expression over the instance's
+slots (one slot per (client, arm) pair).  One helper pairs each
 slot's arm with its client's best arm and takes the pairwise minimum:
 ``g_exact`` applies it to the weights, and the stopping statistic ``Z(t)``
 to the raw pull counts, so ``Z(t) = t * g_exact(N(t) / t)`` by construction.
@@ -46,7 +47,6 @@ from .instance import (
     _confusion_best,
     arm_stats,
     slot_index,
-    slot_stats,
 )
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "PowerIterationError",
     "h_matrix",
     "perron_positive_eigenvector",
-    "global_vector",
     "slot_global_vector",
     "allocation_from_global",
     "optimal_allocation",
@@ -88,7 +87,7 @@ class Allocation:
     """Per-client sampling probabilities over that client's arm set.
 
     ``weights[m]`` is aligned with ``arm_sets[m]``; each row sums to one
-    within 1e-12 and has no negative entries.
+    within 1e-12 and has no negative or non-finite entries.
     """
 
     arm_sets: tuple[tuple[int, ...], ...]
@@ -100,6 +99,8 @@ class Allocation:
         for m, (arms, row) in enumerate(zip(self.arm_sets, self.weights)):
             if len(arms) != len(row):
                 raise ValueError(f"client {m + 1}: weights not aligned with arm set")
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"client {m + 1}: non-finite weight in {row}")
             if any(w < 0.0 for w in row):
                 raise ValueError(f"client {m + 1}: negative weight")
             if abs(sum(row) - 1.0) > _ROW_SUM_TOL:
@@ -140,8 +141,7 @@ def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> np.nda
     ``gap(i1)^2 * mult(i1)^2``.  Entries across distinct classes are zero.
     """
     index = slot_index(instance)
-    if stats is None:
-        stats = slot_stats(index, index.flatten(instance.means))
+    stats = arm_stats(instance) if stats is None else stats
     return index.co_ownership * _inverse_scale(index, stats)[:, None]
 
 
@@ -243,14 +243,6 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     return entries.reshape(scale.shape)
 
 
-def global_vector(instance: ProblemInstance, stats: ArmStats | None = None) -> np.ndarray:
-    """Class-wise Perron vectors assembled into one length-K vector, unit 2-norm per class."""
-    index = slot_index(instance)
-    if stats is None:
-        stats = slot_stats(index, index.flatten(instance.means))
-    return slot_global_vector(index, stats)
-
-
 def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
     """Per row of ``(B, K)`` global vectors, each client's normalized restriction ``g / g.sum()``.
 
@@ -278,6 +270,8 @@ def allocation_from_global(entries: np.ndarray, instance: ProblemInstance) -> Al
     entries = np.asarray(entries, dtype=float)
     if entries.shape != (instance.num_arms,):
         raise ValueError("global vector length does not match the number of arms")
+    if not np.isfinite(entries).all():
+        raise ValueError(f"global vector must be finite, got {entries.tolist()}")
     if np.min(entries) <= 0.0:
         raise ValueError("global vector must be strictly positive")
     rows = _client_weights(slot_index(instance), entries[None])[0]
@@ -287,7 +281,9 @@ def allocation_from_global(entries: np.ndarray, instance: ProblemInstance) -> Al
 def optimal_allocation(
     instance: ProblemInstance, stats: ArmStats | None = None
 ) -> tuple[np.ndarray, Allocation]:
-    gvec = global_vector(instance, stats)
+    """The global vector of :func:`slot_global_vector` (unit 2-norm per class) and its allocation."""
+    stats = arm_stats(instance) if stats is None else stats
+    gvec = slot_global_vector(slot_index(instance), stats)
     return gvec, allocation_from_global(gvec, instance)
 
 
@@ -322,19 +318,32 @@ def _confusion_rate(
     return np.minimum.reduce(rates, axis=-1, initial=np.inf, where=best != own)
 
 
-def _arm_rates(index: SlotIndex, stats: ArmStats, allocation: Allocation) -> np.ndarray | None:
-    """Per-arm ``gap^2 * mult^2 / sum_m 1/w[i, m]``; None when an owned weight is zero."""
+def _slot_weights(
+    instance: ProblemInstance, allocation: Allocation
+) -> tuple[SlotIndex, np.ndarray | None]:
+    """The slot index and the slot-ordered weights, None when one is at most ``ZERO_WEIGHT``.
+
+    Raises ``ValueError`` naming the first client whose arm set differs from the instance's.
+    """
+    index = slot_index(instance)
+    if allocation.arm_sets != instance.arm_sets:
+        pairs = itertools.zip_longest(allocation.arm_sets, instance.arm_sets)
+        m = next(m for m, (a, b) in enumerate(pairs) if a != b)
+        raise ValueError(f"client {m + 1}: allocation arm set differs from the instance's")
     w = index.flatten(allocation.weights)
-    if np.any(w <= ZERO_WEIGHT):
-        return None
+    return index, None if np.any(w <= ZERO_WEIGHT) else w
+
+
+def _arm_rates(index: SlotIndex, stats: ArmStats, w: np.ndarray) -> np.ndarray:
+    """Per-arm ``gap^2 * mult^2 / sum_m 1/w[i, m]`` of positive slot-ordered weights."""
     recip = np.bincount(index.slot_arm, weights=1.0 / w, minlength=index.num_arms)
     return stats.gaps**2 * index.squared_multiplicities / recip
 
 
 def g_tilde(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) -> float:
     """Relaxed identification rate: worst arm of ``gap^2/2`` over ``T_i``."""
-    values = _arm_rates(slot_index(instance), stats, allocation)
-    return 0.0 if values is None else float(values.min() / 2.0)
+    index, w = _slot_weights(instance, allocation)
+    return 0.0 if w is None else float(_arm_rates(index, stats, w).min() / 2.0)
 
 
 def g_tilde_per_class(
@@ -346,13 +355,12 @@ def g_tilde_per_class(
     eigenvalue of class block ``j`` equals the reciprocal of this value at
     the optimal allocation.
     """
-    index = slot_index(instance)
+    index, w = _slot_weights(instance, allocation)
     partition = index.partition
-    values = _arm_rates(index, stats, allocation)
-    if values is None:
+    if w is None:
         return np.zeros(len(partition.classes))
     out = np.full(len(partition.classes), np.inf)
-    np.minimum.at(out, np.asarray(partition.class_of), values)
+    np.minimum.at(out, np.asarray(partition.class_of), _arm_rates(index, stats, w))
     return out
 
 
@@ -364,12 +372,9 @@ def g_exact(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) 
     Raises ``ValueError`` when ``stats`` have a zero gap (the pairs are
     undefined under ties); 0 when an owned weight is at most ``ZERO_WEIGHT``.
     """
-    index = slot_index(instance)
+    index, w = _slot_weights(instance, allocation)
     best = _confusion_best(index, stats)
-    w = index.flatten(allocation.weights)
-    if np.any(w <= ZERO_WEIGHT):
-        return 0.0
-    return float(_confusion_rate(index, stats, w, best))
+    return 0.0 if w is None else float(_confusion_rate(index, stats, w, best))
 
 
 def c_star_interval(
@@ -384,8 +389,7 @@ def c_star_interval(
     it is computed here.
     """
     if g_star is None:
-        if stats is None:
-            stats = arm_stats(instance)
+        stats = arm_stats(instance) if stats is None else stats
         _, alloc = optimal_allocation(instance, stats)
         g_star = g_tilde(instance, stats, alloc)
     if g_star <= 0.0:
@@ -404,11 +408,10 @@ def balance_residuals(
     :func:`~hetbai.instance.partition_arms`.  Per ordered arm pair, the worst
     mismatch over two sharing clients is the largest ratio minus the smallest.
     """
-    index = slot_index(instance)
-    values = _arm_rates(index, stats, allocation)
-    if values is None:
+    index, w = _slot_weights(instance, allocation)
+    if w is None:
         raise ValueError("balance residuals require strictly positive owned weights")
-    w = index.flatten(allocation.weights)
+    values = _arm_rates(index, stats, w)
     K = index.num_arms
     high = np.full(K * K, -np.inf)
     low = np.full(K * K, np.inf)
@@ -452,8 +455,7 @@ def brute_force_g_tilde_max(
     and returns the first grid point attaining the maximum.  Guarded against
     grids with more than ``_MAX_GRID_POINTS`` points.
     """
-    if stats is None:
-        stats = arm_stats(instance)
+    stats = arm_stats(instance) if stats is None else stats
     steps = round(1.0 / grid_step)
     if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
         raise ValueError("grid_step must evenly divide 1")
@@ -464,7 +466,7 @@ def brute_force_g_tilde_max(
         raise ValueError(
             f"grid would have {total} points (> {_MAX_GRID_POINTS}); use a smaller instance or step"
         )
-    mult_sq = stats.multiplicities.astype(float) ** 2
+    mult_sq = slot_index(instance).squared_multiplicities
     half_gap_sq = stats.gaps**2 / 2.0
     owners = [
         [(m, instance.arm_sets[m].index(i)) for m in range(instance.num_clients) if i in instance.arm_sets[m]]

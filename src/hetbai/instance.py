@@ -93,11 +93,6 @@ class ProblemInstance:
             raise ValueError(f"mean given for inaccessible pair: client {m + 1}, arm {i + 1}")
         return cls(num_arms=num_arms, num_clients=len(sets), arm_sets=sets, means=tuple(rows))
 
-    @property
-    def total_arm_slots(self) -> int:
-        """Sum of the per-client arm set sizes (the K' of the stopping rule)."""
-        return sum(len(s) for s in self.arm_sets)
-
     # The structural check and the slot index depend on the fields alone, so
     # each is computed on first use and kept with the instance; pickles and
     # copies carry the fields only.
@@ -127,16 +122,15 @@ class ArmStats:
     """Aggregate statistics derived from an instance.
 
     ``global_means[i]`` is the ownership-averaged mean of arm ``i``,
-    ``multiplicities[i]`` the number of owning clients, ``gaps[i]`` the
-    minimal separation of arm ``i`` from the best other arm within any
-    owning client's subset, and ``best_arms[m]`` each client's best arm.
+    ``gaps[i]`` the minimal separation of arm ``i`` from the best other arm
+    within any owning client's subset, and ``best_arms[m]`` each client's
+    best arm; ownership counts are the slot index's.
     :func:`slot_stats` also keeps ``top_arms``, the best arms numbered as in
     the stack it reduced over (see :meth:`SlotIndex.stacked`), flat; other
     stats, and those cut by :meth:`rows`, have none.
     """
 
     global_means: np.ndarray
-    multiplicities: np.ndarray
     gaps: np.ndarray
     best_arms: np.ndarray
     top_arms: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -152,9 +146,7 @@ class ArmStats:
 
     def rows(self, keep: np.ndarray) -> ArmStats:
         """The stacked stats of the rows selected by ``keep`` (a mask or row indices)."""
-        return ArmStats(
-            self.global_means[keep], self.multiplicities, self.gaps[keep], self.best_arms[keep]
-        )
+        return ArmStats(self.global_means[keep], self.gaps[keep], self.best_arms[keep])
 
 
 @dataclass(frozen=True)
@@ -175,10 +167,11 @@ class SlotIndex:
     """Arm-set structure of an instance, flattened into slots.
 
     A slot is one (client, arm) pair.  Slots are numbered client by client
-    in arm-set order, so client ``m`` owns slots ``starts[m]:starts[m + 1]``
-    and ``slot_arm`` names each slot's arm; flattening the instance's
-    ``means`` rows gives the mean of every slot.  The structure is fixed for
-    a whole episode, so it is built once and the per-instant statistics are
+    in arm-set order, so client ``m`` owns slots ``starts[m]:starts[m + 1]``;
+    ``slot_arm`` names each slot's arm, ``multiplicities[i]`` counts the
+    clients owning arm ``i``, and flattening the instance's ``means`` rows
+    gives the mean of every slot.  The structure is fixed for a whole
+    episode, so it is built once and the per-instant statistics are
     array reductions over it.  A stack of configurations is the slot index
     of disjoint copies of the instance (see :meth:`stacked`), so every
     reduction gives each row what the row alone gives.  Arrays are read-only.
@@ -422,7 +415,7 @@ def _ties(index: SlotIndex, slot_means: np.ndarray) -> list[str]:
 
 
 def arm_stats(instance: ProblemInstance) -> ArmStats:
-    """Aggregate means, multiplicities, gaps, and best arms.
+    """Aggregate means, gaps, and best arms (ownership counts are the slot index's).
 
     Requires a structurally valid instance; admissibility is not required
     (gaps may contain zeros, which callers can inspect).
@@ -469,9 +462,9 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
     means equal a client-by-client accumulation bit for bit), each client's
     top and runner-up aggregate mean, and per-arm minima of the separations.
     A ``(B, K')`` array stacks ``B`` configurations, and every field but
-    ``multiplicities`` and the flat ``top_arms`` then gains a leading batch
-    axis; the stack is the slot index of disjoint copies, so every
-    reduction gives each row what the row alone gives, bit for bit.
+    the flat ``top_arms`` then gains a leading batch axis; the stack is the
+    slot index of disjoint copies, so every reduction gives each row what
+    the row alone gives, bit for bit.
     """
     means = np.asarray(slot_means, dtype=float)
     stack, global_means, g, other, first = _top_slots(index, means)
@@ -490,7 +483,6 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
         best_arms = best_arms.reshape(rows, index.num_clients)
     return ArmStats(
         global_means=global_means,
-        multiplicities=index.multiplicities,
         gaps=gaps,
         best_arms=best_arms,
         top_arms=top_arms,
@@ -515,8 +507,7 @@ def confusion_pairs(
     Built from the slot arrays as ``allocation.g_exact`` pairs them, so these
     are exactly the pairs it minimizes over.
     """
-    if stats is None:
-        stats = arm_stats(instance)
+    stats = arm_stats(instance) if stats is None else stats
     index = slot_index(instance)
     best = _confusion_best(index, stats)
     pairs = best != index.slot_arm
@@ -604,13 +595,19 @@ def to_json(instance: ProblemInstance) -> str:
     return json.dumps(doc)  # no indent: json's C encoder writes the document
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, not a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    """A Python or numpy int or float, not a ``bool``."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _json_mean(value: object) -> float:
     """A mean must be a JSON number (not a string, bool, list or null) that fits a float."""
-    if not (_is_int(value) or isinstance(value, float)):
+    if not _is_real(value):
         raise ValueError(f"mean record mu must be a number, got {value!r}")
     try:
         return float(value)
@@ -632,13 +629,13 @@ def from_json(text: str) -> ProblemInstance:
     if missing:
         raise ValueError(f"missing instance fields: {sorted(missing)}")
     K, M = doc["K"], doc["M"]
-    if not _is_int(K) or not _is_int(M):
+    if not _is_integer(K) or not _is_integer(M):
         raise ValueError("K and M must be integers")
     if not isinstance(doc["arm_sets"], list) or len(doc["arm_sets"]) != M:
         raise ValueError("arm_sets must be a list with one entry per client")
     sets = []
     for s in doc["arm_sets"]:
-        if not isinstance(s, list) or not all(_is_int(i) for i in s):
+        if not isinstance(s, list) or not all(_is_integer(i) for i in s):
             raise ValueError("each arm set must be a list of integers")
         sets.append(tuple(i - 1 for i in s))
     means: dict[tuple[int, int], float] = {}
@@ -653,7 +650,7 @@ def from_json(text: str) -> ProblemInstance:
                 raise ValueError(f"unknown mean fields: {sorted(unknown)}")
             raise ValueError(f"missing mean fields: {sorted(_MEAN_FIELDS - rec.keys())}")
         client, arm, mu = rec["client"], rec["arm"], rec["mu"]
-        if not _is_int(client) or not _is_int(arm):
+        if not _is_integer(client) or not _is_integer(arm):
             raise ValueError("mean record client/arm must be integers")
         key = (client - 1, arm - 1)
         if key in means:

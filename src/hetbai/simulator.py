@@ -44,7 +44,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .allocation import _client_weights
-from .instance import ArmStats, ProblemInstance, SlotIndex, slot_index, slot_stats, validate
+from .instance import (
+    ArmStats,
+    ProblemInstance,
+    SlotIndex,
+    _is_integer,
+    _is_real,
+    slot_index,
+    slot_stats,
+    validate,
+)
 from .policy import (
     CommSchedule,
     f_inverse,
@@ -131,16 +140,6 @@ class InstantLog:
     z: float
     beta: float
     stopped: bool
-
-
-def _is_integer(value: object) -> bool:
-    """A Python or numpy integer, not a ``bool``."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value: object) -> bool:
-    """A Python or numpy int or float, not a ``bool``."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def input_violations(
@@ -626,9 +625,9 @@ def read_records(path: str) -> list[RunRecord]:
     """Records written by :func:`write_records`; a bad row is a ``ValueError`` naming its line.
 
     Policy, lambda, delta and seed follow :func:`input_violations`; ``tau``
-    is at least 1 and ``rounds`` at least 0.  A record the CSV reader
-    rejects (a field longer than ``csv.field_size_limit()``) is named by the
-    line it starts on.
+    is at least 1 and ``rounds`` at least 0.  Every bad record, also one the
+    CSV reader rejects (a field longer than ``csv.field_size_limit()``), is
+    named by the physical line it starts on.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -639,9 +638,9 @@ def read_records(path: str) -> list[RunRecord]:
             if header != RECORD_FIELDS:
                 raise ValueError(f"unexpected records header: {header}")
             last = reader.line_num
-            for row in reader:
-                last = reader.line_num
-                out.append(_record(f"line {last}", row))
+            for row in reader:  # a record starts on the line after the previous one ends
+                line, last = last + 1, reader.line_num
+                out.append(_record(f"line {line}", row))
         except csv.Error as exc:
             raise ValueError(f"line {last + 1}: {exc}") from None
     return out

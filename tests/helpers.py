@@ -95,7 +95,6 @@ def synthetic_stats_gap_1_2(instance: ProblemInstance) -> ArmStats:
     """
     return ArmStats(
         global_means=np.array([1.0, 0.0]),
-        multiplicities=np.array([1, 1]),
         gaps=np.array([1.0, 2.0]),
         best_arms=np.array([0]),
     )
@@ -130,16 +129,23 @@ def random_positive_allocation(rng: np.random.Generator, instance: ProblemInstan
     return Allocation.from_rows(instance, rows)
 
 
+def loop_multiplicities(instance: ProblemInstance) -> np.ndarray:
+    """Reference for the slot index: the number of clients owning each arm, as floats."""
+    mult = np.zeros(instance.num_arms)
+    for arms in instance.arm_sets:
+        for i in arms:
+            mult[i] += 1
+    return mult
+
+
 def loop_arm_stats(instance: ProblemInstance) -> ArmStats:
     """Reference for the slot reductions: arm statistics by a per-client loop."""
     K = instance.num_arms
     sums = np.zeros(K)
-    mult = np.zeros(K, dtype=np.int64)
     for arms, mus in zip(instance.arm_sets, instance.means):
         for i, mu in zip(arms, mus):
             sums[i] += mu
-            mult[i] += 1
-    global_means = sums / mult
+    global_means = sums / loop_multiplicities(instance)
     best_arms = np.empty(instance.num_clients, dtype=np.int64)
     gaps = np.full(K, np.inf)
     for m, arms in enumerate(instance.arm_sets):
@@ -149,7 +155,7 @@ def loop_arm_stats(instance: ProblemInstance) -> ArmStats:
         for k, i in enumerate(arms):
             others = np.delete(mus, k)
             gaps[i] = min(gaps[i], abs(mus[k] - others.max()))
-    return ArmStats(global_means=global_means, multiplicities=mult, gaps=gaps, best_arms=best_arms)
+    return ArmStats(global_means=global_means, gaps=gaps, best_arms=best_arms)
 
 
 def loop_z_statistic(instance: ProblemInstance, counts) -> float:
@@ -164,7 +170,7 @@ def loop_z_statistic(instance: ProblemInstance, counts) -> float:
             contrib = np.where(n > 0, 1.0 / n, np.inf)
         for k, i in enumerate(arms):
             recip[i] += contrib[k]
-    T = recip / stats.multiplicities.astype(float) ** 2
+    T = recip / loop_multiplicities(instance) ** 2
     best = math.inf
     for m, arms in enumerate(instance.arm_sets):
         i1 = int(stats.best_arms[m])
@@ -265,7 +271,7 @@ def loop_g_tilde(instance: ProblemInstance, stats: ArmStats, allocation: Allocat
     recip = loop_reciprocal_sums(instance, allocation)
     if recip is None:
         return 0.0
-    mult = stats.multiplicities.astype(float)
+    mult = loop_multiplicities(instance)
     values = (stats.gaps**2 / 2.0) * mult**2 / recip
     return float(values.min())
 
@@ -275,7 +281,7 @@ def loop_g_tilde_per_class(instance, stats, partition, allocation) -> np.ndarray
     out = np.zeros(len(partition.classes))
     if recip is None:
         return out
-    mult = stats.multiplicities.astype(float)
+    mult = loop_multiplicities(instance)
     values = stats.gaps**2 * mult**2 / recip
     for j, cls in enumerate(partition.classes):
         out[j] = values[np.array(cls)].min()
@@ -286,7 +292,7 @@ def loop_g_exact(instance, stats, pairs, allocation) -> float:
     recip = loop_reciprocal_sums(instance, allocation)
     if recip is None:
         return 0.0
-    mult = stats.multiplicities.astype(float)
+    mult = loop_multiplicities(instance)
     T = recip / mult**2
     best = math.inf
     for i1, i2 in pairs:
@@ -298,7 +304,7 @@ def loop_g_exact(instance, stats, pairs, allocation) -> float:
 def loop_pseudo_balance(instance, stats, partition, allocation) -> float:
     """The ``pseudo_balanced`` half of ``balance_residuals``, by the per-client loop."""
     recip = loop_reciprocal_sums(instance, allocation)
-    mult = stats.multiplicities.astype(float)
+    mult = loop_multiplicities(instance)
     values = stats.gaps**2 * mult**2 / recip
     pseudo = 0.0
     for cls in partition.classes:

@@ -33,6 +33,7 @@ from hetbai import (
     parse_ratings,
     partition_arms,
     run_episode,
+    slot_index,
     sweep,
 )
 
@@ -64,7 +65,7 @@ def pair_rate_by_scalar_search(instance, stats, allocation, pair):
             for m, arms in enumerate(instance.arm_sets)
             if i in arms
         )
-        terms.append((float(stats.global_means[i]), float(stats.multiplicities[i]) ** 2 / (2.0 * recip)))
+        terms.append((float(stats.global_means[i]), float(slot_index(instance).multiplicities[i]) ** 2 / (2.0 * recip)))
     lo = min(mu for mu, _ in terms)
     hi = max(mu for mu, _ in terms)
     if lo == hi:

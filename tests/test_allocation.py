@@ -19,7 +19,6 @@ from hetbai import (
     g_tilde,
     g_tilde_per_class,
     gen_hardness_instance,
-    global_vector,
     h_matrix,
     optimal_allocation,
     partition_arms,
@@ -83,7 +82,7 @@ def pairwise_rate_oracle(instance, stats, allocation, pair):
             for m, arms in enumerate(instance.arm_sets)
             if i in arms
         )
-        mult_sq = float(stats.multiplicities[i]) ** 2
+        mult_sq = float(slot_index(instance).multiplicities[i]) ** 2
         mu = float(stats.global_means[i])
         cost_terms.append((mu, mult_sq / (2.0 * recip)))
     lo = min(t[0] for t in cost_terms)
@@ -136,7 +135,8 @@ class TestHMatrix:
             for cls in partition_arms(v).classes:
                 idx = np.array(cls)
                 B = H[np.ix_(idx, idx)]
-                scale = 1.0 / (stats.gaps[idx] ** 2 * stats.multiplicities[idx].astype(float) ** 2)
+                mult_sq = slot_index(v).squared_multiplicities[idx]
+                scale = 1.0 / (stats.gaps[idx] ** 2 * mult_sq)
                 root = np.sqrt(scale)
                 conjugated = (1.0 / root)[:, None] * B * root[None, :]
                 np.testing.assert_allclose(conjugated, conjugated.T, atol=1e-10)
@@ -199,19 +199,19 @@ class TestPowerIteration:
 
 class TestGlobalVector:
     def test_symmetric(self):
-        gv = global_vector(symmetric_two_arm())
+        gv, _ = optimal_allocation(symmetric_two_arm())
         np.testing.assert_allclose(gv, [0.7071067811865475] * 2, atol=1e-10)
 
     def test_unequal_gaps_synthetic(self):
         v = single_client_two_arm()
-        gv = global_vector(v, synthetic_stats_gap_1_2(v))
+        gv, _ = optimal_allocation(v, synthetic_stats_gap_1_2(v))
         np.testing.assert_allclose(gv, [0.97014250014533, 0.24253562503633], atol=1e-8)
 
     def test_two_disjoint_symmetric_classes(self):
         v = make_instance(
             [(0, 1), (2, 3)], {(0, 0): 1.0, (0, 1): 0.0, (1, 2): 1.0, (1, 3): 0.0}
         )
-        gv = global_vector(v)
+        gv, _ = optimal_allocation(v)
         np.testing.assert_allclose(gv, [1 / math.sqrt(2)] * 4, atol=1e-10)
         for cls in partition_arms(v).classes:
             assert math.isclose(float(np.linalg.norm(gv[np.array(cls)])), 1.0, rel_tol=1e-12)
@@ -220,7 +220,7 @@ class TestGlobalVector:
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = random_admissible_instance(rng)
-            gv = global_vector(v)
+            gv, _ = optimal_allocation(v)
             assert np.min(gv) > 0
             for cls in partition_arms(v).classes:
                 assert math.isclose(
@@ -236,8 +236,8 @@ class TestGlobalVector:
             v = wide_gap_instance(rng)
             index = slot_index(v)
             stats = slot_stats(index, index.flatten(v.means))
-            scale = 1.0 / (stats.gaps**2 * stats.multiplicities.astype(float) ** 2)
-            entries = global_vector(v, stats)
+            scale = 1.0 / (stats.gaps**2 * index.squared_multiplicities)
+            entries, _ = optimal_allocation(v, stats)
             assert np.min(entries) > 0.0
             for arms, co in index.class_blocks:
                 want = perron_reference(co, scale[arms])
@@ -249,7 +249,7 @@ class TestGlobalVector:
             v = random_admissible_instance(rng)
             scaled = with_means(v, {k: 2.7 * mu for k, mu in means_map(v).items()})
             np.testing.assert_allclose(
-                global_vector(v), global_vector(scaled), atol=1e-10
+                optimal_allocation(v)[0], optimal_allocation(scaled)[0], atol=1e-10
             )
 
     def test_eigen_identity(self):
@@ -319,6 +319,11 @@ class TestAllocationFromGlobal:
         with pytest.raises(ValueError, match="strictly positive"):
             allocation_from_global(np.array([1.0, 0.0]), single_client_two_arm())
 
+    def test_rejects_non_finite(self):
+        message = "global vector must be finite, got [nan, 1.0, 1.0]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            allocation_from_global(np.array([math.nan, 1.0, 1.0]), chain_three_arm())
+
     def test_any_positive_vector_is_balanced(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
@@ -337,12 +342,36 @@ class TestAllocationFields:
             (((0.5, 0.5), (1.0,)), "client 2: weights not aligned with arm set"),
             (((0.5, 0.5), (1.5, -0.5)), "client 2: negative weight"),
             (((0.5, 0.5), (0.25, 0.25)), "client 2: weights sum to 0.5, not 1"),
+            (((math.nan, 1.0), (0.5, 0.5)), "client 1: non-finite weight in (nan, 1.0)"),
         ],
-        ids=["rows", "row-length", "negative", "sum"],
+        ids=["rows", "row-length", "negative", "sum", "nan"],
     )
     def test_rejects(self, weights, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Allocation(arm_sets=((0, 1), (0, 1)), weights=weights)
+
+
+class TestArmSetsChecked:
+    """Every functional of an allocation rejects one over other arm sets than the instance's."""
+
+    FUNCTIONALS = [g_tilde, g_tilde_per_class, g_exact, balance_residuals]
+    # arm sets of an allocation on the chain instance, whose sets are ((0, 1), (1, 2))
+    OTHER_SETS = [
+        (((0, 2), (0, 1)), 1),  # same sizes
+        (((0, 1), (0, 1, 2)), 2),  # other sizes
+        (((0, 1),), 2),  # fewer clients
+    ]
+
+    @pytest.mark.parametrize("functional", FUNCTIONALS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "arm_sets, client", OTHER_SETS, ids=["same-sizes", "other-sizes", "fewer-clients"]
+    )
+    def test_rejects_other_arm_sets(self, functional, arm_sets, client):
+        v = chain_three_arm()
+        alloc = Allocation(arm_sets, tuple(tuple(1.0 / len(s) for _ in s) for s in arm_sets))
+        message = f"^client {client}: allocation arm set differs from the instance's$"
+        with pytest.raises(ValueError, match=message):
+            functional(v, arm_stats(v), alloc)
 
 
 class TestRateFunctionals:

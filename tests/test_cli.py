@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -34,6 +35,27 @@ def tie_file(tmp_path):
     path = tmp_path / "tie.json"
     save_instance(make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 1.0}), str(path))
     return str(path)
+
+
+def test_readme_command_block_names_every_long_option():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {
+        line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+        for line in block.splitlines()
+        if line.startswith("hetbai ")
+    }
+    parser = cli._build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {option}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help" and option not in documented.get(name, ())
+    ]
+    assert missing == []
 
 
 class TestUsageErrors:
@@ -343,6 +365,13 @@ class TestIngestCommand:
         assert labels["clients"] == ["north", "south"]
         assert labels["arms"] == ["alpha", "beta"]
         assert any("gamma" in msg for msg in labels["dropped"])
+
+    def test_labels_out_flag(self, tmp_path):
+        out, labels_path = tmp_path / "movie.json", tmp_path / "names.json"
+        argv = ["ingest", "--ratings", MINI_RATINGS, "--out", str(out), "--labels-out", str(labels_path)]
+        assert dispatch(argv) == 0
+        assert json.loads(labels_path.read_text())["arms"] == ["alpha", "beta"]
+        assert not (tmp_path / "movie.labels.json").exists()
 
     def test_min_samples_flag(self, tmp_path):
         out = tmp_path / "movie.json"

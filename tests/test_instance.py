@@ -23,6 +23,7 @@ from hetbai.instance import OVERLAP_PATTERNS
 
 from helpers import (
     loop_arm_stats,
+    loop_multiplicities,
     make_instance,
     mean_of,
     random_admissible_instance,
@@ -33,7 +34,7 @@ from helpers import (
 
 
 def assert_stats_equal(got, want):
-    for field in ("global_means", "multiplicities", "gaps", "best_arms"):
+    for field in ("global_means", "gaps", "best_arms"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype, field
         assert np.array_equal(a, b), field
@@ -142,9 +143,10 @@ class TestArmStats:
         assert stats.best_arms.tolist() == [0]
 
     def test_symmetric_instance(self):
-        stats = arm_stats(symmetric_two_arm())
+        v = symmetric_two_arm()
+        stats = arm_stats(v)
         np.testing.assert_allclose(stats.global_means, [1.0, 0.0])
-        assert stats.multiplicities.tolist() == [2, 2]
+        assert slot_index(v).multiplicities.tolist() == [2, 2]
         np.testing.assert_allclose(stats.gaps, [1.0, 1.0])
         assert stats.best_arms.tolist() == [0, 0]
 
@@ -193,7 +195,8 @@ class TestSlotReductions:
             index = slot_index(v)
             flat = np.concatenate([np.asarray(row) for row in v.means])
             assert_stats_equal(slot_stats(index, flat), loop_arm_stats(v))
-            assert index.num_slots == v.total_arm_slots
+            assert index.num_slots == sum(len(s) for s in v.arm_sets)
+            assert np.array_equal(index.multiplicities, loop_multiplicities(v))
             for m, arms in enumerate(v.arm_sets):
                 lo, hi = index.starts[m], index.starts[m + 1]
                 assert index.slot_arm[lo:hi].tolist() == list(arms)
@@ -538,6 +541,6 @@ class TestProblemInstanceApi:
             make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 0.0, (0, 2): 5.0}, num_arms=3)
 
     def test_total_arm_slots(self):
-        assert symmetric_two_arm().total_arm_slots == 4
+        assert slot_index(symmetric_two_arm()).num_slots == 4
         for p, expected in zip((1, 2, 3, 4), (10, 15, 20, 25)):
             assert sum(len(s) for s in OVERLAP_PATTERNS[p]) == expected

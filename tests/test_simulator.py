@@ -26,6 +26,7 @@ from hetbai import (
     read_records,
     run_batch,
     run_episode,
+    slot_index,
     sweep,
 )
 from hetbai import simulator
@@ -75,9 +76,10 @@ class TestRunEpisode:
         # recompute the threshold along the logged trajectory
         from hetbai import f_inverse
 
-        offset = f_inverse(0.05, v.total_arm_slots)
+        kprime = slot_index(v).num_slots
+        offset = f_inverse(0.05, kprime)
         for entry in trace:
-            expected = v.total_arm_slots * math.log(entry.t**2 + entry.t) + offset
+            expected = kprime * math.log(entry.t**2 + entry.t) + offset
             assert entry.beta == pytest.approx(expected, rel=1e-12)
 
     def test_rounds_are_exponents_not_dedup_positions(self):
@@ -667,7 +669,7 @@ class TestDrawChunks:
         sets[0] = tuple(range(100))
         sets[1] = tuple(range(100, 200))
         v = gen_hardness_instance(1.0, 200, 50, sets)
-        kprime = v.total_arm_slots
+        kprime = slot_index(v).num_slots
         assert kprime >= 5000
         chunks = []
         real = np.random.default_rng
@@ -816,6 +818,15 @@ class TestCsvRoundTrip:
         path.write_text(path.read_text() + 'het-ts,0.5,0.1,1,8,4,"true,1;2\n' + rest)
         message = rf"^line 3: field larger than field limit \({limit}\)$"
         with pytest.raises(ValueError, match=message):
+            read_records(str(path))
+
+    def test_multi_line_record_names_the_line_it_starts_on(self, tmp_path):
+        # the record on line 3 has a quoted policy holding a line break, so it ends on line 4
+        path = tmp_path / "records.csv"
+        export_records([run_episode(symmetric_two_arm(), "het-ts", 0.1, 0.5, seed=1)], str(path))
+        path.write_text(path.read_text() + '"het-\nts",0.5,0.1,2,8,4,true,1;2\n')
+        message = "line 3: policy must be one of het-ts, uniform, got 'het-\\nts'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_records(str(path))
 
     @pytest.mark.parametrize(
