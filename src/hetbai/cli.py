@@ -86,7 +86,7 @@ def load_sweep_config(path: str) -> SweepConfig:
     if not os.path.isabs(instance_path):
         instance_path = os.path.join(os.path.dirname(os.path.abspath(path)), instance_path)
     cfg["lam"] = float(cfg["lam"])  # every valid delta is a float already
-    return SweepConfig(instance=load_instance(instance_path), deltas=tuple(deltas), **cfg)
+    return SweepConfig(instance=load_instance(instance_path), deltas=deltas, **cfg)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -93,13 +93,17 @@ class ProblemInstance:
             raise ValueError(f"mean given for inaccessible pair: client {m + 1}, arm {i + 1}")
         return cls(num_arms=num_arms, num_clients=len(sets), arm_sets=sets, means=tuple(rows))
 
-    # The structural check and the slot index depend on the fields alone, so
-    # each is computed on first use and kept with the instance; pickles and
-    # copies carry the fields only.
+    # The structural check, the validation report and the slot index depend on
+    # the fields alone, so each is computed on first use and kept with the
+    # instance; pickles and copies carry the fields only.
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
         return tuple(_structural_violations(self))
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        return _validation_report(self)
 
     @cached_property
     def _slots(self) -> "SlotIndex":
@@ -359,7 +363,12 @@ def validate(instance: ProblemInstance) -> ValidationReport:
     An instance is admissible when every client's best arm beats each other
     arm of the client by more than the rounding error of their aggregate
     means (see :func:`_ties`); an exact tie is the case of a zero gap.
+    The report is computed once per instance object.
     """
+    return instance._report
+
+
+def _validation_report(instance: ProblemInstance) -> ValidationReport:
     violations = list(instance._violations)
     structurally_valid = not violations
     if structurally_valid:

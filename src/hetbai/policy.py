@@ -296,12 +296,18 @@ def f_inverse(delta: float, kprime: int) -> float:
     The start is widened by doubling until the tail is below
     ``delta``.  ``f`` is the survival function of a Gamma(K') law, which is
     log-concave, so Newton steps from the right of the root decrease
-    monotonically onto it.
+    monotonically onto it.  Roots are kept per ``(delta, kprime)`` and
+    argument types, so every episode of a process shares its delta's.
     """
     if kprime < 1:
         raise ValueError("kprime must be at least 1")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
+    return _f_root(delta, kprime)
+
+
+@lru_cache(maxsize=1024, typed=True)  # typed: 1.0 / delta is float32 for a float32 delta
+def _f_root(delta: float, kprime: int) -> float:
     base = math.log(1.0 / delta)
     if kprime == 1:
         return base

@@ -11,7 +11,9 @@ stops or broadcasts.  Randomness is split per episode seed: stream
 ``(seed, m, 0)`` drives client ``m``'s selection (D-tracking tie-breaks, or
 the uniform block counts) and stream ``(seed, 0, 1)`` the rewards, so a run
 is bit-reproducible for a fixed seed regardless of how episodes are batched
-or scheduled across workers.  The reward stream and a uniform client's
+or scheduled across workers.  A batch hashes the seed-sequence keys of all
+its streams in one numpy pass (:func:`_seed_states`), each stream equal to
+``default_rng`` of its tuple.  The reward stream and a uniform client's
 stream are drawn one chunk of blocks at a time (one ``(instants, K')`` array
 of standard normals; one multinomial over the chunk's block lengths), which
 numpy fills in the order of the per-block calls; what is left of a chunk
@@ -36,18 +38,21 @@ import multiprocessing
 import os
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, takewhile
 from multiprocessing.connection import Connection
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random import PCG64
+from numpy.random.bit_generator import ISeedSequence
 
 from .allocation import _client_weights
 from .instance import (
     ArmStats,
     ProblemInstance,
     SlotIndex,
+    _frozen,
     _is_integer,
     _is_real,
     slot_index,
@@ -178,16 +183,12 @@ def input_violations(
         problems.append(f"lambda must be a positive finite number, got {lam!r}")
     elif 1.0 + lam == 1.0:
         problems.append(f"lambda must not vanish against 1 (1 + lambda == 1), got {lam!r}")
-    if not deltas:
+    if len(deltas) == 0:  # an array's truth value is ambiguous
         problems.append("deltas must be nonempty")
     deltas = {repr(d): d for d in deltas}.values()
     problems += [f"delta must be a number, got {d!r}" for d in deltas if not _is_real(d)]
     problems += [f"delta {d!r} outside (0, 1)" for d in deltas if _is_real(d) and not 0.0 < d < 1.0]
-    for s in {repr(s): s for s in seeds}.values():
-        if not _is_integer(s):
-            problems.append(f"seed must be an integer, got {s!r}")
-        elif s < 0:
-            problems.append(f"seed must be non-negative, got {s!r}")
+    problems += _seed_violations(seeds)
     counts = {"repetitions": repetitions, "workers": workers, "step_cap": step_cap}
     problems += [
         f"{name} must be a positive integer, got {value!r}"
@@ -196,6 +197,16 @@ def input_violations(
     ]
     if _is_integer(step_cap) and step_cap > 2**53:
         problems.append(f"step_cap must be at most 2**53, got {step_cap!r}")
+    return problems
+
+
+def _seed_violations(seeds: Iterable[int]) -> list[str]:
+    problems = []
+    for s in {repr(s): s for s in seeds}.values():
+        if not _is_integer(s):
+            problems.append(f"seed must be an integer, got {s!r}")
+        elif s < 0:
+            problems.append(f"seed must be non-negative, got {s!r}")
     return problems
 
 
@@ -213,6 +224,7 @@ class SweepConfig:
     step_cap: int = 10**8
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "deltas", tuple(self.deltas))
         problems = input_violations(
             self.policy,
             self.lam,
@@ -284,7 +296,10 @@ def run_batch(
     stream draws the next chunk of instants in one call (``max(16, instants
     run)``, fewer when the buffers would pass ``_DRAW_ENTRIES`` entries,
     never past ``step_cap``), so every record equals :func:`run_episode` for
-    its task, whatever the batch or the chunks.  ``traces[k]``, when given,
+    its task, whatever the batch or the chunks.  Every stream of the batch
+    is seeded in one pass (:func:`_batch_streams`).  The instance keeps its
+    validation report, and each delta's ``f_inverse`` and the schedule of
+    ``lam`` are computed once per process.  ``traces[k]``, when given,
     receives task ``k``'s :class:`InstantLog` entries.  Raises
     :class:`StepCapExceeded` naming every episode still running at the first
     instant past ``step_cap``, with the finished records.
@@ -306,11 +321,9 @@ def run_batch(
     thresholds = {delta: f_inverse(delta, kprime) for delta in {delta for delta, _ in tasks}}
     offsets = np.array([thresholds[delta] for delta, _ in tasks])
 
-    schedule = CommSchedule(lam)
+    schedule = _schedule(float(lam))
     instants = iter(schedule)
-    select_rngs, reward_rngs = zip(
-        *(_episode_streams(seed, instance.num_clients) for _, seed in tasks)
-    )
+    select_rngs, reward_rngs = _batch_streams([seed for _, seed in tasks], instance.num_clients)
     # The client advance returns the running rows' cumulative slot counts at chunk[step].
     clients = _uniform_clients if policy == "uniform" else _tracking_clients
     advance = clients(index, np.diff(index.starts).tolist(), select_rngs)
@@ -370,6 +383,12 @@ def run_batch(
         done += len(chunk)
 
 
+@lru_cache(maxsize=16)
+def _schedule(lam: float) -> CommSchedule:
+    """The communication schedule of ``lam``, shared by every batch of the process."""
+    return CommSchedule(lam)
+
+
 def _server_step(index: SlotIndex, num_arms: int, counts, sums, t: int, offsets) -> tuple:
     """The server at instant ``t``: each row's stats, ``Z(t)``, stop flag and threshold."""
     means = np.zeros(counts.shape)
@@ -423,25 +442,105 @@ def _uniform_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[l
     return advance
 
 
-def _episode_streams(
-    seed: int, num_clients: int
-) -> tuple[list[np.random.Generator], np.random.Generator]:
-    """Episode ``seed``'s selection streams ``(seed, m, 0)``, one per client, and ``(seed, 0, 1)``.
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe, PCG 2014): a key is hashed
+# into a pool of four words, whose hashes give the generator's state words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashes of the key into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hashes of the pool into the state
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+@lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """What each of ``count`` successive hashes xors in and multiplies by: ``(count, 1)`` columns.
+
+    The hash constant starts at ``init`` and is multiplied by ``mult``
+    between the xor and the product of every hash, whatever it hashes.
+    """
+    chain = [init]
+    for _ in range(count):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    column = np.array(chain, dtype=np.uint32)[:, None]
+    return _frozen(column[:-1]), _frozen(column[1:])
+
+
+def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """numpy's ``hashmix`` with the given constants; uint32 arithmetic wraps."""
+    values = (values ^ xor) * mul
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return mixed ^ (mixed >> 16)
+
+
+def _seed_states(keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` of each row ``key`` of uint32 ``keys``.
+
+    numpy's algorithm, run on all rows at once: the first four key words
+    (zeros past the key) are hashed into the pool, every pool word is mixed
+    into every other, each further key word is mixed into every pool word,
+    and eight hashes of the pool, cycled, are paired little-endian into four
+    ``uint64`` state words.  Every hash of one pool word, or of one key
+    word, is a row of one array operation.
+    """
+    n, length = keys.shape
+    # one hash per pool word, then one per ordered pair of pool words, then four per further word
+    calls = _POOL_SIZE**2 + _POOL_SIZE * max(0, length - _POOL_SIZE)
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, calls)
+    pool = np.zeros((_POOL_SIZE, n), dtype=np.uint32)
+    pool[:length] = keys[:, :_POOL_SIZE].T
+    pool = _hash(pool, xor[:_POOL_SIZE], mul[:_POOL_SIZE])
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        hashed = _hash(pool[src], xor[call : call + 3], mul[call : call + 3])
+        pool[others] = _mix(pool[others], hashed)
+        call += 3
+    for word in keys.T[_POOL_SIZE:]:
+        pool = _mix(pool, _hash(word, xor[call : call + 4], mul[call : call + 4]))
+        call += 4
+    halves = _hash(np.tile(pool, (2, 1)), *_hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    return np.ascontiguousarray((halves[0::2] | halves[1::2] << 32).T)
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose ``generate_state(4, np.uint64)`` words were computed beforehand."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"state words are 4 uint64, not {n_words} {dtype}")
+        return self.words
+
+
+def _batch_streams(
+    seeds: Sequence[int], num_clients: int
+) -> tuple[list[list[np.random.Generator]], list[np.random.Generator]]:
+    """Each seed's selection streams ``(seed, m, 0)``, one per client, and its ``(seed, 0, 1)``.
 
     numpy's ``SeedSequence`` turns a tuple of ints into the concatenation
-    of each int's 32-bit little-endian words (0 is one word); each generator
-    is seeded with those words as a ``uint32`` array, which gives the same
-    state as the tuple and skips its conversion.
+    of each int's 32-bit little-endian words (0 is one word).  The keys of
+    all streams are hashed by :func:`_seed_states`, one call per key
+    length, and each ``PCG64`` takes its state words from a
+    :class:`_SeedState`, so every stream equals ``default_rng`` of its tuple.
     """
-    seed = int(seed)
-    words = [seed & 0xFFFFFFFF]
-    while seed := seed >> 32:
-        words.append(seed & 0xFFFFFFFF)
-    select = [
-        np.random.default_rng(np.array([*words, m, 0], dtype=np.uint32))
-        for m in range(num_clients)
+    tails = np.array([(m, 0) for m in range(num_clients)] + [(0, 1)], dtype=np.uint32)
+    seeds = [int(s) for s in seeds]
+    words = [[s >> k & 0xFFFFFFFF for k in range(0, s.bit_length() or 1, 32)] for s in seeds]
+    rows = {}  # words per seed -> the state rows of its seeds' streams, in seed order
+    for size in set(map(len, words)):
+        heads = np.array([w for w in words if len(w) == size], dtype=np.uint32)
+        keys = np.hstack([np.repeat(heads, len(tails), axis=0), np.tile(tails, (len(heads), 1))])
+        rows[size] = iter(_seed_states(keys))
+    streams = [
+        [np.random.Generator(PCG64(_SeedState(next(rows[len(w)])))) for _ in tails]
+        for w in words
     ]
-    return select, np.random.default_rng(np.array([*words, 0, 1], dtype=np.uint32))
+    return [s[:-1] for s in streams], [s[-1] for s in streams]
 
 
 def sweep(config: SweepConfig) -> list[RunRecord]:
@@ -540,13 +639,20 @@ def _receive(w: int, process: multiprocessing.Process, reader: Connection) -> tu
 
 
 def pool_size(workers: int, num_tasks: int) -> int:
-    """Batches of a sweep: never more than there are episodes or CPUs.
+    """Batches of a sweep: never more than there are episodes or CPUs this process may use.
 
     Every batch but the first runs in a child process, so an unclamped
     request would start processes that sit idle or compete for one CPU.
     Records do not depend on the worker count, so clamping changes no result.
     """
-    return min(workers, num_tasks, os.cpu_count() or 1)
+    return min(workers, num_tasks, _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask where the OS has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def aggregate(records: Sequence[RunRecord]) -> list[SummaryRow]:
@@ -632,6 +738,7 @@ def read_records(path: str) -> list[RunRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         out = []
+        checked: dict[tuple[str, ...], list[str]] = {}  # policy, lambda, delta text -> problems
         last = 0  # physical lines read so far
         try:
             header = next(reader, None)
@@ -640,20 +747,26 @@ def read_records(path: str) -> list[RunRecord]:
             last = reader.line_num
             for row in reader:  # a record starts on the line after the previous one ends
                 line, last = last + 1, reader.line_num
-                out.append(_record(f"line {line}", row))
+                out.append(_record(f"line {line}", row, checked))
         except csv.Error as exc:
             raise ValueError(f"line {last + 1}: {exc}") from None
     return out
 
 
-def _record(line: str, row: list[str]) -> RunRecord:
-    """The record of one CSV row, or a ``ValueError`` naming ``line`` and every broken rule."""
+def _record(line: str, row: list[str], checked: dict) -> RunRecord:
+    """The record of one CSV row, or a ``ValueError`` naming ``line`` and every broken rule.
+
+    ``checked`` keeps the problems of each (policy, lambda, delta) text seen.
+    """
     if len(row) != len(RECORD_FIELDS):
         raise ValueError(f"{line}: malformed record row: {row}")
     lam, delta, seed, tau, rounds = (
         _record_number(line, name, raw) for name, raw in zip(_NUMBER_FIELDS, row[1:6])
     )
-    problems = input_violations(row[0], lam, [delta], [seed])
+    key = tuple(row[:3])
+    if key not in checked:
+        checked[key] = input_violations(row[0], lam, [delta], [])
+    problems = checked[key] + _seed_violations([seed])
     if tau < 1:
         problems.append(f"tau must be a positive integer, got {tau}")
     if rounds < 0:

@@ -41,6 +41,15 @@ def assert_stats_equal(got, want):
 
 
 class TestValidate:
+    def test_report_kept_with_the_instance(self):
+        # every batch of an instance reads one report; a pickled copy computes its own
+        v = gen_overlap_instance(2, seed=3)
+        report = validate(v)
+        assert validate(v) is report
+        copy = pickle.loads(pickle.dumps(v))
+        assert "_report" not in copy.__dict__
+        assert validate(copy) == report
+
     def test_distinct_means_admissible(self):
         v = make_instance([(0, 1)], {(0, 0): 1.0, (0, 1): 0.0})
         report = validate(v)

@@ -459,6 +459,14 @@ class TestFMachinery:
         assert math.isclose(f_inverse(1e-6, 3000), 3267.591, rel_tol=1e-6)
         assert math.isclose(f_inverse(1e-300, 10_000), 14175.24, rel_tol=1e-6)
 
+    def test_kept_roots_follow_the_argument_type(self):
+        # 1.0 / delta is a float32 for a float32 delta: an equal float delta has its own root
+        d32 = np.float32(0.3)
+        for order in ([float(d32), d32], [d32, float(d32)]):
+            roots = [f_inverse(d, 1) for d in order]
+            assert roots == [math.log(1.0 / d) for d in order]
+        assert math.log(1.0 / d32) != math.log(1.0 / float(d32))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             f_eval(0.0, 2)

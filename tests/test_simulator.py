@@ -4,6 +4,8 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -283,11 +285,40 @@ class TestEpisodeStreams:
         "seed", [0, 7000001, 2**32 - 1, 2**32, 2**64 + 5, np.int64(7000001), np.uint64(2**64 - 1)]
     )
     def test_same_state_as_the_tuple_keys(self, seed):
-        select, reward = simulator._episode_streams(seed, 3)
+        (select,), (reward,) = simulator._batch_streams([seed], 3)
         assert [rng.bit_generator.state for rng in select] == [
             np.random.default_rng((seed, m, 0)).bit_generator.state for m in range(3)
         ]
         assert reward.bit_generator.state == np.random.default_rng((seed, 0, 1)).bit_generator.state
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_kernel_matches_seed_sequence(self, length):
+        # keys shorter than numpy's pool of four words, as long, and longer
+        keys = np.random.default_rng(length).integers(2**32, size=(40, length), dtype=np.uint32)
+        expected = [np.random.SeedSequence(key).generate_state(4, np.uint64) for key in keys]
+        assert np.array_equal(simulator._seed_states(keys), expected)
+
+    def test_batch_mixing_key_lengths(self):
+        # seeds of one, two and three words share one batch; every stream keeps its tuple's state
+        seeds = [0, 2**32 - 1, 2**32, 2**64 + 5, np.uint64(2**64 - 1), 7000001]
+        select, reward = simulator._batch_streams(seeds, 2)
+        for seed, rngs, rng in zip(seeds, select, reward, strict=True):
+            assert [r.bit_generator.state for r in rngs] == [
+                np.random.default_rng((seed, m, 0)).bit_generator.state for m in range(2)
+            ]
+            assert rng.bit_generator.state == np.random.default_rng((seed, 0, 1)).bit_generator.state
+
+    def test_one_kernel_call_per_key_length(self, monkeypatch):
+        lengths, real = [], simulator._seed_states
+
+        def seed_states(keys):
+            lengths.append(keys.shape)
+            return real(keys)
+
+        monkeypatch.setattr(simulator, "_seed_states", seed_states)
+        monkeypatch.setattr(np.random, "default_rng", None)  # no stream is built through it
+        run_batch(chain_three_arm(), "uniform", 0.5, [(0.1, s) for s in (1, 2**40, 3, 2**33)])
+        assert sorted(lengths) == [(6, 3), (6, 4)]  # two seeds of each length, three streams each
 
 
 class TestSweep:
@@ -338,7 +369,7 @@ class TestSweep:
             started.append(batch)
             return real_start(run, batch)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(simulator, "run_batch", run_batch)
         monkeypatch.setattr(simulator, "_start_batch", start_batch)
         assert sweep(config) == lone
@@ -446,6 +477,20 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^invalid episode: {re.escape(message)}$"):
             run_episode(symmetric_two_arm(), "het-ts", delta, lam, seed)
 
+    def test_array_of_deltas(self):
+        # an array has no single truth value: its length decides, and it is stored as a tuple
+        v = symmetric_two_arm()
+        config = SweepConfig(instance=v, deltas=np.array([0.1, 0.01]), repetitions=2, lam=0.5)
+        assert config.deltas == (0.1, 0.01)
+        listed = SweepConfig(instance=v, deltas=[0.1, 0.01], repetitions=2, lam=0.5)
+        assert listed.deltas == (0.1, 0.01)
+        assert sweep(config) == sweep(listed)
+        assert simulator.input_violations("het-ts", 0.5, np.array([0.1, 0.01]), [0]) == []
+        empty = np.array([])
+        assert simulator.input_violations("het-ts", 0.5, empty, [0]) == ["deltas must be nonempty"]
+        with pytest.raises(ValueError, match="^invalid sweep: deltas must be nonempty$"):
+            SweepConfig(instance=v, deltas=empty)
+
     def test_numpy_reals_accepted(self):
         deltas = (np.float32(0.25), np.float64(0.1))
         config = SweepConfig(instance=symmetric_two_arm(), deltas=deltas, lam=np.float64(0.5))
@@ -454,7 +499,7 @@ class TestSweep:
     def test_step_cap_error_names_every_batch_episode(self, monkeypatch):
         # every episode passes the cap; with two workers each batch raises, and the
         # sweep must name all four in task order, as the one-batch run does
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
         config = dict(instance=chain_three_arm(), deltas=(1e-8,), repetitions=4, lam=0.5,
                       step_cap=50)
         errors = []
@@ -471,7 +516,7 @@ class TestSweep:
     def test_step_cap_error_keeps_finished_records(self, monkeypatch, workers):
         # wide gap: delta=0.5 stops within the cap, delta=1e-300 runs past it; with two
         # workers each batch finishes some episodes, and the sweep merges them in task order
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
         v = make_instance([(0, 1), (0, 1)], {(0, 0): 10.0, (0, 1): 0.0, (1, 0): 10.0, (1, 1): 0.0})
         config = SweepConfig(instance=v, deltas=(0.5, 1e-300), repetitions=3, lam=0.5,
                              workers=workers, step_cap=20)
@@ -490,7 +535,7 @@ class TestSweepDispatch:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
 
     def patch_batches(self, monkeypatch, parent=None, child=None):
         """Run ``parent(tasks)`` for the calling process's batch and ``child(tasks)`` for a child's."""
@@ -557,19 +602,33 @@ class TestSweepDispatch:
 
 class TestPoolSize:
     def test_never_more_workers_than_episodes(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 10**6)
         assert pool_size(2, 128) == 2
         assert pool_size(64, 3) == 3
         assert pool_size(10**6, 1) == 1
         assert pool_size(1, 10**6) == 1
 
     def test_never_more_workers_than_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
         assert pool_size(10_000, 10_000) == 4
         assert pool_size(3, 10_000) == 3
         assert pool_size(10_000, 2) == 2
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown count
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity mask
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # and an unknown count
         assert pool_size(8, 100) == 1
+
+    def test_counts_the_cpus_of_the_affinity_mask(self):
+        # a child pinned to one CPU makes one batch, however many CPUs the machine has
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("needs CPU affinity masks")
+        code = (
+            "import os; from hetbai import pool_size; "
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); print(pool_size(8, 100))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout == "1\n", out.stderr
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -672,11 +731,11 @@ class TestDrawChunks:
         kprime = slot_index(v).num_slots
         assert kprime >= 5000
         chunks = []
-        real = np.random.default_rng
+        real = np.random.Generator
 
         class Recorded:
-            def __init__(self, seed):
-                self.rng = real(seed)
+            def __init__(self, bit_generator):
+                self.rng = real(bit_generator)
 
             def standard_normal(self, out):
                 chunks.append(out.shape)
@@ -687,7 +746,7 @@ class TestDrawChunks:
                 chunks.append((len(drawn), None))
                 return drawn
 
-        monkeypatch.setattr(np.random, "default_rng", Recorded)
+        monkeypatch.setattr(np.random, "Generator", Recorded)
         tasks = [(1e-6, seed) for seed in range(64)]
         with pytest.raises(StepCapExceeded) as err:
             run_batch(v, "uniform", 0.5, tasks, step_cap=30)
@@ -850,6 +909,22 @@ class TestCsvRoundTrip:
             "rounds must be a non-negative integer, got -1; "
             "correct must be true or false, got 'yes'"
         )
+
+    def test_each_policy_lambda_delta_checked_once(self, tmp_path, monkeypatch):
+        records = sweep(
+            SweepConfig(instance=chain_three_arm(), deltas=(0.1, 0.2), repetitions=3, lam=0.5)
+        )
+        path = tmp_path / "records.csv"
+        export_records(records, str(path))
+        checked, real = [], simulator.input_violations
+
+        def input_violations(*args):
+            checked.append(args[:3])
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "input_violations", input_violations)
+        assert read_records(str(path)) == records
+        assert checked == [("het-ts", 0.5, [0.1]), ("het-ts", 0.5, [0.2])]
 
     def test_seventeen_digit_floats(self, tmp_path):
         rec = RunRecord(
