@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import fields, replace
+from functools import lru_cache
 
 from .allocation import c_star_interval, g_tilde, optimal_allocation
 from .ingest import build_instance, parse_ratings
@@ -46,7 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Optional config fields -> SweepConfig field.
-_OPTIONAL = {"lambda": "lam", "repetitions": "repetitions", "seed": "base_seed", "workers": "workers"}
+_OPTIONAL = {
+    "lambda": "lam",
+    "repetitions": "repetitions",
+    "seed": "base_seed",
+    "workers": "workers",
+    "step_cap": "step_cap",
+}
 _CONFIG_FIELDS = {"instance", "deltas", "policy", *_OPTIONAL}
 _DEFAULTS = {f.name: f.default for f in fields(SweepConfig)}
 
@@ -78,7 +85,13 @@ def load_sweep_config(path: str) -> SweepConfig:
     if not isinstance(doc.get("instance", ""), str):
         problems.append("instance must be a path string")
     problems += input_violations(
-        cfg["policy"], cfg["lam"], deltas, [cfg["base_seed"]], cfg["repetitions"], cfg["workers"]
+        cfg["policy"],
+        cfg["lam"],
+        deltas,
+        [cfg["base_seed"]],
+        cfg["repetitions"],
+        cfg["workers"],
+        cfg["step_cap"],
     )
     if problems:
         raise ValueError("invalid sweep config: " + "; ".join(problems))
@@ -192,6 +205,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)  # parsing never changes a parser, so every dispatch shares one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hetbai", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

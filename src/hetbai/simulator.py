@@ -318,8 +318,10 @@ def run_batch(
     slot_means = index.flatten(instance.means)
     true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
     kprime = index.num_slots
-    thresholds = {delta: f_inverse(delta, kprime) for delta in {delta for delta, _ in tasks}}
-    offsets = np.array([thresholds[delta] for delta, _ in tasks])
+    # Keyed by type too: np.float32(0.3) == 0.30000001192092896, but their roots differ.
+    deltas = {(type(delta), delta) for delta, _ in tasks}
+    thresholds = {key: f_inverse(key[1], kprime) for key in deltas}
+    offsets = np.array([thresholds[type(delta), delta] for delta, _ in tasks])
 
     schedule = _schedule(float(lam))
     instants = iter(schedule)

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from hetbai import c_star_interval, load_instance, read_records, run_episode, save_instance
-from hetbai import cli, simulator
+from hetbai import cli
 from hetbai.cli import dispatch, load_sweep_config
 from hetbai.simulator import POLICIES, RECORD_FIELDS
 
@@ -242,13 +241,12 @@ class TestSweepCommand:
         assert "lambda must be a number, got '0.1'" in err
         assert "delta must be a number, got [0.1]" in err
 
-    def test_step_cap_writes_finished_records_and_exits_two(self, tmp_path, monkeypatch, capsys):
+    def test_step_cap_writes_finished_records_and_exits_two(self, tmp_path, capsys):
         # wide gap: delta=0.5 stops within a step cap of 20, delta=1e-300 runs past it
         v = make_instance([(0, 1), (0, 1)], {(0, 0): 10.0, (0, 1): 0.0, (1, 0): 10.0, (1, 1): 0.0})
         save_instance(v, str(tmp_path / "wide.json"))
-        config = self.write_config(tmp_path, str(tmp_path / "wide.json"), deltas=[0.5, 1e-300])
-        monkeypatch.setattr(
-            cli, "sweep", lambda config: simulator.sweep(dataclasses.replace(config, step_cap=20))
+        config = self.write_config(
+            tmp_path, str(tmp_path / "wide.json"), deltas=[0.5, 1e-300], step_cap=20
         )
         out = tmp_path / "records.csv"
         assert dispatch(["sweep", "--config", config, "--out", str(out)]) == 2
@@ -282,6 +280,33 @@ class TestLoadSweepConfig:
         assert config.base_seed == 0
         assert config.workers == 1
         assert config.deltas == (0.1, 0.2)
+
+    def test_step_cap_field(self, tmp_path, instance_file):
+        path = self.write(tmp_path, {"instance": instance_file, "deltas": [0.1]})
+        assert load_sweep_config(path).step_cap == 10**8
+        path = self.write(tmp_path, {"instance": instance_file, "deltas": [0.1], "step_cap": 2**53})
+        assert load_sweep_config(path).step_cap == 2**53
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0, "step_cap must be a positive integer, got 0"),
+            (2**53 + 1, "step_cap must be at most 2**53, got 9007199254740993"),
+            (20.0, "step_cap must be a positive integer, got 20.0"),
+            (True, "step_cap must be a positive integer, got True"),
+            ("20", "step_cap must be a positive integer, got '20'"),
+        ],
+    )
+    def test_bad_step_cap_listed_with_the_other_violations(
+        self, tmp_path, instance_file, value, message
+    ):
+        path = self.write(
+            tmp_path, {"instance": instance_file, "deltas": [0.1], "step_cap": value, "workers": 0}
+        )
+        with pytest.raises(ValueError) as exc:
+            load_sweep_config(path)
+        assert message in str(exc.value)
+        assert "workers must be a positive integer, got 0" in str(exc.value)
 
     def test_relative_instance_path_resolves_against_config(self, tmp_path):
         save_instance(symmetric_two_arm(), str(tmp_path / "v.json"))

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hetbai import build_instance, parse_ratings, validate
+from hetbai import build_instance, ingest, parse_ratings, validate
 from hetbai.ingest import RatingsTable
 
 from helpers import left_to_right_sum, loop_build_instance, loop_parse_ratings, mean_of
@@ -102,6 +102,29 @@ class TestParseRatings:
         message = rf"^line 3: field larger than field limit \({limit}\)$"
         with pytest.raises(ValueError, match=message):
             parse_ratings(path)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [("c0", "2.5,b,c,d,1"), ("c0,a0,1,c1,a1", "3"), ("c0,a0,1,\0,p", "7")],
+        ids=["one-then-five", "five-then-one", "nul-field"],
+    )
+    def test_lines_of_wrong_arity_never_pair_up(self, tmp_path, pair):
+        # each pair has six fields: split together, a record would straddle them
+        path = write_csv(tmp_path, "client,arm,rating\na,x,1\n" + "\n".join(pair) + "\n")
+        table = parse_ratings(path)
+        assert rows_of(table) == [("a", "x", 1.0)]
+        assert [line for line, _ in table.skipped] == [3, 4]
+        assert (rows_of(table), list(table.skipped)) == loop_parse_ratings(path)
+
+    def test_undecodable_byte_reported_as_a_streamed_read_reports_it(self, tmp_path):
+        # the decoder counts positions from the start of the block it decodes
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(b"client,arm,rating\n" + b"a,x,1\n" * 5000 + b"a,\xff,1\n")
+        with pytest.raises(UnicodeDecodeError) as expected:
+            loop_parse_ratings(str(path))
+        with pytest.raises(UnicodeDecodeError) as caught:
+            parse_ratings(str(path))
+        assert str(caught.value) == str(expected.value)
 
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "ratings.csv"
@@ -266,6 +289,95 @@ def random_ratings_text(rng: np.random.Generator, min_samples: int) -> str:
     lines += list(rng.choice(junk, size=int(rng.integers(0, 8))))
     order = rng.permutation(len(lines))
     return "client,arm,rating\n" + "\n".join(lines[k] for k in order) + "\n"
+
+
+def plain_ratings_text(rng: np.random.Generator, limit: int) -> str:
+    """A quote-free ratings table: mostly what the split tokenizer takes, sometimes not quite.
+
+    Lines end in ``\\n`` or ``\\r\\n``; some tables have no final line break,
+    blank lines, rejected lines, or fields padded with characters
+    ``str.strip`` removes: ``\\xa0``, and ``\\x1c``, ``\\x85`` and
+    ``\\u2028`` among them, which ``str.splitlines`` would split at and the
+    file iterator does not.  A few mix the two endings, hold a lone ``\\r``
+    or a NUL, or have a line longer than ``limit`` (with or without a field
+    that long), which leaves the table to the CSV reader.
+    """
+    ending = str(rng.choice(["\n", "\r\n"]))
+    padding = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\x85", "\u2028", "\u3000"]
+    padded = rng.random() < 0.3
+    lines = []
+    for _ in range(int(rng.integers(0, 80)) if rng.random() < 0.95 else 0):
+        fields = [f"c{rng.integers(3)}", f"a{rng.integers(4)}", repr(float(rng.normal(0.0, 2.0)))]
+        if padded and rng.random() < 0.5:
+            k = int(rng.integers(3))
+            fields[k] = rng.choice(padding) + fields[k] + rng.choice(["", *padding])
+        lines.append(",".join(fields))
+    junk = ["", "c0", "c0,a0", "c0,a0,1,2", ",a0,1", "c1, ,2", "c1,\xa0,2", "c0,a0,soup",
+            "c0,a0,inf", "c1,a1,nan", "c1,a0,-Infinity", "c0,a1,1e999", " c0 , a1 , 2.5 ",
+            "c0,a1,3\x1c", "\xa0c2,a0\xa0,1.5", "c0\x85,a1,1_0", ",", "  "]
+    if rng.random() < 0.5:
+        for line in rng.choice(junk, size=int(rng.integers(1, 5))):
+            lines.insert(int(rng.integers(len(lines) + 1)), str(line))
+    if lines and rng.random() < 0.1:  # longer than the limit, in one field or over many
+        long = f"c9,{'x' * (limit + 1)},1" if rng.random() < 0.5 else ",".join(["c9"] * limit)
+        lines.insert(int(rng.integers(len(lines) + 1)), long)
+    text = "client,arm,rating" + "".join(ending + line for line in lines)
+    if rng.random() < 0.8:
+        text += ending
+    if lines and rng.random() < 0.15:  # a lone line break, a NUL, or the other ending
+        at = int(rng.integers(text.index(ending) + len(ending), len(text) + 1))
+        flaw = rng.choice(["\r", "\n", "\0", "\r\n" if ending == "\n" else "\n"])
+        text = text[:at] + flaw + text[at:]
+    return text
+
+
+class TestSplitTokenizerMatchesCsvReader:
+    """``str.split`` on plain tables against the CSV reader, through the per-row reference."""
+
+    def test_plain_tables(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(43)
+        path = tmp_path / "ratings.csv"
+        split_plain, add_bulk = ingest._split_plain, ingest._add_bulk
+        plain, bulk = [], []
+
+        def spy_split(text):
+            columns = split_plain(text)
+            plain.append(columns is not None)
+            return columns
+
+        def spy_bulk(*args):
+            bulk.append(add_bulk(*args))
+            return bulk[-1]
+
+        monkeypatch.setattr(ingest, "_split_plain", spy_split)
+        monkeypatch.setattr(ingest, "_add_bulk", spy_bulk)
+        limit = 64
+        previous = csv.field_size_limit(limit)
+        try:
+            for _ in range(400):
+                # chunks of a few lines, so tables span several
+                monkeypatch.setattr(ingest, "_CHUNK_CHARS", int(rng.integers(40, 400)))
+                path.write_bytes(plain_ratings_text(rng, limit).encode("utf-8"))
+                try:
+                    rows, skipped = loop_parse_ratings(str(path))
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        parse_ratings(str(path))
+                    continue
+                except csv.Error as exc:  # the record of the long field, on one line
+                    with open(path, encoding="utf-8", newline="") as fh:
+                        line = next(k for k, text in enumerate(fh, 1) if "x" * limit in text)
+                    with pytest.raises(ValueError, match=f"^line {line}: {re.escape(str(exc))}$"):
+                        parse_ratings(str(path))
+                    continue
+                table = parse_ratings(str(path))
+                assert table.skipped == tuple(skipped)
+                assert rows_of(table) == rows
+        finally:
+            csv.field_size_limit(previous)
+        assert len(plain) == 400
+        assert 0.6 * len(plain) < sum(plain) < len(plain)
+        assert 0 < sum(bulk) < len(bulk)
 
 
 class TestColumnarIngestMatchesRowReference:

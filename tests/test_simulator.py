@@ -243,6 +243,17 @@ class TestBatchMatchesBatchOfOne:
         run_batch(chain_three_arm(), "uniform", 0.5, [(0.1, s) for s in range(6)] + [(0.01, 6)])
         assert calls == {"f_inverse": 2, "validate": 1}
 
+    def test_equal_deltas_of_two_types_keep_their_own_thresholds(self):
+        # np.float32(0.3) == 0.30000001192092896, but its f_inverse root is not the float's
+        v = chain_three_arm()
+        tasks = [(0.30000001192092896, 1), (np.float32(0.3), 2)]
+        traces = [[] for _ in tasks]
+        run_batch(v, "het-ts", 0.5, tasks, traces=traces)
+        for (delta, seed), trace in zip(tasks, traces):
+            alone: list[InstantLog] = []
+            run_episode(v, "het-ts", delta, 0.5, seed, trace=alone)
+            assert trace == alone
+
     def test_empty_batch(self):
         assert run_batch(chain_three_arm(), "het-ts", 0.2, []) == []
 
