@@ -18,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -107,8 +109,8 @@ class ProblemInstance:
 
     @cached_property
     def _slots(self) -> "SlotIndex":
-        sizes = [len(arms) for arms in self.arm_sets]
-        return SlotIndex._of(self.num_arms, sizes, [i for arms in self.arm_sets for i in arms])
+        sizes = list(map(len, self.arm_sets))
+        return SlotIndex._of(self.num_arms, sizes, list(chain.from_iterable(self.arm_sets)))
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -208,9 +210,7 @@ class SlotIndex:
 
     def flatten(self, rows: Sequence[Sequence[float]]) -> np.ndarray:
         """Concatenate per-client rows aligned with the arm sets into slot order."""
-        return np.fromiter(
-            (x for row in rows for x in row), dtype=float, count=self.num_slots
-        )
+        return np.fromiter(chain.from_iterable(rows), dtype=float, count=self.num_slots)
 
     def stacked(self, rows: int) -> "SlotIndex":
         """Slot index of ``rows`` disjoint copies of this one; the index itself for one.
@@ -290,10 +290,16 @@ class SlotIndex:
 
     @cached_property
     def co_ownership(self) -> np.ndarray:
-        """``[i1, i2]``: number of clients owning both arms (diagonal: multiplicity)."""
-        owns = np.zeros((self.num_clients, self.num_arms))
-        owns[self.slot_client, self.slot_arm] = 1.0
-        return _frozen(owns.T @ owns)
+        """``[i1, i2]``: number of clients owning both arms (diagonal: multiplicity).
+
+        A count of every client's ordered arm pairs, as floats.
+        """
+        K = self.num_arms
+        pairs = [
+            (arms[:, :, None] * K + arms[:, None, :]).ravel() for _, arms in self.clients_by_size
+        ]
+        counts = np.bincount(np.concatenate(pairs), minlength=K * K)
+        return _frozen(counts.reshape(K, K).astype(float))
 
     @cached_property
     def partition(self) -> ArmPartition:
@@ -335,8 +341,9 @@ class SlotIndex:
 
 
 def _structural_violations(instance: ProblemInstance) -> list[str]:
+    K = instance.num_arms
     v: list[str] = []
-    if instance.num_arms < 1:
+    if K < 1:
         v.append("instance has no arms")
     if instance.num_clients < 1:
         v.append("instance has no clients")
@@ -345,15 +352,20 @@ def _structural_violations(instance: ProblemInstance) -> list[str]:
         if len(arms) < 2:
             v.append(f"client {m + 1}: fewer than 2 accessible arms")
         for i in arms:
-            if not (0 <= i < instance.num_arms):
-                v.append(f"client {m + 1}: arm index {i + 1} outside 1..{instance.num_arms}")
+            if not (0 <= i < K):
+                v.append(f"client {m + 1}: arm index {i + 1} outside 1..{K}")
         for i, mu in zip(arms, mus):
             if not math.isfinite(mu):
                 v.append(f"client {m + 1}: non-finite mean for arm {i + 1}")
         covered.update(arms)
-    for i in range(instance.num_arms):
-        if i not in covered:
-            v.append(f"arm {i + 1} not accessible to any client")
+    # One message per run of uncovered arms, found between the covered ones:
+    # nothing here grows with K.
+    inside = sorted(i for i in covered if 0 <= i < K)
+    for lo, hi in zip([-1, *inside], [*inside, K]):
+        if hi - lo == 2:
+            v.append(f"arm {lo + 2} not accessible to any client")
+        elif hi - lo > 2:
+            v.append(f"arms {lo + 2}..{hi} not accessible to any client")
     return v
 
 
@@ -591,17 +603,36 @@ _MEAN_FIELDS = {"client", "arm", "mu"}
 
 
 def to_json(instance: ProblemInstance) -> str:
-    doc = {
-        "K": instance.num_arms,
-        "M": instance.num_clients,
-        "arm_sets": [[i + 1 for i in s] for s in instance.arm_sets],
-        "means": [
-            {"client": m + 1, "arm": i + 1, "mu": mu}
-            for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means))
-            for i, mu in zip(arms, mus)
-        ],
-    }
-    return json.dumps(doc)  # no indent: json's C encoder writes the document
+    """The instance as one line of JSON, the document :func:`from_json` reads.
+
+    ``{"K": ..., "M": ..., "arm_sets": [[...], ...], "means": [{"client": m,
+    "arm": i, "mu": mu}, ...]}`` with 1-based indices and one record per
+    (client, arm) pair, in arm-set order.  The bytes are those ``json.dumps``
+    writes for the whole document: the head is its own ``json.dumps``, and
+    each record is formatted with the integer indices and the text
+    ``json.dumps`` writes for its mean (a finite float as ``float.__repr__``,
+    NaN and the infinities as ``NaN`` and ``Infinity``).
+    """
+    head = json.dumps(
+        {
+            "K": instance.num_arms,
+            "M": instance.num_clients,
+            "arm_sets": [[i + 1 for i in s] for s in instance.arm_sets],
+        }
+    )
+    # zip takes the arm first, so each client's last arm leaves the next mean in the column
+    mu_text = iter(_json_items(list(chain.from_iterable(instance.means))))
+    records = [
+        f'{{"client": {m}, "arm": {i + 1}, "mu": {t}}}'
+        for m, arms in enumerate(instance.arm_sets, 1)
+        for i, t in zip(arms, mu_text)
+    ]
+    return head[:-1] + ', "means": [' + ", ".join(records) + "]}"
+
+
+def _json_items(numbers: list) -> list[str]:
+    """Each number's text as ``json.dumps`` writes it in a list, from one call for the list."""
+    return json.dumps(numbers)[1:-1].split(", ")  # [""] for no numbers, never taken
 
 
 def _is_integer(value: object) -> bool:
@@ -624,7 +655,24 @@ def _json_mean(value: object) -> float:
         raise ValueError(f"mean record mu {value} is too large for a float") from None
 
 
+_CLIENT, _ARM, _MU = map(itemgetter, ("client", "arm", "mu"))
+
+
 def from_json(text: str) -> ProblemInstance:
+    """Read the one-line JSON document of :func:`to_json`.
+
+    The document is an object with exactly the fields ``K``, ``M`` (integers),
+    ``arm_sets`` (one list of integer arm indices per client, 1-based) and
+    ``means`` (a list of ``{"client", "arm", "mu"}`` records, one per
+    (client, arm) pair of the arm sets, in any order).  Each arm set is read
+    as a sorted, duplicate-free set, and each ``mu``, a JSON number (``NaN``
+    and ``Infinity`` included; :func:`validate` flags them), as a float.
+    Indices are only required to be integers here; ranges are
+    :func:`validate`'s.  A document as :func:`to_json` writes it (records in
+    arm-set order, float means) is read column by column; any other goes
+    through the per-record loop, which alone words the error
+    (``ValueError``) for the first irregular record.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -640,17 +688,61 @@ def from_json(text: str) -> ProblemInstance:
     K, M = doc["K"], doc["M"]
     if not _is_integer(K) or not _is_integer(M):
         raise ValueError("K and M must be integers")
-    if not isinstance(doc["arm_sets"], list) or len(doc["arm_sets"]) != M:
+    arm_sets = doc["arm_sets"]
+    if not isinstance(arm_sets, list) or len(arm_sets) != M:
         raise ValueError("arm_sets must be a list with one entry per client")
-    sets = []
-    for s in doc["arm_sets"]:
-        if not isinstance(s, list) or not all(_is_integer(i) for i in s):
-            raise ValueError("each arm set must be a list of integers")
-        sets.append(tuple(i - 1 for i in s))
-    means: dict[tuple[int, int], float] = {}
-    if not isinstance(doc["means"], list):
+    message = "each arm set must be a list of integers"
+    if not set(map(type, arm_sets)) <= {list}:  # json.loads makes plain lists...
+        raise ValueError(message)
+    arms = list(chain.from_iterable(arm_sets))
+    if not set(map(type, arms)) <= {int}:  # ...and plain ints; a bool is not one here
+        raise ValueError(message)
+    records = doc["means"]
+    if not isinstance(records, list):
         raise ValueError("means must be a list of records")
-    for rec in doc["means"]:
+    instance = _from_columns(K, arm_sets, arms, records)
+    return _from_records(K, arm_sets, records) if instance is None else instance
+
+
+def _from_columns(K: int, arm_sets: list, arms: list, records: list) -> ProblemInstance | None:
+    """The instance of a regular ``means`` list, read by column; ``None`` for any other.
+
+    Regular is the document :func:`to_json` writes: every record is an object
+    of exactly the three fields, with integer indices and a float ``mu``, and
+    the records' ``(client, arm)`` keys are the arm sets' own pairs in
+    arm-set order, every arm set sorted and duplicate-free.  That one
+    comparison rules out duplicate, missing and inaccessible pairs.
+    """
+    try:
+        clients, keyed_arms, mus = (list(map(get, records)) for get in (_CLIENT, _ARM, _MU))
+    except (KeyError, TypeError):  # a record that is not an object, or lacks a field
+        return None
+    if sum(map(len, records)) != 3 * len(records):  # a record with more fields
+        return None
+    if not {*map(type, clients), *map(type, keyed_arms)} <= {int}:
+        return None
+    if not set(map(type, mus)) <= {float}:
+        return None
+    sizes = list(map(len, arm_sets))
+    owners = list(chain.from_iterable(map(repeat, range(1, len(arm_sets) + 1), sizes)))
+    if clients != owners or keyed_arms != arms:
+        return None
+    column = iter(mus)
+    try:
+        return ProblemInstance(
+            num_arms=K,
+            num_clients=len(arm_sets),
+            arm_sets=tuple(tuple(i - 1 for i in s) for s in arm_sets),
+            means=tuple(tuple(islice(column, n)) for n in sizes),
+        )
+    except ValueError:  # an arm set not sorted and duplicate-free, which from_means normalizes
+        return None
+
+
+def _from_records(K: int, arm_sets: list, records: list) -> ProblemInstance:
+    """The instance by the per-record loop, which words the first irregular record's error."""
+    means: dict[tuple[int, int], float] = {}
+    for rec in records:
         if type(rec) is not dict:  # json.loads makes plain dicts
             raise ValueError("each means entry must be an object")
         if rec.keys() != _MEAN_FIELDS:
@@ -665,15 +757,22 @@ def from_json(text: str) -> ProblemInstance:
         if key in means:
             raise ValueError(f"duplicate mean for client {client}, arm {arm}")
         means[key] = mu if type(mu) is float else _json_mean(mu)
+    sets = [tuple(i - 1 for i in s) for s in arm_sets]
     return ProblemInstance.from_means(sets, means, num_arms=K)
 
 
 def save_instance(instance: ProblemInstance, path: str) -> None:
+    """Write :func:`to_json`'s one-line document and a newline to ``path`` (UTF-8)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(instance))
         fh.write("\n")
 
 
 def load_instance(path: str) -> ProblemInstance:
+    """Read an instance document from ``path`` (UTF-8) by :func:`from_json`.
+
+    The accepted document and its normalizations are :func:`from_json`'s; its
+    per-record loop words any error, raised as ``ValueError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         return from_json(fh.read())

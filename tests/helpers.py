@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from hetbai import (
     validate,
 )
 from hetbai.allocation import CERTIFICATE_TOL, ZERO_WEIGHT
+from hetbai.instance import _MEAN_FIELDS, _TOP_FIELDS, _is_integer, _json_mean
 
 
 def make_instance(arm_sets, means_map, num_arms=None) -> ProblemInstance:
@@ -610,3 +612,98 @@ def loop_build_instance(rows, min_samples=10):
         means[(client_index[c], arm_index[a])] = left_to_right_sum(normalized) / len(normalized)
         arm_sets[client_index[c]].append(arm_index[a])
     return client_labels, arm_labels, tuple(dropped), arm_sets, means
+
+
+# --- Reference per-entry instance documents and structural check ---
+
+
+def loop_to_json(instance: ProblemInstance) -> str:
+    """The instance document as one ``json.dumps`` of a dict with one dict per mean record."""
+    doc = {
+        "K": instance.num_arms,
+        "M": instance.num_clients,
+        "arm_sets": [[i + 1 for i in s] for s in instance.arm_sets],
+        "means": [
+            {"client": m + 1, "arm": i + 1, "mu": mu}
+            for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means))
+            for i, mu in zip(arms, mus)
+        ],
+    }
+    return json.dumps(doc)
+
+
+def loop_from_json(text: str) -> ProblemInstance:
+    """The instance of a document, one record at a time into a ``(client, arm) -> mu`` dict."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid instance JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("instance JSON must be an object")
+    unknown = set(doc) - _TOP_FIELDS
+    if unknown:
+        raise ValueError(f"unknown instance fields: {sorted(unknown)}")
+    missing = _TOP_FIELDS - set(doc)
+    if missing:
+        raise ValueError(f"missing instance fields: {sorted(missing)}")
+    K, M = doc["K"], doc["M"]
+    if not _is_integer(K) or not _is_integer(M):
+        raise ValueError("K and M must be integers")
+    if not isinstance(doc["arm_sets"], list) or len(doc["arm_sets"]) != M:
+        raise ValueError("arm_sets must be a list with one entry per client")
+    sets = []
+    for s in doc["arm_sets"]:
+        if not isinstance(s, list) or not all(_is_integer(i) for i in s):
+            raise ValueError("each arm set must be a list of integers")
+        sets.append(tuple(i - 1 for i in s))
+    means: dict[tuple[int, int], float] = {}
+    if not isinstance(doc["means"], list):
+        raise ValueError("means must be a list of records")
+    for rec in doc["means"]:
+        if type(rec) is not dict:
+            raise ValueError("each means entry must be an object")
+        if rec.keys() != _MEAN_FIELDS:
+            unknown = rec.keys() - _MEAN_FIELDS
+            if unknown:
+                raise ValueError(f"unknown mean fields: {sorted(unknown)}")
+            raise ValueError(f"missing mean fields: {sorted(_MEAN_FIELDS - rec.keys())}")
+        client, arm, mu = rec["client"], rec["arm"], rec["mu"]
+        if not _is_integer(client) or not _is_integer(arm):
+            raise ValueError("mean record client/arm must be integers")
+        key = (client - 1, arm - 1)
+        if key in means:
+            raise ValueError(f"duplicate mean for client {client}, arm {arm}")
+        means[key] = mu if type(mu) is float else _json_mean(mu)
+    return ProblemInstance.from_means(sets, means, num_arms=K)
+
+
+def loop_structural_violations(instance: ProblemInstance) -> list[str]:
+    """Structural violations by one pass over the entries and one over ``range(K)``.
+
+    Uncovered arms are reported one run of consecutive arms at a time.
+    """
+    v: list[str] = []
+    if instance.num_arms < 1:
+        v.append("instance has no arms")
+    if instance.num_clients < 1:
+        v.append("instance has no clients")
+    covered: set[int] = set()
+    for m, (arms, mus) in enumerate(zip(instance.arm_sets, instance.means)):
+        if len(arms) < 2:
+            v.append(f"client {m + 1}: fewer than 2 accessible arms")
+        for i in arms:
+            if not (0 <= i < instance.num_arms):
+                v.append(f"client {m + 1}: arm index {i + 1} outside 1..{instance.num_arms}")
+        for i, mu in zip(arms, mus):
+            if not math.isfinite(mu):
+                v.append(f"client {m + 1}: non-finite mean for arm {i + 1}")
+        covered.update(arms)
+    uncovered = [i for i in range(instance.num_arms) if i not in covered]
+    for _, run in itertools.groupby(enumerate(uncovered), key=lambda pair: pair[1] - pair[0]):
+        first, *rest = (i + 1 for _, i in run)
+        v.append(
+            f"arms {first}..{rest[-1]} not accessible to any client"
+            if rest
+            else f"arm {first} not accessible to any client"
+        )
+    return v

@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import re
+import time
 
 import numpy as np
 import pytest
@@ -19,11 +20,15 @@ from hetbai import (
     to_json,
     validate,
 )
+from hetbai.cli import dispatch
 from hetbai.instance import OVERLAP_PATTERNS
 
 from helpers import (
     loop_arm_stats,
+    loop_from_json,
     loop_multiplicities,
+    loop_structural_violations,
+    loop_to_json,
     make_instance,
     mean_of,
     random_admissible_instance,
@@ -110,6 +115,61 @@ class TestValidate:
         report = validate(v)
         assert not report.structurally_valid
         assert any("arm 3" in msg for msg in report.violations)
+
+    def test_uncovered_arms_reported_one_run_at_a_time(self):
+        v = ProblemInstance(
+            num_arms=10, num_clients=2, arm_sets=((1, 2), (4, 5)), means=((1.0, 0.0), (1.0, 0.0))
+        )
+        assert validate(v).violations == (
+            "arm 1 not accessible to any client",
+            "arm 4 not accessible to any client",
+            "arms 7..10 not accessible to any client",
+        )
+
+    def test_uncovered_run_costs_nothing_per_arm(self):
+        # A check with a message or a set entry per uncovered arm would exhaust
+        # memory at K = 10**12 rather than fail, so K = 10**5 has to pass first:
+        # such a check gives 99998 messages there, cheaply.
+        for K in (10**5, 10**12):
+            doc = {"K": K, "M": 1, "arm_sets": [[1, 2]],
+                   "means": [{"client": 1, "arm": 1, "mu": 1.0}, {"client": 1, "arm": 2, "mu": 0.0}]}
+            start = time.perf_counter()
+            report = validate(from_json(json.dumps(doc)))
+            assert time.perf_counter() - start < 1.0
+            assert report.violations == (f"arms 3..{K} not accessible to any client",)
+
+    def test_structural_violations_match_loop(self):
+        rng = np.random.default_rng(23)
+        checked = {"valid": 0, "invalid": 0}
+        for _ in range(400):
+            v = random_structural_instance(rng)
+            sets, means = [list(s) for s in v.arm_sets], [list(row) for row in v.means]
+            K, M = v.num_arms, v.num_clients
+            for _ in range(int(rng.integers(0, 3))):
+                m = int(rng.integers(M))
+                kind = rng.choice(["more-arms", "outside", "negative", "nan", "inf", "short", "no-arms"])
+                if kind == "more-arms":
+                    K += int(rng.integers(1, 4))
+                elif kind in ("outside", "negative"):
+                    arm = K + int(rng.integers(0, 3)) if kind == "outside" else -1
+                    if arm not in sets[m]:
+                        sets[m], means[m] = sorted([*sets[m], arm]), means[m] + [0.5]
+                elif kind in ("nan", "inf") and means[m]:
+                    means[m][int(rng.integers(len(means[m])))] = math.nan if kind == "nan" else -math.inf
+                elif kind == "short":
+                    n = int(rng.integers(0, 2))
+                    sets[m], means[m] = sets[m][:n], means[m][:n]
+                else:
+                    K = 0
+            w = ProblemInstance(num_arms=K, num_clients=M, arm_sets=tuple(map(tuple, sets)),
+                                means=tuple(map(tuple, means)))
+            want = loop_structural_violations(w)
+            report = validate(w)
+            assert report.structurally_valid == (not want)
+            if want:
+                assert list(report.violations) == want
+            checked["invalid" if want else "valid"] += 1
+        assert min(checked.values()) > 100, checked
 
     @pytest.mark.parametrize(
         "instance, message",
@@ -220,6 +280,7 @@ class TestSlotReductions:
             for arms in v.arm_sets:
                 want[np.ix_(arms, arms)] += 1.0
             assert np.array_equal(index.co_ownership, want)
+            assert index.co_ownership.dtype == want.dtype
             assert index.partition == partition_arms(v)
 
     def test_index_rejects_structurally_invalid(self):
@@ -499,6 +560,176 @@ class TestSerialization:
                 ],
             }
             assert json.loads(text) == json.loads(json.dumps(indented, indent=2))
+
+
+def read_outcome(read, text):
+    """What reading ``text`` gives: the instance as the reference writes it, or the error message."""
+    try:
+        return "instance", loop_to_json(read(text))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def seeded_instance(rng, num_arms, num_clients, sizes):
+    """Random arm sets of sizes drawn from ``sizes`` and normal means; not necessarily valid."""
+    sets = tuple(
+        tuple(sorted(rng.choice(num_arms, size=int(rng.choice(sizes)), replace=False).tolist()))
+        for _ in range(num_clients)
+    )
+    means = tuple(tuple(rng.normal(50.0, 20.0, len(s)).tolist()) for s in sets)
+    return ProblemInstance(num_arms=num_arms, num_clients=num_clients, arm_sets=sets, means=means)
+
+
+class TestDocumentsMatchLoops:
+    """``to_json`` and ``from_json`` against the per-entry references in ``helpers``."""
+
+    # (K, M, arm-set sizes): 3 slots, 25 slots, and the scale ``hetbai ingest``
+    # writes for a 1000-client ratings table (about 4500 slots)
+    SHAPES = {"3-slots": (3, 1, [3]), "25-slots": (9, 5, [5]), "ingest-scale": (200, 1000, [3, 4, 5, 6])}
+
+    @staticmethod
+    def mutations(rng, doc):
+        """``(name, document)`` for each irregularity, placed at random positions."""
+        means, sets = doc["means"], doc["arm_sets"]
+
+        def at(position, record, replace):
+            records = [dict(r) for r in means]
+            records[position : position + replace] = [record]
+            return {**doc, "means": records}
+
+        for kind, (record, _) in sorted(TestSerialization.BAD_RECORDS.items()):
+            for replace in (0, 1):
+                yield f"{kind}-{'replaced' if replace else 'inserted'}", at(
+                    int(rng.integers(len(means))), record, replace
+                )
+        p = int(rng.integers(len(means)))
+        m = means[p]["client"] - 1
+        outside = next(a for a in range(1, doc["K"] + 2) if a not in sets[m])
+        yield "shuffled", {**doc, "means": [means[i] for i in rng.permutation(len(means))]}
+        yield "dropped", {**doc, "means": means[:p] + means[p + 1 :]}
+        yield "repeated", at(p, dict(means[p]), 0)
+        yield "inaccessible", at(p, {"client": m + 1, "arm": outside, "mu": 1.0}, 0)
+        yield "client-past-int64", at(p, {"client": 2**63, "arm": 1, "mu": 1.0}, 0)
+        yield "no-such-client", at(p, {"client": doc["M"] + 1, "arm": 1, "mu": 1.0}, 0)
+        yield "int-mu", at(p, {**means[p], "mu": int(rng.integers(-5, 100))}, 1)
+        yield "huge-int-mu", at(p, {**means[p], "mu": 10**400}, 1)
+        yield "nan-mu", at(p, {**means[p], "mu": math.nan}, 1)
+        yield "inf-mu", at(p, {**means[p], "mu": -math.inf}, 1)
+        yield "float-arm", at(p, {**means[p], "arm": float(means[p]["arm"])}, 1)
+        for name, change in (
+            ("reversed-set", lambda s: s[::-1]),
+            ("repeated-arm", lambda s: s + s[:1]),
+            ("arm-past-int64", lambda s: [*s[:-1], 10**30]),
+        ):
+            changed = [list(s) for s in sets]
+            changed[m] = change(changed[m])
+            yield name, {**doc, "arm_sets": changed}
+        # client m's arm set out of order, with its records in the same order
+        mine = [i for i, r in enumerate(means) if r["client"] == m + 1]
+        lo, hi = mine[0], mine[-1] + 1
+        for name, change in (("reversed", lambda s: s[::-1]), ("repeated", lambda s: s + s[:1])):
+            changed = [list(s) for s in sets]
+            changed[m] = change(changed[m])
+            records = means[:lo] + change(means[lo:hi]) + means[hi:]
+            yield f"{name}-set-and-records", {**doc, "arm_sets": changed, "means": records}
+        yield "arm-set-of-bools", {**doc, "arm_sets": [[True, *s[1:]] for s in sets]}
+        yield "no-records", {**doc, "means": []}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_same_instance_or_message(self, shape):
+        K, M, sizes = self.SHAPES[shape]
+        rng = np.random.default_rng(sorted(self.SHAPES).index(shape) + 31)
+        outcomes = set()
+        for _ in range(3):
+            v = seeded_instance(rng, K, M, sizes)
+            text = to_json(v)
+            assert text == loop_to_json(v)
+            assert read_outcome(from_json, text) == ("instance", text)
+            for name, doc in self.mutations(rng, json.loads(text)):
+                mutated = json.dumps(doc)
+                got = read_outcome(from_json, mutated)
+                assert got == read_outcome(loop_from_json, mutated), name
+                outcomes.add(got[0])
+        assert outcomes == {"instance", "error"}
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (1.5, 2),
+            (np.float64(0.1), 3.0),
+            (math.nan, 0.25),
+            (math.inf, -math.inf),
+            (-0.0, 1e-310),
+            (True, 2**70),
+        ],
+        ids=["int", "numpy-float", "nan", "infinities", "signed-zero-subnormal", "bool-big-int"],
+    )
+    def test_to_json_bytes(self, row):
+        v = ProblemInstance(num_arms=3, num_clients=2, arm_sets=((0, 2), (1, 2)), means=(row, row[::-1]))
+        assert to_json(v) == loop_to_json(v)
+
+
+class TestDocumentNormalizations:
+    """What ``from_json`` reads a document as, through ``from_json`` and ``hetbai validate``."""
+
+    @staticmethod
+    def document(arm_sets, means, K=2):
+        records = [{"client": m, "arm": a, "mu": mu} for (m, a), mu in means.items()]
+        return json.dumps({"K": K, "M": len(arm_sets), "arm_sets": arm_sets, "means": records})
+
+    def test_arm_sets_read_sorted_and_duplicate_free(self):
+        text = self.document([[2, 1, 1], [1, 2]], {(1, 1): 1.0, (1, 2): 0.0, (2, 1): 1.0, (2, 2): 0.0})
+        assert from_json(text).arm_sets == ((0, 1), (0, 1))
+        assert from_json(text) == symmetric_two_arm()
+
+    def test_integer_mean_read_as_float(self):
+        text = self.document([[1, 2]], {(1, 1): 3, (1, 2): 0.5})
+        assert from_json(text).means == ((3.0, 0.5),)
+        assert type(from_json(text).means[0][0]) is float
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_read_then_flagged(self, literal):
+        text = self.document([[1, 2]], {(1, 1): 1.0, (1, 2): 0.5}).replace("1.0", literal)
+        v = from_json(text)
+        assert repr(v.means[0][0]) == repr(float(literal.lower().replace("infinity", "inf")))
+        report = validate(v)
+        assert not report.structurally_valid
+        assert report.violations == ("client 1: non-finite mean for arm 1",)
+
+    @pytest.mark.parametrize(
+        "means, message",
+        [
+            ({(1, 1): 1.0, (2, 1): 1.0, (2, 2): 0.0}, "missing mean for client 1, arm 2"),
+            ({(1, 1): 1.0, (1, 2): 0.0, (2, 1): 1.0, (2, 2): 0.0, (2, 3): 5.0},
+             "mean given for inaccessible pair: client 2, arm 3"),
+        ],
+        ids=["missing", "inaccessible"],
+    )
+    def test_pair_messages(self, means, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(self.document([[1, 2], [1, 2]], means))
+
+    # Indices past int64 keep their Python values: a message, never OverflowError.
+    def test_arm_index_past_int64_is_a_violation(self, tmp_path, capsys):
+        text = self.document([[1, 10**30]], {(1, 1): 1.0, (1, 10**30): 0.0})
+        message = "client 1: arm index 1000000000000000000000000000000 outside 1..2"
+        assert message in validate(from_json(text)).violations
+        path = tmp_path / "v.json"
+        path.write_text(text)
+        assert dispatch(["validate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert message in out.splitlines() and "Traceback" not in err
+
+    def test_client_index_past_int64_is_an_inaccessible_pair(self, tmp_path, capsys):
+        means = {(1, 1): 1.0, (1, 2): 0.0, (2, 1): 1.0, (2, 2): 0.0, (2**63, 1): 0.5}
+        text = self.document([[1, 2], [1, 2]], means)
+        message = "mean given for inaccessible pair: client 9223372036854775808, arm 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_json(text)
+        path = tmp_path / "v.json"
+        path.write_text(text)
+        assert dispatch(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestProblemInstanceApi:
