@@ -8,10 +8,15 @@ nonnegative matrix ``H = D C`` built from the separation gaps and ownership
 counts (``D`` positive diagonal, ``C`` the symmetric co-ownership counts).
 It is computed by a symmetric eigensolver on ``D^(1/2) C D^(1/2)`` and
 accepted only under a componentwise certificate: every entry positive and
-``|(Hx)_i - lambda x_i| <= 1e-10 * lambda x_i`` for every arm.  When the
-solver's vector fails the certificate (tiny entries lose their relative
-accuracy on badly scaled gaps), positivity-preserving power iteration
-continues from its absolute value until the certificate holds.
+``|(Hx)_i - lambda x_i| <= 1e-10 * lambda x_i`` for every arm.  One power
+step from the solver's vector is always taken, as straight-line code, and
+certifies as a rule.  The polish loop runs only when that step does not
+certify (tiny entries lose their relative accuracy on badly scaled gaps)
+or its norm leaves the normal float range (``y . y`` scales as
+``gap^-6``): positivity-preserving power iteration then starts again from
+the solver's vector, with block and start scaled by powers of two to
+entries near 1, until each block's certificate holds.  Gaps below
+``2^-150`` go to that loop at once, since their first step could overflow.
 
 Two rate functionals drive everything:
 
@@ -80,6 +85,16 @@ _GRID_CHUNK = 1_000_000  # grid points it scores per array pass
 # positive eigenvector (a reducible block, or one whose top eigenvalues
 # nearly coincide); production class blocks certify within a few steps.
 _MAX_POWER_STEPS = 100_000
+
+# Smallest normal float: a first-step norm below it has lost bits to underflow.
+_TINY = 2.0**-1022
+
+# Least gap below which the first polish step could overflow.  With
+# ``d = 1 / (gap * mult)^2 <= gap^-2``, the eigensolver's start ``sqrt(d) v``
+# (``|v| = 1``) gives ``y = D C x`` with ``y . y <= n^3 M^2 max(d)^3`` on a
+# class of ``n`` arms and ``M`` clients, which stays below ``2^1024`` for
+# ``gap >= 2^-150`` whenever ``n, M < 2^24``.
+_SMALL_GAP = 2.0**-150
 
 
 @dataclass(frozen=True)
@@ -157,57 +172,101 @@ def perron_positive_eigenvector(
     makes the entries of arms with identical rows bitwise equal, which a
     direct eigensolver does not guarantee, and D-tracking breaks an exact
     weight tie at random but a last-bit difference deterministically.
-    Raises :class:`PowerIterationError` when the iterate vanishes or no
+    Block and start may have any scale (see :func:`_rescaled_polish`).
+    Raises ``ValueError`` for a negative entry, and
+    :class:`PowerIterationError` when the iterate vanishes or no
     certificate is reached within a fixed step budget.
     """
     H = np.asarray(block, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("block must be a square matrix")
+    if np.logical_or.reduce(H < 0.0, axis=None):
+        raise ValueError("block must be nonnegative")
     x = np.ones(H.shape[0]) if start is None else np.asarray(start, dtype=float)
-    vectors, values = _perron_polish(H[None], x[None])
+    vectors, values = _rescaled_polish(H[None], x[None])  # any scale of block and start
     return vectors[0], float(values[0])
 
 
 def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`perron_positive_eigenvector` of blocks ``(B, n, n)`` from ``(B, n)`` starts.
+    """:func:`perron_positive_eigenvector` of nonnegative blocks ``(B, n, n)``, starts ``(B, n)``.
 
-    Every block iterates until its own certificate holds, so each result
-    equals that block's alone bit for bit: stacked ``@`` runs the same
-    matrix-vector product and the same dot product (the norm is the square
-    root of ``y . y``, as ``numpy.linalg.norm`` computes it for one vector).
+    The first step is straight-line code, since starts from the eigensolver
+    certify there as a rule.  If any block does not, or the first norm
+    leaves the normal range, :func:`_rescaled_polish` runs the whole stack
+    again from its starts.  Each result equals that block's alone bit for
+    bit: stacked ``@`` runs the same matrix-vector product and the same dot
+    product (the norm is the square root of ``y . y``, as
+    ``numpy.linalg.norm`` computes it for one vector).
     """
-    H = blocks
-    x = np.abs(starts)[..., None]
-    y = H @ x
-    todo = None  # original rows still iterating, once some have certified
+    y = blocks @ np.abs(starts)[..., None]
+    norm = np.sqrt(y.mT @ y)
+    if np.minimum.reduce(norm, axis=None) >= _TINY:
+        x = y / norm
+        y = blocks @ x
+        lam = x.mT @ y
+        if _certified(x, y, lam):
+            return x[..., 0], lam[:, 0, 0]
+    return _rescaled_polish(blocks, starts)
+
+
+def _certified(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> bool:
+    """Whether every block of a nonnegative stack certifies at ``x``, ``y = Hx`` and ``x . y``.
+
+    A nonnegative block keeps ``x`` and ``lam`` nonnegative, so every
+    ``lam * x_i`` is positive exactly when ``lam`` and every ``x_i`` are (an
+    underflow to 0 fails either way, as the residual would divide by it).
+    """
+    scaled = lam * x
+    return bool(
+        np.minimum.reduce(scaled, axis=None) > 0.0
+        and np.maximum.reduce(np.abs(y - scaled) / scaled, axis=None) <= CERTIFICATE_TOL
+    )
+
+
+def _rescaled_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The power iteration of :func:`_perron_polish`, each block until its own certificate holds.
+
+    Each block and its start are first scaled by powers of two to a largest
+    entry in ``[1/2, 1)``, so that ``y . y`` neither overflows nor underflows
+    however the gaps are scaled.  Such a scaling changes no bit of the
+    iterates whose values stay normal floats (every product, sum, square
+    root and quotient scales exactly), and the eigenvalue is scaled back
+    exactly.
+    """
+    shift = _exponent(blocks)
+    H = np.ldexp(blocks, -shift[:, None, None])
+    y = H @ np.ldexp(np.abs(starts), -_exponent(starts)[:, None])[..., None]
+    todo = np.arange(len(H))  # original blocks still iterating
+    vectors, values = np.empty(starts.shape), np.empty(len(H))
     for _ in range(_MAX_POWER_STEPS):
-        norm = np.sqrt(y.transpose(0, 2, 1) @ y)
-        if norm.min() == 0.0:
+        norm = np.sqrt(y.mT @ y)
+        if np.minimum.reduce(norm, axis=None) == 0.0:
             raise PowerIterationError("iterate vanished; block is not irreducible")
         x = y / norm
         y = H @ x
-        lam = x.transpose(0, 2, 1) @ y
-        scaled = lam * x
-        # Whole-stack reductions settle the common case: every block certifies at once.
-        positive = lam.min() > 0.0 and x.min() > 0.0
-        if positive and (np.abs(y - scaled) / scaled).max() <= CERTIFICATE_TOL:
-            if todo is None:
-                return x[..., 0], lam[:, 0, 0]
-            vectors[todo], values[todo] = x[..., 0], lam[:, 0, 0]
+        lam = x.mT @ y
+        if _certified(x, y, lam):
+            vectors[todo] = x[..., 0]
+            values[todo] = np.ldexp(lam[:, 0, 0], shift[todo])
             return vectors, values
         if len(H) == 1:  # the whole-stack check was this block's own
             continue
         done = _residuals(x, y, lam) <= CERTIFICATE_TOL
-        if done.any():
-            if todo is None:
-                todo, vectors, values = np.arange(len(H)), np.empty(x.shape[:2]), np.empty(len(H))
-            vectors[todo[done]], values[todo[done]] = x[done, :, 0], lam[done, 0, 0]
+        if np.logical_or.reduce(done):
+            rows = todo[done]
+            vectors[rows] = x[done, :, 0]
+            values[rows] = np.ldexp(lam[done, 0, 0], shift[rows])
             keep = ~done
-            H, x, y, todo = H[keep], x[keep], y[keep], todo[keep]
+            H, x, y, lam, todo = H[keep], x[keep], y[keep], lam[keep], todo[keep]
     raise PowerIterationError(
         f"no certified positive eigenvector within {_MAX_POWER_STEPS} power steps",
-        float(_residuals(x, y, lam).max()),
+        float(np.maximum.reduce(_residuals(x, y, lam))),
     )
+
+
+def _exponent(stack: np.ndarray) -> np.ndarray:
+    """Per entry of a stack's first axis, the binary exponent of its largest magnitude (0 for 0)."""
+    return np.frexp(np.maximum.reduce(np.abs(stack).reshape(len(stack), -1), axis=1))[1]
 
 
 def _residuals(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -228,19 +287,30 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     Per class, ``numpy.linalg.eigh`` on the symmetric ``D^(1/2) C D^(1/2)``
     gives ``x = D^(1/2) v`` for its top eigenvector ``v``; the Perron
     iteration then polishes ``x`` until it certifies (one step as a rule).
+    Gaps below ``_SMALL_GAP`` send the polish straight to its rescaled loop.
     Stacked stats (admissible in every row) give one vector per row: the
     eigensolver and the polish run once per class over the whole stack,
     and each row equals that configuration's vector alone bit for bit.
     """
     scale = _inverse_scale(index, stats)
+    polish = _perron_polish if stats.least_gap >= _SMALL_GAP else _rescaled_polish
     rows = scale.reshape(-1, index.num_arms)
+    vectors = [
+        (arms, _class_vector(rows[:, arms, None], co, polish)) for arms, co in index.class_blocks
+    ]
+    if len(vectors) == 1:  # one class holds every arm, in order
+        return vectors[0][1].reshape(scale.shape)
     entries = np.zeros(rows.shape)
-    for arms, co in index.class_blocks:
-        d = rows[:, arms]
-        root = np.sqrt(d)
-        _, vectors = np.linalg.eigh(root[:, :, None] * co * root[:, None, :])
-        entries[:, arms] = _perron_polish(d[:, :, None] * co, root * vectors[:, :, -1])[0]
+    for arms, vector in vectors:
+        entries[:, arms] = vector
     return entries.reshape(scale.shape)
+
+
+def _class_vector(d: np.ndarray, co: np.ndarray, polish) -> np.ndarray:
+    """A class's polished vectors ``(B, n)`` from its ``(B, n, 1)`` diagonal and co-ownership."""
+    root = np.sqrt(d)
+    _, vectors = np.linalg.eigh(root * co * root.mT)
+    return polish(d * co, root[..., 0] * vectors[:, :, -1])[0]
 
 
 def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
@@ -253,8 +323,8 @@ def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]
     """
     groups = []
     for clients, arms in index.clients_by_size:
-        g = np.take(gvec, arms, axis=1)
-        groups.append((clients, (g / g.sum(axis=-1, keepdims=True)).tolist()))
+        g = gvec.take(arms, axis=1)
+        groups.append((clients, (g / np.add.reduce(g, axis=-1, keepdims=True)).tolist()))
     if len(groups) == 1:  # one arm-set size: rows are already in client order
         return groups[0][1]
     out = [[None] * index.num_clients for _ in range(len(gvec))]
@@ -290,7 +360,7 @@ def optimal_allocation(
 def _confusion_rate(
     stack: SlotIndex, stats: ArmStats, slot_values: np.ndarray, best: np.ndarray
 ) -> np.ndarray:
-    """``min ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)`` over the confusion pairs.
+    """``min ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)`` over the confusion pairs, one per row.
 
     Slot ``s`` pairs its client's best arm ``best[s]`` with its own arm unless
     the two are one: each client's best arm against every other arm it owns.
@@ -299,20 +369,19 @@ def _confusion_rate(
     On pull counts this is ``Z(t)``; on slot-ordered weights, ``g_exact``.
     ``slot_values`` may stack configurations as ``(B, K')`` rows (with
     ``stats`` stacked alike), and ``stack`` is then ``index.stacked(B)``;
-    ``best`` then names arms as the stack does (arm ``i`` of row ``b`` is
-    ``b * K + i``), and the minimum is taken per row.
+    ``best`` is ``(B, K')`` (``(1, K')`` for one configuration) and names
+    arms as the stack does (arm ``i`` of row ``b`` is ``b * K + i``), and the
+    minimum is taken per row.
     """
-    shape = np.shape(slot_values)
-    best = best.reshape(shape)
-    own = stack.slot_arm.reshape(shape)
     values = np.ravel(slot_values)
-    recip = np.full(values.shape, np.inf)
-    np.divide(1.0, values, out=recip, where=values > 0)
+    with np.errstate(divide="ignore"):  # a zero value counts as 1/0 = inf
+        recip = 1.0 / values
     T = (
         np.bincount(stack.slot_arm, weights=recip, minlength=stack.num_arms)
         / stack.squared_multiplicities
     )
     means = stats.global_means.ravel()
+    own = stack.arm_rows
     gap = means[best] - means[own]
     rates = gap * gap / 2.0 / (T[best] + T[own])
     return np.minimum.reduce(rates, axis=-1, initial=np.inf, where=best != own)
@@ -374,7 +443,7 @@ def g_exact(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) 
     """
     index, w = _slot_weights(instance, allocation)
     best = _confusion_best(index, stats)
-    return 0.0 if w is None else float(_confusion_rate(index, stats, w, best))
+    return 0.0 if w is None else float(_confusion_rate(index, stats, w, best[None])[0])
 
 
 def c_star_interval(

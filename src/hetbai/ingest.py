@@ -30,6 +30,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -239,7 +240,9 @@ def _codes(labels: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """Sorted distinct labels, and each entry's position among them."""
     names = sorted(set(labels))
     position = {name: k for k, name in enumerate(names)}
-    return names, np.fromiter(map(position.__getitem__, labels), dtype=np.int64, count=len(labels))
+    # One itemgetter call maps every label; it needs an item, and returns a lone one bare.
+    codes = itemgetter(*labels)(position) if len(labels) > 1 else [position[n] for n in labels]
+    return names, np.fromiter(codes, dtype=np.int64, count=len(labels))
 
 
 def build_instance(table: RatingsTable, min_samples: int = 10) -> IngestResult:

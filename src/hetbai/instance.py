@@ -140,15 +140,23 @@ class ArmStats:
     gaps: np.ndarray
     best_arms: np.ndarray
     top_arms: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _least_gap: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def is_admissible(self) -> np.bool_ | np.ndarray:
         """Whether every gap is positive; one flag per row of stacked stats."""
-        return self.gaps.min(axis=-1) > 0.0
+        return np.minimum.reduce(self.gaps, axis=-1) > 0.0
 
-    @cached_property
+    @property
+    def least_gap(self) -> float:
+        """The least gap over all rows: one reduction, kept for the server's later calls."""
+        if self._least_gap is None:
+            self._least_gap = float(np.minimum.reduce(self.gaps, axis=None))
+        return self._least_gap
+
+    @property
     def all_admissible(self) -> bool:
-        """Whether every row is admissible: one test shared by the server's calls."""
-        return bool(self.gaps.min() > 0.0)
+        """Whether every row is admissible."""
+        return self.least_gap > 0.0
 
     def rows(self, keep: np.ndarray) -> ArmStats:
         """The stacked stats of the rows selected by ``keep`` (a mask or row indices)."""
@@ -179,8 +187,9 @@ class SlotIndex:
     gives the mean of every slot.  The structure is fixed for a whole
     episode, so it is built once and the per-instant statistics are
     array reductions over it.  A stack of configurations is the slot index
-    of disjoint copies of the instance (see :meth:`stacked`), so every
-    reduction gives each row what the row alone gives.  Arrays are read-only.
+    of ``copies`` disjoint copies of the instance (see :meth:`stacked`), so
+    every reduction gives each row what the row alone gives.  Arrays are
+    read-only.
     """
 
     num_arms: int
@@ -189,19 +198,25 @@ class SlotIndex:
     slot_arm: np.ndarray
     starts: np.ndarray
     multiplicities: np.ndarray
+    copies: int = 1
     _stacks: dict = field(default_factory=dict, init=False, repr=False)  # see stacked()
 
     @classmethod
-    def _of(cls, num_arms: int, sizes: Sequence[int], slot_arm: Sequence[int]) -> "SlotIndex":
+    def _of(
+        cls, num_arms: int, sizes: Sequence[int], slot_arm: Sequence[int], copies: int = 1
+    ) -> "SlotIndex":
         slot_arm = np.asarray(slot_arm, dtype=np.int64)
-        return cls(
+        index = cls(
             num_arms=num_arms,
             num_clients=len(sizes),
             slot_client=_frozen(np.repeat(np.arange(len(sizes)), sizes)),
             slot_arm=_frozen(slot_arm),
             starts=_frozen(np.concatenate(([0], np.cumsum(sizes)))),
             multiplicities=_frozen(np.bincount(slot_arm, minlength=num_arms)),
+            copies=copies,
         )
+        index.__dict__["client_starts"] = index.starts[:-1]  # every reduction reads it
+        return index
 
     @property
     def num_slots(self) -> int:
@@ -232,19 +247,19 @@ class SlotIndex:
                 sizes, copies = np.tile(np.diff(self.starts), rows), np.arange(rows)[:, None]
                 slot_arm = (self.slot_arm + self.num_arms * copies).ravel()
                 stacks.clear()
-                stacks[rows] = SlotIndex._of(rows * self.num_arms, sizes, slot_arm)
+                stacks[rows] = SlotIndex._of(rows * self.num_arms, sizes, slot_arm, rows)
             else:
-                largest = stacks[max(stacks)]
-                stacks[rows] = largest._prefix(
-                    rows * self.num_slots, rows * self.num_clients, rows * self.num_arms
-                )
+                stacks[rows] = stacks[max(stacks)]._prefix(rows)
         return stacks[rows]
 
-    def _prefix(self, slots: int, clients: int, arms: int) -> "SlotIndex":
-        """The index of the first ``clients`` clients, owning the first ``slots`` and ``arms``.
+    def _prefix(self, copies: int) -> "SlotIndex":
+        """The index of this stack's first ``copies`` copies.
 
         Its arrays, and the cached ones a reduction reads, are views of this index's.
         """
+        slots, clients, arms = (
+            n // self.copies * copies for n in (self.num_slots, self.num_clients, self.num_arms)
+        )
         prefix = SlotIndex(
             num_arms=arms,
             num_clients=clients,
@@ -252,12 +267,17 @@ class SlotIndex:
             slot_arm=self.slot_arm[:slots],
             starts=self.starts[: clients + 1],
             multiplicities=self.multiplicities[:arms],
+            copies=copies,
         )
         order, arm_starts = self.arm_runs
         prefix.__dict__.update(  # cached_property values, as views
             arm_runs=(order[:slots], arm_starts[:arms]),
             slot_positions=self.slot_positions[:slots],
             squared_multiplicities=self.squared_multiplicities[:arms],
+            client_starts=self.client_starts[:clients],
+            copy_arm=self.copy_arm[:slots],
+            arm_rows=self.arm_rows[:copies],
+            client_rows=self.client_rows[:copies],
         )
         return prefix
 
@@ -276,6 +296,28 @@ class SlotIndex:
         """Slots stably sorted by arm, and where each arm's (nonempty) run starts in that order."""
         order = np.argsort(self.slot_arm, kind="stable")
         return _frozen(order), _frozen(np.cumsum(self.multiplicities) - self.multiplicities)
+
+    # Per-stack constants of the server's reductions, built once per row count.
+
+    @cached_property
+    def client_starts(self) -> np.ndarray:
+        """``starts`` without its trailing entry: the segments ``reduceat`` takes per client."""
+        return self.starts[:-1]
+
+    @cached_property
+    def copy_arm(self) -> np.ndarray:
+        """Each slot's arm as its own copy numbers it: ``slot_arm`` modulo the arms of one copy."""
+        return _frozen(self.slot_arm % (self.num_arms // self.copies))
+
+    @cached_property
+    def arm_rows(self) -> np.ndarray:
+        """``slot_arm`` as ``(copies, K')``: one row of stack arm numbers per configuration."""
+        return self.slot_arm.reshape(self.copies, -1)
+
+    @cached_property
+    def client_rows(self) -> np.ndarray:
+        """``slot_client`` as ``(copies, K')``: each slot's client, one row per configuration."""
+        return self.slot_client.reshape(self.copies, -1)
 
     @cached_property
     def clients_by_size(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
@@ -374,8 +416,11 @@ def validate(instance: ProblemInstance) -> ValidationReport:
 
     An instance is admissible when every client's best arm beats each other
     arm of the client by more than the rounding error of their aggregate
-    means (see :func:`_ties`); an exact tie is the case of a zero gap.
-    The report is computed once per instance object.
+    means (see :func:`_ties`); an exact tie is the case of a zero gap.  An
+    instance without ties is still inadmissible when an arm's gap times its
+    number of owning clients leaves ``[2**-500, 2**500]``, where the
+    allocation can represent it (see :func:`_gap_scale`).  The report is
+    computed once per instance object.
     """
     return instance._report
 
@@ -385,7 +430,12 @@ def _validation_report(instance: ProblemInstance) -> ValidationReport:
     structurally_valid = not violations
     if structurally_valid:
         index = slot_index(instance)
-        violations = _ties(index, index.flatten(instance.means))
+        slot_means = index.flatten(instance.means)
+        _, _, g, top, first = _top_slots(index, slot_means)
+        separation = top - g  # of each slot's arm from its client's top aggregate mean
+        violations = _ties(index, slot_means, separation, first) or _gap_scale(
+            index, slot_means, separation
+        )
     return ValidationReport(
         structurally_valid=structurally_valid,
         admissible=structurally_valid and not violations,
@@ -397,7 +447,9 @@ def _validation_report(instance: ProblemInstance) -> ValidationReport:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _ties(index: SlotIndex, slot_means: np.ndarray) -> list[str]:
+def _ties(
+    index: SlotIndex, slot_means: np.ndarray, separation: np.ndarray, first: np.ndarray
+) -> list[str]:
     """One message per client whose best arm does not beat all its other arms by a rounding error.
 
     A mean handed in as a float is the rounding of the value it stands for
@@ -412,27 +464,59 @@ def _ties(index: SlotIndex, slot_means: np.ndarray) -> list[str]:
     best arm and another of its arms differ by no more than the sum of
     their two bounds, the values the floats stand for may be ordered either
     way, so the best arm is not determined: a tie (an exact one at gap 0).
-    The aggregate means and best arms are those of :func:`slot_stats`.
+    The aggregate means and best arms are those of :func:`slot_stats`:
+    ``separation`` is each slot's ``top - g`` and ``first`` each client's
+    top slot, as :func:`_top_slots` finds them.
     """
-    _, _, g, top, first = _top_slots(index, slot_means)
     mult = index.multiplicities
     steps = mult + 1.0
     magnitude = np.bincount(index.slot_arm, weights=np.abs(slot_means), minlength=index.num_arms)
     error = steps * _UNIT_ROUNDOFF / (1.0 - steps * _UNIT_ROUNDOFF) * magnitude / mult
     best = index.slot_arm[first][index.slot_client]
-    gap = top - g
     tolerance = error[best] + error[index.slot_arm]
     messages: dict[int, str] = {}  # one per client, naming its first such arm
-    for slot in np.flatnonzero((index.slot_arm != best) & (gap <= tolerance)).tolist():
+    for slot in np.flatnonzero((index.slot_arm != best) & (separation <= tolerance)).tolist():
         m, i, j = int(index.slot_client[slot]), int(best[slot]), int(index.slot_arm[slot])
         messages.setdefault(
             m,
             f"tied best arm at client {m + 1}"
-            if gap[slot] == 0.0
-            else f"client {m + 1}: best arm {i + 1} and arm {j + 1} differ by {gap[slot]:.3g}, "
-            f"within the rounding error {tolerance[slot]:.3g} of their aggregate means",
+            if separation[slot] == 0.0
+            else f"client {m + 1}: best arm {i + 1} and arm {j + 1} differ by "
+            f"{separation[slot]:.3g}, within the rounding error {tolerance[slot]:.3g} of their "
+            "aggregate means",
         )
     return list(messages.values())
+
+
+# The range of gap * mult a tie-free instance must keep, derived in _gap_scale.
+_GAP_RANGE = (2.0**-500, 2.0**500)
+
+
+def _gap_scale(index: SlotIndex, slot_means: np.ndarray, separation: np.ndarray) -> list[str]:
+    """One message per arm whose gap times its owner count leaves ``_GAP_RANGE``.
+
+    The allocation scales arm ``i`` by ``d_i = 1 / (gap_i * mult_i)^2`` and
+    its eigensolver reads ``sqrt(d_i) C_ij sqrt(d_j) <= M max d``; within the
+    range, every ``d_i`` is a normal float in ``[2^-1000, 2^1000]`` and
+    those entries stay finite for fewer than ``2^24`` clients (the Perron
+    polish rescales its own iterates).  For an instance without ties (as
+    :func:`_ties` finds none), every gap lies between the least positive
+    separation ``top - g`` of a client's top mean from its other arms' and
+    the greatest one, so the per-arm gaps of :func:`slot_stats` are computed
+    only when those two bounds leave the range.
+    """
+    low, high = _GAP_RANGE
+    # 0 on each client's best arm, positive on the others
+    least = np.minimum.reduce(separation, initial=np.inf, where=separation > 0.0)
+    if least >= low and np.maximum.reduce(separation) * index.num_clients <= high:
+        return []
+    gaps = slot_stats(index, slot_means).gaps
+    scaled = gaps * index.multiplicities
+    return [
+        f"arm {i + 1}: gap {gaps[i]:.3g} times its {index.multiplicities[i]} owning clients "
+        "is outside [2**-500, 2**500], the range the allocation represents"
+        for i in np.flatnonzero((scaled < low) | (scaled > high)).tolist()
+    ]
 
 
 def arm_stats(instance: ProblemInstance) -> ArmStats:
@@ -465,14 +549,14 @@ def _top_slots(
     the lowest arm), all numbered as in the stack.
     """
     stack = index.stacked(slot_means.size // index.num_slots)
+    slot_arm, starts = stack.slot_arm, stack.client_starts
     global_means = (
-        np.bincount(stack.slot_arm, weights=slot_means.ravel(), minlength=stack.num_arms)
+        np.bincount(slot_arm, weights=slot_means.ravel(), minlength=stack.num_arms)
         / stack.multiplicities
     )
-    g = global_means[stack.slot_arm]
-    starts = stack.starts[:-1]
+    g = global_means[slot_arm]
     top = np.maximum.reduceat(g, starts)[stack.slot_client]
-    first = np.minimum.reduceat(np.where(g == top, stack.slot_positions, stack.num_slots), starts)
+    first = np.minimum.reduceat(np.where(g == top, stack.slot_positions, len(slot_arm)), starts)
     return stack, global_means, g, top, first
 
 
@@ -489,25 +573,19 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
     """
     means = np.asarray(slot_means, dtype=float)
     stack, global_means, g, other, first = _top_slots(index, means)
-    starts = stack.starts[:-1]
     rest = g.copy()
     rest[first] = -np.inf
-    other[first] = np.maximum.reduceat(rest, starts)  # the lead slot competes with the runner-up
+    # the lead slot competes with the runner-up
+    other[first] = np.maximum.reduceat(rest, stack.client_starts)
     order, arm_starts = stack.arm_runs
     gaps = np.minimum.reduceat(np.abs(g - other)[order], arm_starts)
-    top_arms = stack.slot_arm[first]
-    best_arms = top_arms if stack is index else top_arms % index.num_arms
+    best_arms = stack.copy_arm[first]
     if means.ndim > 1:
         rows = len(means)
         global_means = global_means.reshape(rows, index.num_arms)
         gaps = gaps.reshape(rows, index.num_arms)
         best_arms = best_arms.reshape(rows, index.num_clients)
-    return ArmStats(
-        global_means=global_means,
-        gaps=gaps,
-        best_arms=best_arms,
-        top_arms=top_arms,
-    )
+    return ArmStats(global_means, gaps, best_arms, stack.slot_arm[first])
 
 
 def _confusion_best(index: SlotIndex, stats: ArmStats) -> np.ndarray:

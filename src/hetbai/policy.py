@@ -249,9 +249,9 @@ def slot_z_statistic(
     """
     counts = np.asarray(slot_counts)
     stack = index.stacked(counts.size // index.num_slots)
-    z = _confusion_rate(stack, stats, counts, stats.top_arms[stack.slot_client])
+    z = _confusion_rate(stack, stats, counts, stats.top_arms[stack.client_rows])
     if stats.all_admissible:
-        return float(z) if counts.ndim == 1 else z
+        return float(z[0]) if counts.ndim == 1 else z
     return 0.0 if counts.ndim == 1 else np.where(stats.is_admissible(), z, 0.0)
 
 

@@ -326,10 +326,12 @@ def run_batch(
     schedule = _schedule(float(lam))
     instants = iter(schedule)
     select_rngs, reward_rngs = _batch_streams([seed for _, seed in tasks], instance.num_clients)
-    # The client advance returns the running rows' cumulative slot counts at chunk[step].
+    # The client advance returns the running rows' cumulative slot counts at chunk[step],
+    # as whole-number floats: exact up to the step cap's 2**53, and every float
+    # expression below reads them as it would read the integers.
     clients = _uniform_clients if policy == "uniform" else _tracking_clients
     advance = clients(index, np.diff(index.starts).tolist(), select_rngs)
-    counts = np.zeros((len(tasks), kprime), dtype=np.int64)  # one row per running episode
+    counts = np.zeros((len(tasks), kprime))  # one row per running episode
     sums = np.zeros((len(tasks), kprime))
     running = list(range(len(tasks)))  # task of each row
     records: list[RunRecord | None] = [None] * len(tasks)
@@ -350,12 +352,18 @@ def run_batch(
         for row, k in zip(noise, running):
             reward_rngs[k].standard_normal(out=row)
         for step, instant in enumerate(chunk):
-            block = advance(running, stats, t, chunk, step) - counts
+            pulled = advance(running, stats, t, chunk, step)
+            block = pulled - counts
             # The block's reward total on a slot pulled n times is N(n * mu, n); n = 0 adds 0.
             # Generator.normal(loc, scale) is loc + scale * (one standard normal draw per
-            # entry), so scaling the episodes' standard normals stacked gives the same floats.
-            sums += block * slot_means + np.sqrt(block) * noise[:, step]
-            counts += block
+            # entry), so scaling the episodes' standard normals stacked gives the same floats;
+            # the products and the sum are taken in place.
+            reward = np.sqrt(block)
+            reward *= noise[:, step]
+            block *= slot_means
+            block += reward
+            sums += block
+            counts = pulled
             t = instant
             stats, z, stop, beta = _server_step(index, instance.num_arms, counts, sums, t, offsets)
             if traces is not None:
@@ -393,9 +401,8 @@ def _schedule(lam: float) -> CommSchedule:
 
 def _server_step(index: SlotIndex, num_arms: int, counts, sums, t: int, offsets) -> tuple:
     """The server at instant ``t``: each row's stats, ``Z(t)``, stop flag and threshold."""
-    means = np.zeros(counts.shape)
-    np.divide(sums, counts, out=means, where=counts > 0)
-    stats = slot_stats(index, means)
+    # An unpulled slot's sum is +0.0, so its mean reads 0 / 1 = 0.
+    stats = slot_stats(index, sums / np.maximum(counts, 1.0))
     z = slot_z_statistic(index, stats, counts)
     stop, beta = should_stop(z, t, offsets, index.num_slots, num_arms)
     return stats, z, stop.tolist(), beta
@@ -415,7 +422,7 @@ def _tracking_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[
         for k in running:
             for row, w, rng in zip(tracked[k], weights[k], select_rngs[k]):
                 pulled += track_pulls(row, w, t, chunk[step], rng)
-        return np.array(pulled, dtype=np.int64).reshape(len(running), -1)
+        return np.array(pulled).reshape(len(running), -1)
 
     return advance
 
@@ -423,7 +430,7 @@ def _tracking_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[
 def _uniform_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[list]):
     """Client advance of the uniform baseline: each client draws a chunk's blocks at its start."""
     # counts at every instant of the chunk, one row per episode running when it was drawn
-    drawn = np.zeros((len(select_rngs), 1, index.num_slots), dtype=np.int64)
+    drawn = np.zeros((len(select_rngs), 1, index.num_slots))
     rows = list(range(len(select_rngs)))  # task of each row
 
     def advance(running: list[int], stats: ArmStats | None, t: int, chunk: list[int], step: int):
@@ -433,7 +440,7 @@ def _uniform_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[l
         if step == 0:
             lengths = np.diff(chunk, prepend=t)
             start = drawn[:, -1:]
-            drawn = np.empty((len(rows), len(chunk), index.num_slots), dtype=np.int64)
+            drawn = np.empty((len(rows), len(chunk), index.num_slots))
             for row, k in zip(drawn, rows):
                 pulls = [uniform_pulls(n, lengths, rng) for n, rng in zip(sizes, select_rngs[k])]
                 np.concatenate(pulls, axis=1, out=row)

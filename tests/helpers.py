@@ -16,6 +16,7 @@ from hetbai import (
     CommSchedule,
     ProblemInstance,
     RunRecord,
+    SlotIndex,
     f_inverse,
     gen_overlap_instance,
     should_stop,
@@ -410,12 +411,13 @@ def block_run_episode(
     """Reference for the lockstep batch: one episode, one block per instant, 1-D arrays.
 
     The per-episode kernel the batch replaced: the same streams and block
-    rule, rewards from ``Generator.normal``, and per-client weights from
-    ``g / g.sum()``.  ``trace`` receives ``(t, z, beta, stopped)`` tuples.
+    rule, rewards from ``Generator.normal``, and the server of
+    :func:`reference_server_step` on a stack of one, with its per-client
+    weights.  ``trace`` receives ``(t, z, beta, stopped)`` tuples.
     """
     index = slot_index(instance)
     slot_means = index.flatten(instance.means)
-    true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
+    true_best = tuple(int(a) for a in reference_slot_stats(index, slot_means).best_arms)
     kprime = index.num_slots
     offset = f_inverse(delta, kprime)
     schedule = CommSchedule(lam)
@@ -439,27 +441,144 @@ def block_run_episode(
         sums += reward_rng.normal(block * slot_means, np.sqrt(block))
         counts += block
         t = instant
-        means = np.zeros(kprime)
-        np.divide(sums, counts, out=means, where=counts > 0)
-        stats = slot_stats(index, means)
-        z = slot_z_statistic(index, stats, counts)
-        stop, beta = should_stop(z, t, offset, kprime, instance.num_arms)
+        stats, z, stop, beta, broadcast = reference_server_step(
+            index, instance.num_arms, counts[None], sums[None], t, np.array([offset])
+        )
         if trace is not None:
-            trace.append((t, z, beta, bool(stop)))
-        if stop:
-            recommendation = tuple(int(a) for a in stats.best_arms)
+            trace.append((t, float(z[0]), float(beta[0]), bool(stop[0])))
+        if stop[0]:
+            recommendation = tuple(int(a) for a in stats.best_arms[0])
             return RunRecord(
                 policy=policy, lam=lam, delta=delta, seed=seed, tau=t,
                 rounds=schedule.round_exponent(t), correct=recommendation == true_best,
                 recommendation=recommendation,
             )
         if policy != "uniform":
-            gvec = slot_server_vector(index, stats)[index.slot_arm]
-            weights = [
-                (g / g.sum()).tolist()
-                for g in (gvec[a:b] for a, b in zip(index.starts[:-1], index.starts[1:]))
-            ]
+            weights = broadcast[0]
     raise AssertionError("unreachable: the schedule is unbounded")
+
+
+# --- Reference server step ---
+#
+# Stats, Z(t), the stop rule, the broadcast global vector and the client
+# weights, written against the plain slot arrays of an index (the stack of
+# ``rows`` copies is built here, not taken from the index's caches), with
+# plain numpy reductions, and the global vector and the weights one class
+# block, row and client at a time.  The library must match it bit for bit.
+
+
+def _reference_stack(index: SlotIndex, rows: int) -> tuple:
+    """``(slot_arm, slot_client, client starts, multiplicities)`` of ``rows`` disjoint copies."""
+    copies = np.arange(rows)[:, None]
+    slot_arm = (index.slot_arm + index.num_arms * copies).ravel()
+    slot_client = (index.slot_client + index.num_clients * copies).ravel()
+    starts = (index.starts[:-1] + index.num_slots * copies).ravel()
+    return slot_arm, slot_client, starts, np.tile(index.multiplicities, rows)
+
+
+def reference_slot_stats(index: SlotIndex, slot_means) -> ArmStats:
+    """``slot_stats`` of one ``(K',)`` or ``B`` stacked ``(B, K')`` configurations."""
+    means = np.asarray(slot_means, dtype=float)
+    rows = means.size // index.num_slots
+    slot_arm, slot_client, starts, mult = _reference_stack(index, rows)
+    global_means = (
+        np.bincount(slot_arm, weights=means.ravel(), minlength=rows * index.num_arms) / mult
+    )
+    g = global_means[slot_arm]
+    other = np.maximum.reduceat(g, starts)[slot_client]
+    first = np.minimum.reduceat(np.where(g == other, np.arange(len(g)), len(g)), starts)
+    rest = g.copy()
+    rest[first] = -np.inf
+    other[first] = np.maximum.reduceat(rest, starts)
+    order = np.argsort(slot_arm, kind="stable")
+    gaps = np.minimum.reduceat(np.abs(g - other)[order], np.cumsum(mult) - mult)
+    top_arms = slot_arm[first]
+    best_arms = top_arms % index.num_arms
+    if means.ndim > 1:
+        global_means = global_means.reshape(rows, index.num_arms)
+        gaps = gaps.reshape(rows, index.num_arms)
+        best_arms = best_arms.reshape(rows, index.num_clients)
+    return ArmStats(global_means=global_means, gaps=gaps, best_arms=best_arms, top_arms=top_arms)
+
+
+def reference_z_statistic(index: SlotIndex, stats: ArmStats, slot_counts):
+    """``slot_z_statistic``: the confusion-pair minimum on the counts, 0 on an inadmissible row."""
+    counts = np.asarray(slot_counts)
+    shape = counts.shape
+    rows = counts.size // index.num_slots
+    slot_arm, slot_client, _, mult = _reference_stack(index, rows)
+    best = stats.top_arms[slot_client].reshape(shape)
+    own = slot_arm.reshape(shape)
+    values = counts.ravel()
+    recip = np.full(values.shape, np.inf)
+    np.divide(1.0, values, out=recip, where=values > 0)
+    T = np.bincount(slot_arm, weights=recip, minlength=rows * index.num_arms) / (
+        mult.astype(float) ** 2
+    )
+    means = stats.global_means.ravel()
+    gap = means[best] - means[own]
+    rates = gap * gap / 2.0 / (T[best] + T[own])
+    z = np.minimum.reduce(rates, axis=-1, initial=np.inf, where=best != own)
+    admissible = stats.gaps.min(axis=-1) > 0.0
+    if counts.ndim == 1:
+        return float(z) if admissible else 0.0
+    return np.where(admissible, z, 0.0)
+
+
+def reference_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
+    """``slot_global_vector`` of admissible (stacked) stats: per class and row, eigh and polish.
+
+    The polish is :func:`loop_perron`, one block at a time.
+    """
+    scale = 1.0 / (stats.gaps**2 * (index.multiplicities.astype(float) ** 2))
+    rows = scale.reshape(-1, index.num_arms)
+    entries = np.zeros(rows.shape)
+    for cls in index.partition.classes:
+        arms = np.array(cls)
+        co = index.co_ownership[np.ix_(arms, arms)]
+        for row, d in zip(entries, rows[:, arms]):
+            root = np.sqrt(d)
+            _, vectors = np.linalg.eigh(root[:, None] * co * root[None, :])
+            row[arms] = loop_perron(d[:, None] * co, root * vectors[:, -1])[0]
+    return entries.reshape(scale.shape)
+
+
+def reference_server_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
+    """``slot_server_vector``: the global vector of each admissible row, all-ones on the others."""
+    admissible = stats.gaps.min(axis=-1) > 0.0
+    if admissible.all():
+        return reference_global_vector(index, stats)
+    out = np.ones(stats.gaps.shape)
+    if admissible.any():
+        out[admissible] = reference_global_vector(index, stats.rows(admissible))
+    return out
+
+
+def reference_client_weights(index: SlotIndex, gvec: np.ndarray) -> list:
+    """Per row of ``(B, K)`` global vectors, each client's ``g / g.sum()`` as a list."""
+    clients = [index.slot_arm[a:b] for a, b in zip(index.starts[:-1], index.starts[1:])]
+    return [[(row[arms] / row[arms].sum()).tolist() for arms in clients] for row in gvec]
+
+
+def reference_server_step(index: SlotIndex, num_arms: int, counts, sums, t: int, offsets):
+    """One server step of ``B`` stacked rows: ``(stats, z, stop, beta, weights)``.
+
+    Stats and ``Z(t)`` of the empirical means (0 where a slot is unpulled),
+    the stop flags and thresholds ``K' log(t^2 + t) + offset`` (no stop
+    before ``t = num_arms``), and the per-client weights of the rows that run
+    on, in row order (``None`` when every row stops).
+    """
+    means = np.zeros(counts.shape)
+    np.divide(sums, counts, out=means, where=counts > 0)
+    stats = reference_slot_stats(index, means)
+    z = reference_z_statistic(index, stats, counts)
+    beta = index.num_slots * math.log(t * t + t) + offsets
+    stop = (z > beta) & (t >= num_arms)
+    keep = ~stop
+    weights = None
+    if keep.any():
+        weights = reference_client_weights(index, reference_server_vector(index, stats.rows(keep)))
+    return stats, z, stop, beta, weights
 
 
 def loop_run_episode(instance: ProblemInstance, policy: str, delta: float, lam: float, seed: int) -> RunRecord:

@@ -23,9 +23,12 @@ from hetbai import (
     optimal_allocation,
     partition_arms,
     perron_positive_eigenvector,
+    run_episode,
     slot_index,
     slot_stats,
+    validate,
 )
+from hetbai.simulator import StepCapExceeded
 from hetbai.allocation import ZERO_WEIGHT, _client_weights
 
 from helpers import (
@@ -162,8 +165,32 @@ class TestPowerIteration:
         with pytest.raises(ValueError):
             perron_positive_eigenvector(np.ones((2, 3)))
 
+    def test_rejects_negative_block(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            perron_positive_eigenvector(np.array([[1.0, -0.5], [0.5, 1.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_block_scale_changes_no_bit(self):
+        # the polish rescales block and start by powers of two, which scales every
+        # iterate exactly: the vector keeps its bits and the eigenvalue scales back
+        # exactly, even where the unscaled iterate's y . y would leave the float range
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            B = rng.exponential(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            start = rng.exponential(size=n)
+            u, lam = perron_positive_eigenvector(B, start=start)
+            for k in (-1000, -900, -300, 300, 900, 1000):
+                for s in (-600, 0, 600):
+                    u_k, lam_k = perron_positive_eigenvector(
+                        np.ldexp(B, k), start=np.ldexp(start, s)
+                    )
+                    assert u_k.tobytes() == u.tobytes() and lam_k == math.ldexp(lam, k)
+
+    @pytest.mark.filterwarnings("error")
     def test_reducible_block_fails_loudly(self):
-        # the iterate tends to (1, 0), which is never positive
+        # the iterate tends to (1, 0), which is never positive, and the certificate
+        # never divides by its zero entry
         with pytest.raises(PowerIterationError, match="no certified positive eigenvector"):
             perron_positive_eigenvector(np.diag([2.0, 1.0]))
 
@@ -268,6 +295,66 @@ class TestGlobalVector:
                 G_j = gv[idx]
                 resid = np.max(np.abs(H[np.ix_(idx, idx)] @ G_j - G_j / rates[j]))
                 assert resid <= 1e-8 * max(1.0, 1.0 / rates[j])
+
+
+class TestGapScale:
+    """However its means are scaled, an accepted instance has its allocation; the rest is named."""
+
+    @staticmethod
+    def scaled_chain(e: int):
+        scale = 10.0**e
+        return make_instance(
+            [(0, 1), (1, 2)],
+            {(0, 0): 3.0 * scale, (0, 1): 2.0 * scale, (1, 1): 2.0 * scale, (1, 2): 0.0},
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("e", [-300, -155, -150, -100, -60, 60, 100, 150, 155, 300])
+    def test_allocation_of_the_unscaled_chain_or_a_rejection(self, e):
+        v = self.scaled_chain(e)
+        report = validate(v)
+        if report.admissible:
+            _, allocation = optimal_allocation(v)
+            want = optimal_allocation(chain_three_arm())[1].weights
+            for row, want_row in zip(allocation.weights, want):
+                assert np.max(np.abs(np.subtract(row, want_row))) <= 1e-12
+        else:
+            assert [m.split(":")[0] for m in report.violations] == ["arm 1", "arm 2", "arm 3"]
+            assert all("is outside [2**-500, 2**500]" in m for m in report.violations)
+        # gap * owners within [2**-500, 2**500] is accepted, and every gap of this chain
+        # (1, 1 and 2 times 10**e; arm 2 has two owners) is in range for |e| <= 150
+        assert report.admissible == (abs(e) <= 150)
+
+    def test_rejection_names_only_the_arms_out_of_range(self):
+        # a gap of 1 beside gaps of 1e-160: only the arms of the tiny ones are named
+        v = make_instance(
+            [(0, 1), (2, 3)], {(0, 0): 1.0, (0, 1): 0.0, (1, 2): 2e-160, (1, 3): 1e-160}
+        )
+        report = validate(v)
+        assert report.violations == tuple(
+            f"arm {i}: gap 1e-160 times its 1 owning clients is outside [2**-500, 2**500], "
+            "the range the allocation represents"
+            for i in (3, 4)
+        )
+
+    def test_gap_times_owners_is_the_bound(self):
+        # arm 2's gap of 2e150 is in range alone but not times its two owners
+        v = make_instance(
+            [(0, 1), (1, 2)], {(0, 0): 0.0, (0, 1): 2e150, (1, 1): 2e150, (1, 2): 0.0}
+        )
+        assert validate(v).violations == (
+            "arm 2: gap 2e+150 times its 2 owning clients is outside [2**-500, 2**500], "
+            "the range the allocation represents",
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_het_ts_episodes_on_scaled_chains(self):
+        # the server's global vector every instant: at 1e70 the gaps are so wide that the
+        # first allowed instant stops; at 1e-70 no episode can finish, and it says so
+        record = run_episode(self.scaled_chain(70), "het-ts", 0.01, 0.1, seed=3)
+        assert record.correct and record.tau == 3
+        with pytest.raises(StepCapExceeded):
+            run_episode(self.scaled_chain(-70), "het-ts", 0.01, 0.1, seed=3, step_cap=2000)
 
 
 class TestAllocationFromGlobal:

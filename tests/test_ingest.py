@@ -380,6 +380,29 @@ class TestSplitTokenizerMatchesCsvReader:
         assert 0 < sum(bulk) < len(bulk)
 
 
+class TestLabelCodes:
+    @pytest.mark.parametrize("labels", [[], ["b"], ["b", "a"], ["x", "y", "x", "w", "y"]])
+    def test_codes_match_the_dict_loop(self, labels):
+        # 0 and 1 labels are the cases one itemgetter call cannot take
+        names, codes = ingest._codes(labels)
+        position = {}
+        for name in sorted(set(labels)):
+            position[name] = len(position)
+        assert names == list(position)
+        assert codes.dtype == np.int64 and codes.tolist() == [position[n] for n in labels]
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_one_and_two_row_tables(self, tmp_path, rows):
+        lines = ["client,arm,rating"] + [f"c{k},a{k},{k + 1}" for k in range(rows)]
+        path = tmp_path / "ratings.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = parse_ratings(str(path))
+        for labels in (table.clients, table.arms):
+            names, codes = ingest._codes(labels)
+            assert names == sorted(set(labels))
+            assert codes.tolist() == [names.index(n) for n in labels]
+
+
 class TestColumnarIngestMatchesRowReference:
     """The columnar ingest against the per-row reference in ``helpers``."""
 

@@ -31,6 +31,7 @@ from hetbai import (
     slot_index,
     sweep,
 )
+from hetbai import policy as policy_module
 from hetbai import simulator
 from hetbai.simulator import RECORD_FIELDS, write_records
 
@@ -270,6 +271,53 @@ class TestBatchMatchesBatchOfOne:
             run_episode(chain_three_arm(), "het-ts", r.delta, 0.2, r.seed) for r in serial
         ]
         assert serial == expected
+
+
+class TestOneStackedServerStepPerInstant:
+    """Whatever the batch size, each instant runs one server computation over all running rows."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    def test_calls_per_instant(self, monkeypatch, policy, rows):
+        # two classes: arms 1-3 through two clients, arms 4-5 through a third
+        sets = [(0, 1), (1, 2), (3, 4)]
+        means = {(0, 0): 3.0, (0, 1): 2.0, (1, 1): 2.0, (1, 2): 0.0, (2, 3): 1.5, (2, 4): 0.0}
+        v = make_instance(sets, means)
+        calls = dict.fromkeys(("slot_stats", "_confusion_rate", "eigh"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        broadcasts = []  # eigh calls of each broadcast, and whether a row was admissible
+
+        def broadcast(index, stats):
+            before = calls["eigh"]
+            vectors = server_vector(index, stats)
+            broadcasts.append((calls["eigh"] - before, bool(stats.is_admissible().any())))
+            return vectors
+
+        server_vector = simulator.slot_server_vector
+        monkeypatch.setattr(simulator, "slot_stats", counted("slot_stats", simulator.slot_stats))
+        monkeypatch.setattr(
+            policy_module, "_confusion_rate",
+            counted("_confusion_rate", policy_module._confusion_rate),
+        )
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(simulator, "slot_server_vector", broadcast)
+        traces = [[] for _ in range(rows)]
+        run_batch(v, policy, 0.2, [(0.01, seed) for seed in range(rows)], traces=traces)
+        instants = max(map(len, traces))
+        assert calls["slot_stats"] == instants + 1  # and once for the true best arms
+        assert calls["_confusion_rate"] == instants
+        if policy == "uniform":
+            assert calls["eigh"] == 0 and not broadcasts
+        else:
+            assert len(broadcasts) == instants - 1  # every instant but the last
+            assert all(n == (2 if admissible else 0) for n, admissible in broadcasts)
+            assert sum(admissible for _, admissible in broadcasts) >= instants // 2
 
 
 class TestEpisodeLaw:

@@ -13,11 +13,20 @@ leave the stream where the per-block calls would.
 import numpy as np
 import pytest
 
+import math
+
 from hetbai import slot_index, slot_server_vector, slot_stats, slot_z_statistic, uniform_pulls
 from hetbai.instance import SlotIndex
 from hetbai.allocation import _client_weights, _perron_polish, slot_global_vector
+from hetbai.simulator import _server_step
 
-from helpers import loop_perron, random_structural_instance, wide_gap_instance
+from helpers import (
+    loop_perron,
+    make_instance,
+    random_structural_instance,
+    reference_server_step,
+    wide_gap_instance,
+)
 
 
 def bitwise_equal(a, b) -> bool:
@@ -110,6 +119,81 @@ class TestStackedStats:
                 assert bitwise_equal(vectors[row], alone)
                 checked += 1
         assert checked > 500
+
+
+def class_instance(rng):
+    """Random instance whose arms, shuffled, form 1-3 groups of clients' arm sets.
+
+    A group whose arms are not consecutive is a class the global vector reaches
+    through an index array; arm-set sizes vary within and across groups.
+    """
+    K = int(rng.integers(4, 10))
+    groups = np.array_split(rng.permutation(K), int(rng.integers(1, K // 2 + 1)))
+    sets = []
+    for group in groups:
+        covered: set[int] = set()
+        while covered != set(group.tolist()):
+            size = int(rng.integers(2, len(group) + 1))
+            arms = tuple(sorted(rng.choice(group, size=size, replace=False).tolist()))
+            sets.append(arms)
+            covered.update(arms)
+    order = rng.permutation(len(sets))
+    sets = [sets[k] for k in order]
+    return make_instance(sets, {(m, i): 0.0 for m, s in enumerate(sets) for i in s}, num_arms=K)
+
+
+class TestServerStepMatchesReference:
+    def test_stats_z_stop_and_weights_bit_for_bit(self):
+        # Successive steps of a shrinking batch, as run_batch takes them: stats,
+        # Z, stop flags, thresholds and the running rows' weights, against the
+        # frozen reference server with its own stack arrays.
+        rng = np.random.default_rng(79)
+        seen = dict.fromkeys(("index-array class", "size groups", "zero count",
+                              "mixed admissible", "prefix stack", "stop", "run on"), 0)
+        rows_seen = set()
+        for _ in range(300):
+            v = class_instance(rng)
+            index = slot_index(v)
+            seen["index-array class"] += any(
+                not isinstance(arms, slice) for arms, _ in index.class_blocks
+            )
+            seen["size groups"] += len(index.clients_by_size) > 1
+            rows = int(rng.choice([1, 2, 5]))
+            rows_seen.add(rows)
+            counts = np.zeros((rows, index.num_slots))
+            sums = np.zeros((rows, index.num_slots))
+            t = 0
+            for _ in range(3):
+                block = rng.integers(0, 12, size=counts.shape) * (rng.random(counts.shape) < 0.8)
+                levels = rng.normal(0.0, 1.0, size=counts.shape)
+                coarse = rng.random(len(counts)) < 0.4
+                levels[coarse] = rng.choice([0.0, 0.5, 1.0], size=levels[coarse].shape)
+                counts = counts + block
+                sums = sums + block * levels
+                t += int(rng.integers(1, 2 * v.num_arms))
+                seen["zero count"] += bool((counts == 0).any())
+                seen["prefix stack"] += 1 < len(counts) < rows
+                z_guess = rng.exponential(5.0, size=len(counts))
+                offsets = z_guess - index.num_slots * math.log(t * t + t)
+                want = reference_server_step(index, v.num_arms, counts, sums, t, offsets)
+                stats, z, stop, beta = _server_step(index, v.num_arms, counts, sums, t, offsets)
+                for name in ("global_means", "gaps", "best_arms", "top_arms"):
+                    assert bitwise_equal(getattr(stats, name), getattr(want[0], name)), name
+                assert bitwise_equal(z, want[1]) and bitwise_equal(beta, want[3])
+                assert stop == want[2].tolist()
+                admissible = want[0].gaps.min(axis=-1) > 0.0
+                seen["mixed admissible"] += bool(0 < admissible.sum() < len(admissible))
+                keep = np.logical_not(stop)
+                if not keep.any():
+                    assert want[4] is None
+                    break
+                weights = _client_weights(index, slot_server_vector(index, stats.rows(keep)))
+                assert weights == want[4]
+                seen["stop"] += not keep.all()
+                seen["run on"] += 1
+                counts, sums = counts[keep], sums[keep]
+        assert rows_seen == {1, 2, 5}
+        assert min(seen.values()) >= 10, seen
 
 
 class TestStackedEigen:
