@@ -31,14 +31,12 @@ from .allocation import (
     PowerIterationError,
     allocation_from_global,
     balance_residuals,
-    brute_force_g_tilde_max,
     c_star_interval,
     g_exact,
     g_tilde,
     g_tilde_per_class,
     h_matrix,
     optimal_allocation,
-    perron_positive_eigenvector,
     slot_global_vector,
 )
 from .policy import (

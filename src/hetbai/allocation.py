@@ -6,17 +6,13 @@ its restriction to its own arm set.  Per equivalence class of co-resident
 arms, the global vector is the unique all-positive unit eigenvector of a
 nonnegative matrix ``H = D C`` built from the separation gaps and ownership
 counts (``D`` positive diagonal, ``C`` the symmetric co-ownership counts).
-It is computed by a symmetric eigensolver on ``D^(1/2) C D^(1/2)`` and
-accepted only under a componentwise certificate: every entry positive and
-``|(Hx)_i - lambda x_i| <= 1e-10 * lambda x_i`` for every arm.  One power
-step from the solver's vector is always taken, as straight-line code, and
-certifies as a rule.  The polish loop runs only when that step does not
-certify (tiny entries lose their relative accuracy on badly scaled gaps)
-or its norm leaves the normal float range (``y . y`` scales as
-``gap^-6``): positivity-preserving power iteration then starts again from
-the solver's vector, with block and start scaled by powers of two to
-entries near 1, until each block's certificate holds.  Gaps below
-``2^-150`` go to that loop at once, since their first step could overflow.
+It is computed per class by a symmetric eigensolver on ``D^(1/2) C D^(1/2)``,
+after ``D`` is scaled by an even power of two per row (so the vector keeps
+its bits when every mean is scaled by a power of two), and accepted only
+under a componentwise certificate: every entry positive and
+``|(Hx)_i - lambda x_i| <= 1e-10 * lambda x_i``.  One power step from the
+solver's vector always runs and certifies as a rule; where it does not (on
+gaps spread over many decades), power iteration goes on until it does.
 
 Two rate functionals drive everything:
 
@@ -58,7 +54,6 @@ __all__ = [
     "Allocation",
     "PowerIterationError",
     "h_matrix",
-    "perron_positive_eigenvector",
     "slot_global_vector",
     "allocation_from_global",
     "optimal_allocation",
@@ -67,7 +62,6 @@ __all__ = [
     "g_exact",
     "c_star_interval",
     "balance_residuals",
-    "brute_force_g_tilde_max",
 ]
 
 # Weights at or below this are treated as exact zeros in the rate functionals.
@@ -78,23 +72,10 @@ _ROW_SUM_TOL = 1e-12
 # Componentwise relative eigen-residual a global vector must certify.
 CERTIFICATE_TOL = 1e-10
 
-_MAX_GRID_POINTS = 10_000_000  # largest grid brute_force_g_tilde_max enumerates
-_GRID_CHUNK = 1_000_000  # grid points it scores per array pass
-
 # Power steps after which a block is declared to have no certifiable
 # positive eigenvector (a reducible block, or one whose top eigenvalues
 # nearly coincide); production class blocks certify within a few steps.
 _MAX_POWER_STEPS = 100_000
-
-# Smallest normal float: a first-step norm below it has lost bits to underflow.
-_TINY = 2.0**-1022
-
-# Least gap below which the first polish step could overflow.  With
-# ``d = 1 / (gap * mult)^2 <= gap^-2``, the eigensolver's start ``sqrt(d) v``
-# (``|v| = 1``) gives ``y = D C x`` with ``y . y <= n^3 M^2 max(d)^3`` on a
-# class of ``n`` arms and ``M`` clients, which stays below ``2^1024`` for
-# ``gap >= 2^-150`` whenever ``n, M < 2^24``.
-_SMALL_GAP = 2.0**-150
 
 
 @dataclass(frozen=True)
@@ -160,53 +141,51 @@ def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> np.nda
     return index.co_ownership * _inverse_scale(index, stats)[:, None]
 
 
-def perron_positive_eigenvector(
-    block: np.ndarray, start: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Certified all-positive unit eigenvector and top eigenvalue of a nonnegative block.
-
-    Iterates ``x <- Hx / |Hx|`` from ``|start|`` (default all-ones), taking
-    ``lambda = x . Hx``, until every entry of ``x`` is positive and
-    ``max_i |(Hx)_i - lambda x_i| / (lambda x_i) <= CERTIFICATE_TOL``.  At
-    least one step is taken, even from a start that would pass: the step
-    makes the entries of arms with identical rows bitwise equal, which a
-    direct eigensolver does not guarantee, and D-tracking breaks an exact
-    weight tie at random but a last-bit difference deterministically.
-    Block and start may have any scale (see :func:`_rescaled_polish`).
-    Raises ``ValueError`` for a negative entry, and
-    :class:`PowerIterationError` when the iterate vanishes or no
-    certificate is reached within a fixed step budget.
-    """
-    H = np.asarray(block, dtype=float)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("block must be a square matrix")
-    if np.logical_or.reduce(H < 0.0, axis=None):
-        raise ValueError("block must be nonnegative")
-    x = np.ones(H.shape[0]) if start is None else np.asarray(start, dtype=float)
-    vectors, values = _rescaled_polish(H[None], x[None])  # any scale of block and start
-    return vectors[0], float(values[0])
-
-
 def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`perron_positive_eigenvector` of nonnegative blocks ``(B, n, n)``, starts ``(B, n)``.
+    """Certified Perron vectors and eigenvalues of nonnegative blocks ``(B, n, n)``.
 
-    The first step is straight-line code, since starts from the eigensolver
-    certify there as a rule.  If any block does not, or the first norm
-    leaves the normal range, :func:`_rescaled_polish` runs the whole stack
-    again from its starts.  Each result equals that block's alone bit for
-    bit: stacked ``@`` runs the same matrix-vector product and the same dot
-    product (the norm is the square root of ``y . y``, as
-    ``numpy.linalg.norm`` computes it for one vector).
+    Iterates ``x <- Hx / |Hx|`` from ``|start|`` (starts ``(B, n, 1)``) until
+    every entry of ``x`` is positive and ``|(Hx)_i - lambda x_i| <=
+    CERTIFICATE_TOL * lambda x_i`` with ``lambda = x . Hx``.  The first step
+    is straight-line code with one whole-stack check, and runs even from a
+    start that would pass: it makes the entries of arms with identical rows
+    bitwise equal, which an eigensolver does not, and D-tracking breaks an
+    exact weight tie at random but a last-bit difference deterministically.
+    Otherwise each block iterates until its own certificate holds.  Each
+    result equals that block's alone bit for bit (stacked ``@`` runs the
+    same products, and the norm is ``sqrt(y . y)``, as ``numpy.linalg.norm``
+    computes it for one vector).  Raises :class:`PowerIterationError` when
+    the iterate vanishes or no certificate holds within ``_MAX_POWER_STEPS``.
     """
-    y = blocks @ np.abs(starts)[..., None]
-    norm = np.sqrt(y.mT @ y)
-    if np.minimum.reduce(norm, axis=None) >= _TINY:
+    y = blocks @ np.abs(starts)
+    x = y / np.sqrt(y.mT @ y)
+    y = blocks @ x
+    lam = x.mT @ y
+    if _certified(x, y, lam):
+        return x[..., 0], lam[:, 0, 0]
+    todo = np.arange(len(blocks))  # blocks still iterating
+    vectors, values = np.empty(starts.shape[:2]), np.empty(len(blocks))
+    for _ in range(1, _MAX_POWER_STEPS):  # the first step is taken
+        if len(todo) > 1:  # a lone block's check was the whole-stack one
+            done = _residuals(x, y, lam) <= CERTIFICATE_TOL
+            if np.logical_or.reduce(done):
+                rows = todo[done]
+                vectors[rows], values[rows] = x[done, :, 0], lam[done, 0, 0]
+                keep = ~done
+                blocks, y, todo = blocks[keep], y[keep], todo[keep]
+        norm = np.sqrt(y.mT @ y)
+        if np.minimum.reduce(norm, axis=None) == 0.0:
+            raise PowerIterationError("iterate vanished; block is not irreducible")
         x = y / norm
         y = blocks @ x
         lam = x.mT @ y
         if _certified(x, y, lam):
-            return x[..., 0], lam[:, 0, 0]
-    return _rescaled_polish(blocks, starts)
+            vectors[todo], values[todo] = x[..., 0], lam[:, 0, 0]
+            return vectors, values
+    raise PowerIterationError(
+        f"no certified positive eigenvector within {_MAX_POWER_STEPS} power steps",
+        float(np.maximum.reduce(_residuals(x, y, lam))),
+    )
 
 
 def _certified(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> bool:
@@ -223,81 +202,30 @@ def _certified(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> bool:
     )
 
 
-def _rescaled_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The power iteration of :func:`_perron_polish`, each block until its own certificate holds.
-
-    Each block and its start are first scaled by powers of two to a largest
-    entry in ``[1/2, 1)``, so that ``y . y`` neither overflows nor underflows
-    however the gaps are scaled.  Such a scaling changes no bit of the
-    iterates whose values stay normal floats (every product, sum, square
-    root and quotient scales exactly), and the eigenvalue is scaled back
-    exactly.
-    """
-    shift = _exponent(blocks)
-    H = np.ldexp(blocks, -shift[:, None, None])
-    y = H @ np.ldexp(np.abs(starts), -_exponent(starts)[:, None])[..., None]
-    todo = np.arange(len(H))  # original blocks still iterating
-    vectors, values = np.empty(starts.shape), np.empty(len(H))
-    for _ in range(_MAX_POWER_STEPS):
-        norm = np.sqrt(y.mT @ y)
-        if np.minimum.reduce(norm, axis=None) == 0.0:
-            raise PowerIterationError("iterate vanished; block is not irreducible")
-        x = y / norm
-        y = H @ x
-        lam = x.mT @ y
-        if _certified(x, y, lam):
-            vectors[todo] = x[..., 0]
-            values[todo] = np.ldexp(lam[:, 0, 0], shift[todo])
-            return vectors, values
-        if len(H) == 1:  # the whole-stack check was this block's own
-            continue
-        done = _residuals(x, y, lam) <= CERTIFICATE_TOL
-        if np.logical_or.reduce(done):
-            rows = todo[done]
-            vectors[rows] = x[done, :, 0]
-            values[rows] = np.ldexp(lam[done, 0, 0], shift[rows])
-            keep = ~done
-            H, x, y, lam, todo = H[keep], x[keep], y[keep], lam[keep], todo[keep]
-    raise PowerIterationError(
-        f"no certified positive eigenvector within {_MAX_POWER_STEPS} power steps",
-        float(np.maximum.reduce(_residuals(x, y, lam))),
-    )
-
-
-def _exponent(stack: np.ndarray) -> np.ndarray:
-    """Per entry of a stack's first axis, the binary exponent of its largest magnitude (0 for 0)."""
-    return np.frexp(np.maximum.reduce(np.abs(stack).reshape(len(stack), -1), axis=1))[1]
-
-
 def _residuals(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Per block, ``max_i |y_i - lam x_i| / (lam x_i)``.
 
-    ``inf`` unless ``lam`` and every ``x_i`` are positive.
+    ``inf`` unless every ``lam x_i`` is positive.
     """
     scaled = lam * x
     ratio = np.full(scaled.shape, np.inf)
-    positive = (lam > 0.0) & (x.min(axis=1, keepdims=True) > 0.0)
-    np.divide(np.abs(y - scaled), scaled, out=ratio, where=positive)
-    return ratio.max(axis=(1, 2))
+    np.divide(np.abs(y - scaled), scaled, out=ratio, where=scaled > 0.0)
+    return np.maximum.reduce(ratio, axis=(1, 2))
 
 
 def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     """Class-wise certified Perron vectors of ``H = D C``, assembled over the arms.
 
-    Per class, ``numpy.linalg.eigh`` on the symmetric ``D^(1/2) C D^(1/2)``
-    gives ``x = D^(1/2) v`` for its top eigenvector ``v``; the Perron
-    iteration then polishes ``x`` until it certifies (one step as a rule).
-    Gaps below ``_SMALL_GAP`` send the polish straight to its rescaled loop.
-    Stacked stats (admissible in every row) give one vector per row: the
+    Per class (see :func:`_class_vector`), ``numpy.linalg.eigh`` on the
+    symmetric ``D^(1/2) C D^(1/2)`` gives ``x = D^(1/2) v`` for its top
+    eigenvector ``v``, and :func:`_perron_polish` certifies it.  Stacked
+    stats (admissible in every row) give one vector per row: the
     eigensolver and the polish run once per class over the whole stack,
     and each row equals that configuration's vector alone bit for bit.
     """
     scale = _inverse_scale(index, stats)
-    polish = _perron_polish if stats.least_gap >= _SMALL_GAP else _rescaled_polish
     rows = scale.reshape(-1, index.num_arms)
-    vectors = [
-        (arms, _class_vector(rows[:, arms, None], co, polish)) for arms, co in index.class_blocks
-    ]
+    vectors = [(arms, _class_vector(rows[:, arms, None], co)) for arms, co in index.class_blocks]
     if len(vectors) == 1:  # one class holds every arm, in order
         return vectors[0][1].reshape(scale.shape)
     entries = np.zeros(rows.shape)
@@ -306,11 +234,27 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     return entries.reshape(scale.shape)
 
 
-def _class_vector(d: np.ndarray, co: np.ndarray, polish) -> np.ndarray:
-    """A class's polished vectors ``(B, n)`` from its ``(B, n, 1)`` diagonal and co-ownership."""
+def _class_vector(d: np.ndarray, co: np.ndarray) -> np.ndarray:
+    """A class's polished vectors ``(B, n)`` from its ``(B, n, 1)`` diagonal and co-ownership.
+
+    Each row of ``d`` is first scaled by ``4^-k`` to a largest entry in
+    ``[1/2, 2)``.  Every product, sum, square root (``sqrt(d) 2^-k``) and
+    quotient below then scales exactly: the bits do not depend on the scale
+    of the gaps, and nothing moves on gaps of normal scale.  And the first
+    polish step's ``y . y`` is a normal float: for the exact top eigenvector
+    ``v`` of ``S = D^(1/2) C D^(1/2)`` (eigenvalue ``lambda``), the start
+    ``x = D^(1/2) v`` has ``y = Hx = lambda x``, ``|x|^2 = v.Dv < 2`` and
+    ``lambda = x.Cx <= n M |x|^2`` on a class of ``n`` arms and ``M``
+    clients (``C`` has entries at most ``M``), so
+    ``lambda^3 / (n M) <= |y|^2 <= 2 lambda^2``.  The Perron root lies
+    between the largest diagonal entry and the largest row sum of ``H``,
+    ``1/2 <= lambda <= 2 n M``, so ``2^-3 / (n M) <= |y|^2 <= 8 (n M)^2``.
+    """
+    _, e = np.frexp(np.maximum.reduce(d, axis=1, keepdims=True))  # max d in [2^(e-1), 2^e)
+    d = np.ldexp(d, (e & 1) - e)
     root = np.sqrt(d)
     _, vectors = np.linalg.eigh(root * co * root.mT)
-    return polish(d * co, root[..., 0] * vectors[:, :, -1])[0]
+    return _perron_polish(d * co, root * vectors[:, :, -1:])[0]
 
 
 def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
@@ -497,66 +441,3 @@ def balance_residuals(
         if len(vals) > 1:
             pseudo = max(pseudo, float((vals.max() - vals.min()) / vals.mean()))
     return balanced, pseudo
-
-
-def _simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """All probability vectors of length ``dim`` on the grid k/steps."""
-    points = []
-    for cuts in itertools.combinations(range(steps + dim - 1), dim - 1):
-        prev = -1
-        parts = []
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(steps + dim - 2 - prev)
-        points.append(parts)
-    return np.asarray(points, dtype=float) / steps
-
-
-def brute_force_g_tilde_max(
-    instance: ProblemInstance,
-    grid_step: float,
-    stats: ArmStats | None = None,
-) -> tuple[Allocation, float]:
-    """Exhaustive grid maximization of the relaxed rate (verification oracle).
-
-    Enumerates the product of per-client simplex grids with the given step
-    and returns the first grid point attaining the maximum.  Guarded against
-    grids with more than ``_MAX_GRID_POINTS`` points.
-    """
-    stats = arm_stats(instance) if stats is None else stats
-    steps = round(1.0 / grid_step)
-    if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
-        raise ValueError("grid_step must evenly divide 1")
-    grids = [_simplex_grid(len(s), steps) for s in instance.arm_sets]
-    counts = [len(g) for g in grids]
-    total = math.prod(counts)
-    if total > _MAX_GRID_POINTS:
-        raise ValueError(
-            f"grid would have {total} points (> {_MAX_GRID_POINTS}); use a smaller instance or step"
-        )
-    mult_sq = slot_index(instance).squared_multiplicities
-    half_gap_sq = stats.gaps**2 / 2.0
-    owners = [
-        [(m, instance.arm_sets[m].index(i)) for m in range(instance.num_clients) if i in instance.arm_sets[m]]
-        for i in range(instance.num_arms)
-    ]
-    best_value = -1.0
-    best_flat = 0
-    for lo in range(0, total, _GRID_CHUNK):
-        flat = np.arange(lo, min(lo + _GRID_CHUNK, total))
-        idx = np.unravel_index(flat, counts)
-        value = np.full(len(flat), np.inf)
-        with np.errstate(divide="ignore"):
-            for i in range(instance.num_arms):
-                recip = np.zeros(len(flat))
-                for m, k in owners[i]:
-                    recip += 1.0 / grids[m][idx[m], k]
-                value = np.minimum(value, half_gap_sq[i] * mult_sq[i] / recip)
-        k = int(np.argmax(value))
-        if value[k] > best_value:
-            best_value = float(value[k])
-            best_flat = int(flat[k])
-    best_idx = np.unravel_index(best_flat, counts)
-    rows = [tuple(float(w) for w in grids[m][best_idx[m]]) for m in range(instance.num_clients)]
-    return Allocation(arm_sets=instance.arm_sets, weights=tuple(rows)), best_value

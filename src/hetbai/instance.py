@@ -495,15 +495,15 @@ _GAP_RANGE = (2.0**-500, 2.0**500)
 def _gap_scale(index: SlotIndex, slot_means: np.ndarray, separation: np.ndarray) -> list[str]:
     """One message per arm whose gap times its owner count leaves ``_GAP_RANGE``.
 
-    The allocation scales arm ``i`` by ``d_i = 1 / (gap_i * mult_i)^2`` and
-    its eigensolver reads ``sqrt(d_i) C_ij sqrt(d_j) <= M max d``; within the
-    range, every ``d_i`` is a normal float in ``[2^-1000, 2^1000]`` and
-    those entries stay finite for fewer than ``2^24`` clients (the Perron
-    polish rescales its own iterates).  For an instance without ties (as
-    :func:`_ties` finds none), every gap lies between the least positive
-    separation ``top - g`` of a client's top mean from its other arms' and
-    the greatest one, so the per-arm gaps of :func:`slot_stats` are computed
-    only when those two bounds leave the range.
+    The allocation scales arm ``i`` by ``d_i = 1 / (gap_i * mult_i)^2``;
+    within the range, every ``d_i`` is a normal float in
+    ``[2^-1000, 2^1000]``, which the allocation scales exactly by a power of
+    two per class before its eigensolver reads them.  For an instance
+    without ties (as :func:`_ties` finds none), every gap lies between the
+    least positive separation ``top - g`` of a client's top mean from its
+    other arms' and the greatest one, so the per-arm gaps of
+    :func:`slot_stats` are computed only when those two bounds leave the
+    range.
     """
     low, high = _GAP_RANGE
     # 0 on each client's best arm, positive on the others

@@ -17,6 +17,7 @@ from hetbai import (
     ProblemInstance,
     RunRecord,
     SlotIndex,
+    arm_stats,
     f_inverse,
     gen_overlap_instance,
     should_stop,
@@ -212,7 +213,7 @@ def random_structural_instance(rng: np.random.Generator, max_arms: int = 6, max_
 def loop_perron(block: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
     """Reference for the stacked polish: one block, 1-D vectors and ``numpy.linalg.norm``.
 
-    The same rule as ``perron_positive_eigenvector``, written for one block.
+    The same rule as the library's ``_perron_polish``, written for one block.
     """
     x = np.abs(start)
     y = block @ x
@@ -335,6 +336,76 @@ def loop_balanced(allocation: Allocation) -> float:
                 r2 = weight_of(allocation, m2, i1) / weight_of(allocation, m2, i2)
                 balanced = max(balanced, abs(r1 - r2))
     return balanced
+
+
+# --- Grid oracle for the relaxed rate ---
+
+
+_MAX_GRID_POINTS = 10_000_000  # largest grid brute_force_g_tilde_max enumerates
+_GRID_CHUNK = 1_000_000  # grid points it scores per array pass
+
+
+def _simplex_grid(dim: int, steps: int) -> np.ndarray:
+    """All probability vectors of length ``dim`` on the grid k/steps."""
+    points = []
+    for cuts in itertools.combinations(range(steps + dim - 1), dim - 1):
+        prev = -1
+        parts = []
+        for c in cuts:
+            parts.append(c - prev - 1)
+            prev = c
+        parts.append(steps + dim - 2 - prev)
+        points.append(parts)
+    return np.asarray(points, dtype=float) / steps
+
+
+def brute_force_g_tilde_max(
+    instance: ProblemInstance,
+    grid_step: float,
+    stats: ArmStats | None = None,
+) -> tuple[Allocation, float]:
+    """Exhaustive grid maximization of the relaxed rate (test oracle).
+
+    Enumerates the product of per-client simplex grids with the given step
+    and returns the first grid point attaining the maximum.  Guarded against
+    grids with more than ``_MAX_GRID_POINTS`` points.
+    """
+    stats = arm_stats(instance) if stats is None else stats
+    steps = round(1.0 / grid_step)
+    if steps < 1 or abs(steps * grid_step - 1.0) > 1e-9:
+        raise ValueError("grid_step must evenly divide 1")
+    grids = [_simplex_grid(len(s), steps) for s in instance.arm_sets]
+    counts = [len(g) for g in grids]
+    total = math.prod(counts)
+    if total > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid would have {total} points (> {_MAX_GRID_POINTS}); use a smaller instance or step"
+        )
+    mult_sq = slot_index(instance).squared_multiplicities
+    half_gap_sq = stats.gaps**2 / 2.0
+    owners = [
+        [(m, instance.arm_sets[m].index(i)) for m in range(instance.num_clients) if i in instance.arm_sets[m]]
+        for i in range(instance.num_arms)
+    ]
+    best_value = -1.0
+    best_flat = 0
+    for lo in range(0, total, _GRID_CHUNK):
+        flat = np.arange(lo, min(lo + _GRID_CHUNK, total))
+        idx = np.unravel_index(flat, counts)
+        value = np.full(len(flat), np.inf)
+        with np.errstate(divide="ignore"):
+            for i in range(instance.num_arms):
+                recip = np.zeros(len(flat))
+                for m, k in owners[i]:
+                    recip += 1.0 / grids[m][idx[m], k]
+                value = np.minimum(value, half_gap_sq[i] * mult_sq[i] / recip)
+        k = int(np.argmax(value))
+        if value[k] > best_value:
+            best_value = float(value[k])
+            best_flat = int(flat[k])
+    best_idx = np.unravel_index(best_flat, counts)
+    rows = [tuple(float(w) for w in grids[m][best_idx[m]]) for m in range(instance.num_clients)]
+    return Allocation(arm_sets=instance.arm_sets, weights=tuple(rows)), best_value
 
 
 # --- Reference per-pull client rules and episode loop ---

@@ -18,7 +18,6 @@ from hetbai import (
     aggregate,
     arm_stats,
     balance_residuals,
-    brute_force_g_tilde_max,
     build_instance,
     c_star_interval,
     confusion_pairs,
@@ -38,6 +37,7 @@ from hetbai import (
 )
 
 from helpers import (
+    brute_force_g_tilde_max,
     chain_three_arm,
     make_instance,
     random_admissible_instance,

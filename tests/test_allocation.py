@@ -12,7 +12,6 @@ from hetbai import (
     allocation_from_global,
     arm_stats,
     balance_residuals,
-    brute_force_g_tilde_max,
     c_star_interval,
     confusion_pairs,
     g_exact,
@@ -22,16 +21,16 @@ from hetbai import (
     h_matrix,
     optimal_allocation,
     partition_arms,
-    perron_positive_eigenvector,
     run_episode,
     slot_index,
     slot_stats,
     validate,
 )
 from hetbai.simulator import StepCapExceeded
-from hetbai.allocation import ZERO_WEIGHT, _client_weights
+from hetbai.allocation import ZERO_WEIGHT, _client_weights, _perron_polish
 
 from helpers import (
+    brute_force_g_tilde_max,
     chain_three_arm,
     loop_balanced,
     loop_g_exact,
@@ -145,59 +144,39 @@ class TestHMatrix:
                 np.testing.assert_allclose(conjugated, conjugated.T, atol=1e-10)
 
 
+def perron(block, start=None) -> tuple[np.ndarray, float]:
+    """``_perron_polish`` of one block, from an all-ones start by default."""
+    block = np.asarray(block, dtype=float)
+    start = np.ones(len(block)) if start is None else np.asarray(start, dtype=float)
+    vectors, values = _perron_polish(block[None], start[None, :, None])
+    return vectors[0], float(values[0])
+
+
 class TestPowerIteration:
     def test_symmetric_rank_one(self):
-        u, lam = perron_positive_eigenvector(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        u, lam = perron(np.array([[0.5, 0.5], [0.5, 0.5]]))
         np.testing.assert_allclose(u, [1 / math.sqrt(2)] * 2, atol=1e-12)
         assert math.isclose(lam, 1.0, rel_tol=1e-10)
 
     def test_unequal_gap_block(self):
-        u, lam = perron_positive_eigenvector(np.array([[1.0, 1.0], [0.25, 0.25]]))
+        u, lam = perron(np.array([[1.0, 1.0], [0.25, 0.25]]))
         np.testing.assert_allclose(u, np.array([1.0, 0.25]) / np.linalg.norm([1.0, 0.25]), atol=1e-10)
         assert math.isclose(lam, 1.25, rel_tol=1e-10)
 
     def test_scalar_block(self):
-        u, lam = perron_positive_eigenvector(np.array([[0.7]]))
+        u, lam = perron(np.array([[0.7]]))
         np.testing.assert_allclose(u, [1.0])
         assert math.isclose(lam, 0.7, rel_tol=1e-12)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            perron_positive_eigenvector(np.ones((2, 3)))
-
-    def test_rejects_negative_block(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            perron_positive_eigenvector(np.array([[1.0, -0.5], [0.5, 1.0]]))
-
-    @pytest.mark.filterwarnings("error")
-    def test_block_scale_changes_no_bit(self):
-        # the polish rescales block and start by powers of two, which scales every
-        # iterate exactly: the vector keeps its bits and the eigenvalue scales back
-        # exactly, even where the unscaled iterate's y . y would leave the float range
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(1, 6))
-            B = rng.exponential(size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
-            start = rng.exponential(size=n)
-            u, lam = perron_positive_eigenvector(B, start=start)
-            for k in (-1000, -900, -300, 300, 900, 1000):
-                for s in (-600, 0, 600):
-                    u_k, lam_k = perron_positive_eigenvector(
-                        np.ldexp(B, k), start=np.ldexp(start, s)
-                    )
-                    assert u_k.tobytes() == u.tobytes() and lam_k == math.ldexp(lam, k)
 
     @pytest.mark.filterwarnings("error")
     def test_reducible_block_fails_loudly(self):
         # the iterate tends to (1, 0), which is never positive, and the certificate
         # never divides by its zero entry
         with pytest.raises(PowerIterationError, match="no certified positive eigenvector"):
-            perron_positive_eigenvector(np.diag([2.0, 1.0]))
+            perron(np.diag([2.0, 1.0]))
 
     def test_start_sign_is_dropped(self):
-        u, lam = perron_positive_eigenvector(
-            np.array([[1.0, 1.0], [0.25, 0.25]]), start=np.array([-4.0, -1.0])
-        )
+        u, lam = perron(np.array([[1.0, 1.0], [0.25, 0.25]]), start=np.array([-4.0, -1.0]))
         np.testing.assert_allclose(u, np.array([4.0, 1.0]) / np.linalg.norm([4.0, 1.0]), rtol=1e-15)
         assert math.isclose(lam, 1.25, rel_tol=1e-12)
 
@@ -208,7 +187,7 @@ class TestPowerIteration:
         values, vectors = np.linalg.eig(B)
         start = np.abs(vectors[:, np.argmax(values.real)].real)
         start[1] = np.nextafter(start[0], 1.0)
-        u, _ = perron_positive_eigenvector(B, start=start)
+        u, _ = perron(B, start=start)
         assert u[0] == u[1]
 
     def test_residual_bound_on_random_blocks(self):
@@ -218,7 +197,7 @@ class TestPowerIteration:
             H = h_matrix(v, arm_stats(v))
             for cls in partition_arms(v).classes:
                 B = H[np.ix_(cls, cls)]
-                u, lam = perron_positive_eigenvector(B)
+                u, lam = perron(B)
                 assert np.min(u) > 0
                 assert math.isclose(float(np.linalg.norm(u)), 1.0, rel_tol=1e-10)
                 assert np.max(np.abs(B @ u - lam * u)) <= 1e-10 * max(1.0, lam)
@@ -324,6 +303,38 @@ class TestGapScale:
         # gap * owners within [2**-500, 2**500] is accepted, and every gap of this chain
         # (1, 1 and 2 times 10**e; arm 2 has two owners) is in range for |e| <= 150
         assert report.admissible == (abs(e) <= 150)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("e", [100, 300, 499])
+    def test_two_classes_at_opposite_ends_of_the_gap_range(self, e):
+        # the chain at 2**-e beside the chain at 2**e: a diagonal scaled by one factor
+        # for the whole instance would leave one of the two classes out of range
+        chain = means_map(chain_three_arm())  # clients 0, 1 on arms 0-2
+        means = {(m, i): mu * 2.0**-e for (m, i), mu in chain.items()}
+        means |= {(m + 2, i + 3): mu * 2.0**e for (m, i), mu in chain.items()}
+        v = make_instance([(0, 1), (1, 2), (3, 4), (4, 5)], means)
+        assert validate(v).admissible
+        _, allocation = optimal_allocation(v)
+        want = optimal_allocation(chain_three_arm())[1].weights * 2
+        for row, want_row in zip(allocation.weights, want):
+            assert np.max(np.abs(np.subtract(row, want_row))) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_of_two_scale_of_the_means_changes_no_bit(self):
+        # every product, sum, square root and quotient of the allocation scales
+        # exactly, so every accepted scale gives the unscaled vector's bits
+        rng = np.random.default_rng(32)
+        instances = [random_admissible_instance(rng) for _ in range(30)]
+        instances += [wide_gap_instance(rng) for _ in range(30)]
+        accepted = 0
+        for v in instances:
+            want = optimal_allocation(v)[0].tobytes()
+            for k in (-480, -300, -150, -60, 60, 150, 300, 480):
+                scaled = with_means(v, {key: math.ldexp(mu, k) for key, mu in means_map(v).items()})
+                if validate(scaled).admissible:
+                    accepted += 1
+                    assert optimal_allocation(scaled)[0].tobytes() == want, k
+        assert accepted >= 400
 
     def test_rejection_names_only_the_arms_out_of_range(self):
         # a gap of 1 beside gaps of 1e-160: only the arms of the tiny ones are named

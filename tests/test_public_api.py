@@ -20,7 +20,10 @@ def test_every_exported_name_resolves(layer):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-@pytest.mark.parametrize("name", ["HMatrix", "ConfusionPairs", "global_vector"])
+@pytest.mark.parametrize(
+    "name",
+    ["HMatrix", "ConfusionPairs", "global_vector", "perron_positive_eigenvector", "brute_force_g_tilde_max"],
+)
 def test_removed_wrappers_are_gone(name):
     for module in [hetbai, *(importlib.import_module(f"hetbai.{layer}") for layer in LAYERS)]:
         assert not hasattr(module, name), module.__name__

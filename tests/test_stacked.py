@@ -233,7 +233,7 @@ class TestStackedEigen:
             starts[ones] = 1.0
             mixed += 0 < ones.sum() < rows
             blocks = d[:, :, None] * co
-            x, lam = _perron_polish(blocks, starts)
+            x, lam = _perron_polish(blocks, starts[..., None])
             for k in range(rows):
                 want_x, want_lam = loop_perron(blocks[k], starts[k])
                 assert bitwise_equal(x[k], want_x) and lam[k] == want_lam
