@@ -6,9 +6,14 @@ its restriction to its own arm set.  Per equivalence class of co-resident
 arms, the global vector is the unique all-positive unit eigenvector of a
 nonnegative matrix ``H = D C`` built from the separation gaps and ownership
 counts (``D`` positive diagonal, ``C`` the symmetric co-ownership counts).
-It is computed per class by a symmetric eigensolver on ``D^(1/2) C D^(1/2)``,
-after ``D`` is scaled by an even power of two per row (so the vector keeps
-its bits when every mean is scaled by a power of two), and accepted only
+It is computed per class by LAPACK's symmetric eigensolver on
+``D^(1/2) C D^(1/2)``, after ``D`` is scaled by an even power of two per row
+(so the vector keeps its bits when every mean is scaled by a power of two).
+The solver is ``numpy.linalg._umath_linalg.eigh_lo``, the gufunc that
+``numpy.linalg.eigh`` wraps for float64 and ``UPLO="L"``, called directly:
+the wrapper's error-state context, type probing and ``astype`` copies cost
+more than the solve itself on class blocks of a few arms, and the server
+solves at every communication instant.  The result is accepted only
 under a componentwise certificate: every entry positive and
 ``|(Hx)_i - lambda x_i| <= 1e-10 * lambda x_i``.  One power step from the
 solver's vector always runs and certifies as a rule; where it does not (on
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .instance import (
     ArmStats,
@@ -155,7 +161,9 @@ def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, 
     result equals that block's alone bit for bit (stacked ``@`` runs the
     same products, and the norm is ``sqrt(y . y)``, as ``numpy.linalg.norm``
     computes it for one vector).  Raises :class:`PowerIterationError` when
-    the iterate vanishes or no certificate holds within ``_MAX_POWER_STEPS``.
+    the iterate vanishes or no certificate holds within ``_MAX_POWER_STEPS``,
+    and ``numpy.linalg.LinAlgError`` at once on a non-finite start (the
+    eigensolver's NaNs where it did not converge).
     """
     y = blocks @ np.abs(starts)
     x = y / np.sqrt(y.mT @ y)
@@ -163,6 +171,8 @@ def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, 
     lam = x.mT @ y
     if _certified(x, y, lam):
         return x[..., 0], lam[:, 0, 0]
+    if not np.isfinite(starts).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     todo = np.arange(len(blocks))  # blocks still iterating
     vectors, values = np.empty(starts.shape[:2]), np.empty(len(blocks))
     for _ in range(1, _MAX_POWER_STEPS):  # the first step is taken
@@ -216,7 +226,7 @@ def _residuals(x: np.ndarray, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     """Class-wise certified Perron vectors of ``H = D C``, assembled over the arms.
 
-    Per class (see :func:`_class_vector`), ``numpy.linalg.eigh`` on the
+    Per class (see :func:`_class_vector`), LAPACK's ``eigh`` on the
     symmetric ``D^(1/2) C D^(1/2)`` gives ``x = D^(1/2) v`` for its top
     eigenvector ``v``, and :func:`_perron_polish` certifies it.  Stacked
     stats (admissible in every row) give one vector per row: the
@@ -253,7 +263,7 @@ def _class_vector(d: np.ndarray, co: np.ndarray) -> np.ndarray:
     _, e = np.frexp(np.maximum.reduce(d, axis=1, keepdims=True))  # max d in [2^(e-1), 2^e)
     d = np.ldexp(d, (e & 1) - e)
     root = np.sqrt(d)
-    _, vectors = np.linalg.eigh(root * co * root.mT)
+    _, vectors = _umath_linalg.eigh_lo(root * co * root.mT, signature="d->dd")
     return _perron_polish(d * co, root * vectors[:, :, -1:])[0]
 
 
@@ -302,20 +312,22 @@ def optimal_allocation(
 
 
 def _confusion_rate(
-    stack: SlotIndex, stats: ArmStats, slot_values: np.ndarray, best: np.ndarray
+    stack: SlotIndex, slot_values: np.ndarray, best: np.ndarray, separations: np.ndarray
 ) -> np.ndarray:
     """``min ((mu_1 - mu_2)^2 / 2) / (T_1 + T_2)`` over the confusion pairs, one per row.
 
     Slot ``s`` pairs its client's best arm ``best[s]`` with its own arm unless
     the two are one: each client's best arm against every other arm it owns.
+    ``separations[s]`` is the pair's ``mu_1 - mu_2``, the global mean of
+    ``best[s]`` less that of the slot's arm.
     ``T_i = (1 / mult_i^2) * sum 1/value`` over the slots of arm ``i``, where a
     zero value counts as ``1/0 = inf`` (so every pair touching it has rate 0).
     On pull counts this is ``Z(t)``; on slot-ordered weights, ``g_exact``.
-    ``slot_values`` may stack configurations as ``(B, K')`` rows (with
-    ``stats`` stacked alike), and ``stack`` is then ``index.stacked(B)``;
-    ``best`` is ``(B, K')`` (``(1, K')`` for one configuration) and names
-    arms as the stack does (arm ``i`` of row ``b`` is ``b * K + i``), and the
-    minimum is taken per row.
+    ``slot_values`` may stack configurations as ``(B, K')`` rows, and
+    ``stack`` is then ``index.stacked(B)``; ``best`` and ``separations`` are
+    ``(B, K')`` (``(1, K')`` for one configuration), ``best`` names arms as
+    the stack does (arm ``i`` of row ``b`` is ``b * K + i``), and the minimum
+    is taken per row.
     """
     values = np.ravel(slot_values)
     with np.errstate(divide="ignore"):  # a zero value counts as 1/0 = inf
@@ -324,10 +336,8 @@ def _confusion_rate(
         np.bincount(stack.slot_arm, weights=recip, minlength=stack.num_arms)
         / stack.squared_multiplicities
     )
-    means = stats.global_means.ravel()
     own = stack.arm_rows
-    gap = means[best] - means[own]
-    rates = gap * gap / 2.0 / (T[best] + T[own])
+    rates = separations * separations / 2.0 / (T[best] + T[own])
     return np.minimum.reduce(rates, axis=-1, initial=np.inf, where=best != own)
 
 
@@ -386,8 +396,11 @@ def g_exact(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) 
     undefined under ties); 0 when an owned weight is at most ``ZERO_WEIGHT``.
     """
     index, w = _slot_weights(instance, allocation)
-    best = _confusion_best(index, stats)
-    return 0.0 if w is None else float(_confusion_rate(index, stats, w, best[None])[0])
+    best = _confusion_best(index, stats)[None]
+    if w is None:
+        return 0.0
+    means = stats.global_means
+    return float(_confusion_rate(index, w, best, means[best] - means[index.arm_rows])[0])
 
 
 def c_star_interval(

@@ -131,15 +131,18 @@ class ArmStats:
     ``gaps[i]`` the minimal separation of arm ``i`` from the best other arm
     within any owning client's subset, and ``best_arms[m]`` each client's
     best arm; ownership counts are the slot index's.
-    :func:`slot_stats` also keeps ``top_arms``, the best arms numbered as in
-    the stack it reduced over (see :meth:`SlotIndex.stacked`), flat; other
-    stats, and those cut by :meth:`rows`, have none.
+    :func:`slot_stats` also keeps, flat, ``top_arms``, the best arms numbered
+    as in the stack it reduced over (see :meth:`SlotIndex.stacked`), and
+    ``separations``, each slot's ``global_means[best] - global_means[own]``
+    from its client's best arm; other stats, and those cut by :meth:`rows`,
+    have neither.
     """
 
     global_means: np.ndarray
     gaps: np.ndarray
     best_arms: np.ndarray
     top_arms: np.ndarray | None = field(default=None, compare=False, repr=False)
+    separations: np.ndarray | None = field(default=None, compare=False, repr=False)
     _least_gap: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def is_admissible(self) -> np.bool_ | np.ndarray:
@@ -566,13 +569,18 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
     Reductions over the slot arrays: per-arm sums in client order (so the
     means equal a client-by-client accumulation bit for bit), each client's
     top and runner-up aggregate mean, and per-arm minima of the separations.
-    A ``(B, K')`` array stacks ``B`` configurations, and every field but
-    the flat ``top_arms`` then gains a leading batch axis; the stack is the
-    slot index of disjoint copies, so every reduction gives each row what
-    the row alone gives, bit for bit.
+    Each slot's separation from its client's top is kept before the lead
+    slots' tops are overwritten by the runner-up; that top is the mean at
+    the client's first top slot, so the separation is ``global_means[best] -
+    global_means[own]`` bit for bit.  A ``(B, K')`` array stacks ``B``
+    configurations, and every field but the flat ``top_arms`` and
+    ``separations`` then gains a leading batch axis; the stack is the slot
+    index of disjoint copies, so every reduction gives each row what the row
+    alone gives, bit for bit.
     """
     means = np.asarray(slot_means, dtype=float)
     stack, global_means, g, other, first = _top_slots(index, means)
+    separations = other - g
     rest = g.copy()
     rest[first] = -np.inf
     # the lead slot competes with the runner-up
@@ -585,7 +593,7 @@ def slot_stats(index: SlotIndex, slot_means: np.ndarray) -> ArmStats:
         global_means = global_means.reshape(rows, index.num_arms)
         gaps = gaps.reshape(rows, index.num_arms)
         best_arms = best_arms.reshape(rows, index.num_clients)
-    return ArmStats(global_means, gaps, best_arms, stack.slot_arm[first])
+    return ArmStats(global_means, gaps, best_arms, stack.slot_arm[first], separations)
 
 
 def _confusion_best(index: SlotIndex, stats: ArmStats) -> np.ndarray:

@@ -243,13 +243,15 @@ def slot_z_statistic(
     multiplicities).  Zero when the empirical
     configuration has a tied best arm or when any count entering a pair is
     zero.  ``stats`` are :func:`~hetbai.instance.slot_stats`' own, whose
-    ``top_arms`` give each client's best arm in the stack's numbering.
+    ``top_arms`` give each client's best arm in the stack's numbering and
+    whose ``separations`` give each pair's difference of means.
     Stacked ``(B, K')`` counts with stacked ``stats`` give one value per
     row, each equal to that row's value alone.
     """
     counts = np.asarray(slot_counts)
     stack = index.stacked(counts.size // index.num_slots)
-    z = _confusion_rate(stack, stats, counts, stats.top_arms[stack.client_rows])
+    best = stats.top_arms[stack.client_rows]
+    z = _confusion_rate(stack, counts, best, stats.separations.reshape(best.shape))
     if stats.all_admissible:
         return float(z[0]) if counts.ndim == 1 else z
     return 0.0 if counts.ndim == 1 else np.where(stats.is_admissible(), z, 0.0)

@@ -210,6 +210,11 @@ def random_structural_instance(rng: np.random.Generator, max_arms: int = 6, max_
     return make_instance(sets, means, num_arms=K)
 
 
+def nan_eigh(a: np.ndarray, signature: str) -> tuple[np.ndarray, np.ndarray]:
+    """An ``eigh_lo`` that did not converge: LAPACK's gufunc returns NaNs, not an error."""
+    return np.full(a.shape[:-1], np.nan), np.full(a.shape, np.nan)
+
+
 def loop_perron(block: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, float]:
     """Reference for the stacked polish: one block, 1-D vectors and ``numpy.linalg.norm``.
 

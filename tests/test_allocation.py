@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import mpmath
 import numpy as np
@@ -39,6 +40,7 @@ from helpers import (
     loop_pseudo_balance,
     make_instance,
     means_map,
+    nan_eigh,
     random_admissible_instance,
     random_overlap_instance,
     random_positive_allocation,
@@ -201,6 +203,29 @@ class TestPowerIteration:
                 assert np.min(u) > 0
                 assert math.isclose(float(np.linalg.norm(u)), 1.0, rel_tol=1e-10)
                 assert np.max(np.abs(B @ u - lam * u)) <= 1e-10 * max(1.0, lam)
+
+
+class TestEigensolver:
+    """The class vector calls the LAPACK gufunc that ``numpy.linalg.eigh`` wraps."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 40, 200])
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_gufunc_equals_numpy_eigh_bit_for_bit(self, rows, n):
+        # fails by name if a numpy upgrade moves or changes the private module
+        rng = np.random.default_rng(1000 * rows + n)
+        a = rng.exponential(size=(rows, n, n)) * 10.0 ** rng.uniform(-6, 6, size=(rows, 1, 1))
+        a = a + a.mT
+        values, vectors = np.linalg._umath_linalg.eigh_lo(a, signature="d->dd")
+        want_values, want_vectors = np.linalg.eigh(a)
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
+
+    def test_non_convergence_fails_at_once(self, monkeypatch):
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", nan_eigh)
+        start = time.perf_counter()
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            optimal_allocation(chain_three_arm())
+        assert time.perf_counter() - start < 0.1
 
 
 class TestGlobalVector:

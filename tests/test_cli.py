@@ -15,7 +15,7 @@ from hetbai import cli
 from hetbai.cli import dispatch, load_sweep_config
 from hetbai.simulator import POLICIES, RECORD_FIELDS
 
-from helpers import chain_three_arm, make_instance, symmetric_two_arm
+from helpers import chain_three_arm, make_instance, nan_eigh, symmetric_two_arm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -117,6 +117,11 @@ class TestSolve:
 
     def test_inadmissible_rejected(self, tie_file):
         assert dispatch(["solve", tie_file]) == 2
+
+    def test_eigensolver_non_convergence_exits_two(self, instance_file, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", nan_eigh)
+        assert dispatch(["solve", instance_file]) == 2
+        assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
     def test_c_star_interval_matches_library(self, tmp_path, capsys):
         path = tmp_path / "chain.json"

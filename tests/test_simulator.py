@@ -283,7 +283,7 @@ class TestOneStackedServerStepPerInstant:
         sets = [(0, 1), (1, 2), (3, 4)]
         means = {(0, 0): 3.0, (0, 1): 2.0, (1, 1): 2.0, (1, 2): 0.0, (2, 3): 1.5, (2, 4): 0.0}
         v = make_instance(sets, means)
-        calls = dict.fromkeys(("slot_stats", "_confusion_rate", "eigh"), 0)
+        calls = dict.fromkeys(("slot_stats", "_confusion_rate", "eigh_lo"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -291,12 +291,12 @@ class TestOneStackedServerStepPerInstant:
                 return fn(*args, **kwargs)
             return wrapper
 
-        broadcasts = []  # eigh calls of each broadcast, and whether a row was admissible
+        broadcasts = []  # eigensolver calls of each broadcast, and whether a row was admissible
 
         def broadcast(index, stats):
-            before = calls["eigh"]
+            before = calls["eigh_lo"]
             vectors = server_vector(index, stats)
-            broadcasts.append((calls["eigh"] - before, bool(stats.is_admissible().any())))
+            broadcasts.append((calls["eigh_lo"] - before, bool(stats.is_admissible().any())))
             return vectors
 
         server_vector = simulator.slot_server_vector
@@ -305,7 +305,8 @@ class TestOneStackedServerStepPerInstant:
             policy_module, "_confusion_rate",
             counted("_confusion_rate", policy_module._confusion_rate),
         )
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        gufuncs = np.linalg._umath_linalg
+        monkeypatch.setattr(gufuncs, "eigh_lo", counted("eigh_lo", gufuncs.eigh_lo))
         monkeypatch.setattr(simulator, "slot_server_vector", broadcast)
         traces = [[] for _ in range(rows)]
         run_batch(v, policy, 0.2, [(0.01, seed) for seed in range(rows)], traces=traces)
@@ -313,7 +314,7 @@ class TestOneStackedServerStepPerInstant:
         assert calls["slot_stats"] == instants + 1  # and once for the true best arms
         assert calls["_confusion_rate"] == instants
         if policy == "uniform":
-            assert calls["eigh"] == 0 and not broadcasts
+            assert calls["eigh_lo"] == 0 and not broadcasts
         else:
             assert len(broadcasts) == instants - 1  # every instant but the last
             assert all(n == (2 if admissible else 0) for n, admissible in broadcasts)

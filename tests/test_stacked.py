@@ -196,6 +196,36 @@ class TestServerStepMatchesReference:
         assert min(seen.values()) >= 10, seen
 
 
+class TestSeparations:
+    def test_separations_are_the_pair_differences_bit_for_bit(self):
+        # Z(t) reads slot_stats' separations in place of global_means[best] -
+        # global_means[own]; on stacks, prefix stacks and tied tops alike
+        rng = np.random.default_rng(80)
+        seen = dict.fromkeys(("groups", "prefix stack", "tied top"), 0)
+        rows_seen = set()
+        for _ in range(200):
+            v = class_instance(rng)
+            index = slot_index(v)
+            seen["groups"] += len(index.partition.classes) > 1
+            rows = int(rng.choice([1, 2, 5]))
+            rows_seen.add(rows)
+            means = rng.normal(0.0, 1.0, size=(rows, index.num_slots))
+            coarse = rng.random(rows) < 0.4
+            means[coarse] = rng.choice([0.0, 0.5, 1.0], size=means[coarse].shape)
+            for r in range(rows, 0, -1):  # the rows left running as episodes stop
+                stack = index.stacked(r)
+                stats = slot_stats(index, means[:r])
+                seen["prefix stack"] += 1 < r < rows
+                best, own = stats.top_arms[stack.client_rows], stack.arm_rows
+                means_of = stats.global_means.ravel()
+                want = means_of[best] - means_of[own]
+                seen["tied top"] += bool(((want == 0.0) & (best != own)).any())
+                assert bitwise_equal(stats.separations, want.ravel())
+                assert stats.rows(np.arange(r)).separations is None
+        assert rows_seen == {1, 2, 5}
+        assert min(seen.values()) >= 10, seen
+
+
 class TestStackedEigen:
     def test_eigh_stack_equals_per_matrix(self):
         rng = np.random.default_rng(72)
