@@ -5,10 +5,11 @@ global vector (falling back to forced exploration whenever some arm's pull
 count drops below ``sqrt((t-1)/|S_m|)``), or uniformly for the baseline.
 Neither rule looks at rewards, so a client advances a whole block between
 two communication instants in one call (:func:`track_pulls`,
-:func:`uniform_pulls`).  The server, at exponentially spaced communication
-instants, evaluates a generalized-likelihood-ratio statistic against the
-threshold ``K' * log(t^2 + t) + f_inverse(delta)`` and either stops with a
-recommendation or broadcasts a fresh global vector.
+:func:`uniform_pulls`); D-tracking's steps between forced checks run in a
+loop compiled once per arm-set size.  The server, at exponentially spaced
+communication instants, evaluates a generalized-likelihood-ratio statistic
+against the threshold ``K' * log(t^2 + t) + f_inverse(delta)`` and either
+stops with a recommendation or broadcasts a fresh global vector.
 """
 
 from __future__ import annotations
@@ -155,12 +156,12 @@ def track_pulls(
     the arm minimizing ``count - s * weight``; ties are broken uniformly by
     ``rng.integers(number of tied arms)``, drawn only when there is a tie.
     No reward enters the rule, so a whole block between two communication
-    instants is one call.
+    instants is one call.  ``weights`` has one entry per count.
 
     The forced check runs at a step ``s`` with minimum count ``low``; if it
     does not fire, the steps through ``low^2 * |S_m|`` (an exact integer)
     cannot fire either, since counts only grow and ``/`` and ``sqrt`` are
-    correctly rounded, so they run as one inner loop without the check.
+    correctly rounded, so they run as one unforced loop without the check.
     That loop keeps the step as a float: every count and step up to 2**53
     (the largest step cap an episode accepts) converts to a float exactly,
     so ``count - s * weight`` is the same float whether the counts are ints
@@ -168,11 +169,20 @@ def track_pulls(
     every draw.  Each entry keeps its type (a pull adds the int 1); callers
     that advance a client many times keep its counts as floats, which
     spares a conversion per step.
+
+    The unforced loop is straight-line code for the arm-set size, with each
+    arm's count and weight in a local of its own: a loop over the arms
+    spends most of a step on iterating, unpacking and subscripting, not on
+    the scores.  It is generated from the size alone, never from data, and
+    compiled on the first call with that size; the process keeps it.
     """
     size = len(counts)
+    if not size or len(weights) != size:
+        raise ValueError(
+            f"need arms and one weight per pull count, got {len(weights)} weights for {size} counts"
+        )
+    track = _TRACKERS.get(size) or _compile_tracker(size)
     arms = range(size)
-    pairs = tuple(enumerate(weights))
-    first, rest = weights[0], pairs[1:]
     while t < stop:
         t += 1
         low = min(counts)
@@ -181,24 +191,74 @@ def track_pulls(
             counts[ties[0] if len(ties) == 1 else ties[rng.integers(len(ties))]] += 1
             continue
         last = min(stop, max(t, int(low) ** 2 * size))  # no forced pull through this step
-        s, end = float(t), float(last)
-        while True:
-            best, pick, tied = counts[0] - s * first, 0, False
-            for k, w in rest:
-                score = counts[k] - s * w
-                if score < best:
-                    best, pick, tied = score, k, False
-                elif score == best:
-                    tied = True
-            if tied:
-                ties = [k for k, w in pairs if counts[k] - s * w == best]
-                pick = ties[rng.integers(len(ties))]
-            counts[pick] += 1
-            if s == end:
-                break
-            s += 1.0
+        track(counts, weights, float(t), float(last), rng)
         t = last
     return counts
+
+
+# The unforced loop of track_pulls for each arm-set size, compiled on first use.
+_TRACKERS: dict = {}
+
+# Source of that loop for arms 0..size-1: c<k> and w<k> hold arm k's count and weight.
+_TRACKER = """\
+def track(counts, weights, s, end, rng):
+    {counts} = counts
+    {weights} = weights
+    while True:
+        best, pick, tied = c0 - s * w0, 0, False
+{scan}        if tied:
+            ties = []
+            for k, score in enumerate(({scores})):
+                if score == best:
+                    ties.append(k)
+            pick = ties[rng.integers(len(ties))]
+{increment}        if s == end:
+            break
+        s += 1.0
+    counts[:] = {counts}
+"""
+_TRACKER_SCAN = """\
+        score = c{k} - s * w{k}
+        if score <= best:
+            if score < best:
+                best, pick, tied = score, {k}, False
+            else:
+                tied = True
+"""
+
+
+def _compile_tracker(size: int):
+    """Compile and keep ``track(counts, weights, s, end, rng)``: the unforced loop of ``size``.
+
+    It pulls the arm of least ``count - s * weight`` at every step ``s``
+    from ``s`` to ``end`` (floats), the first minimum on a strict ``<`` scan
+    unless an ``==`` marked a tie, which is drawn as in :func:`track_pulls`;
+    then it writes the counts back into ``counts``.
+    """
+    arms = range(size)
+    source = _TRACKER.format(
+        counts="".join(f"c{k}, " for k in arms),
+        weights="".join(f"w{k}, " for k in arms),
+        scan="".join(_TRACKER_SCAN.format(k=k) for k in arms[1:]),
+        scores="".join(f"c{k} - s * w{k}, " for k in arms),
+        increment=_increment(0, size, " " * 8),
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<track_pulls, {size} arms>", "exec"), namespace)
+    _TRACKERS[size] = track = namespace["track"]
+    return track
+
+
+def _increment(low: int, high: int, indent: str) -> str:
+    """Source adding 1 to ``c<pick>`` for ``low <= pick < high``, by a binary search on ``pick``."""
+    if high - low == 1:
+        return f"{indent}c{low} += 1\n"
+    middle = (low + high) // 2
+    inner = indent + "    "
+    return (
+        f"{indent}if pick < {middle}:\n{_increment(low, middle, inner)}"
+        f"{indent}else:\n{_increment(middle, high, inner)}"
+    )
 
 
 def uniform_pulls(size: int, pulls: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:

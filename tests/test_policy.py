@@ -233,6 +233,13 @@ class TestSelectArm:
         ]
         assert runs[0] == runs[1] and sum(runs[0]) == 500
 
+    @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.25] * 4, []])
+    def test_rejects_weights_of_another_length(self, weights):
+        # with fewer weights than counts the last arms would never be tracked
+        message = f"got {len(weights)} weights for 3 counts"
+        with pytest.raises(ValueError, match=message):
+            track_pulls([5.0, 5.0, 5.0], weights, 15, 40, np.random.default_rng(0))
+
 
 def per_pull_block(counts, weights, t, stop, rng) -> list[int]:
     """The block advance by the per-pull reference: ``select_arm`` and ``observe`` each step."""
@@ -247,11 +254,13 @@ def per_pull_block(counts, weights, t, stop, rng) -> list[int]:
 class TestBlockAdvanceMatchesPerPullLoop:
     def test_counts_and_stream_bitwise_equal(self):
         # Random block advances against the per-pull reference: the same
-        # final counts and the same next draw from the tie-breaking stream.
+        # final counts and the same next draw from the tie-breaking stream,
+        # written into the list passed, each entry keeping its type.  Sizes
+        # 2-12 and 40 cover every arm-set size the suite's episodes compile.
         rng = np.random.default_rng(2024)
         forced_starts = 0
         for case in range(1000):
-            size = int(rng.integers(2, 7))
+            size = 40 if case % 200 == 199 else int(rng.integers(2, 13))
             kind = case % 3
             if kind == 0:
                 weights = np.full(size, 1.0 / size)
@@ -269,8 +278,11 @@ class TestBlockAdvanceMatchesPerPullLoop:
             seed = int(rng.integers(2**32))
             ref_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             expected = per_pull_block(start, weights, t, stop, ref_rng)
-            got = track_pulls(list(start), weights.tolist(), t, stop, block_rng)
-            assert got == expected, (case, size, t, stop)
+            number = int if case // 2 % 2 else float
+            counts = [number(c) for c in start]
+            got = track_pulls(counts, weights.tolist(), t, stop, block_rng)
+            assert got is counts and got == expected, (case, size, t, stop)
+            assert {type(c) for c in got} == {number}, case
             assert block_rng.integers(2**62) == ref_rng.integers(2**62), case
         assert 250 <= forced_starts <= 750
 

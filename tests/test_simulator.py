@@ -321,6 +321,34 @@ class TestOneStackedServerStepPerInstant:
             assert sum(admissible for _, admissible in broadcasts) >= instants // 2
 
 
+class TestTrackerCompilation:
+    """D-tracking's unforced loop is compiled once per arm-set size, on first use."""
+
+    def test_import_compiles_nothing(self):
+        code = "import hetbai; from hetbai import policy; print(len(policy._TRACKERS))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout == "0\n", out.stderr
+
+    def test_each_size_compiles_once(self, monkeypatch):
+        v = make_instance(
+            [(0, 1), (0, 1, 2)], {(0, 0): 1.0, (0, 1): 0.5, (1, 0): 1.0, (1, 1): 0.5, (1, 2): 0.0}
+        )
+        compiled = []
+        compile_tracker = policy_module._compile_tracker
+
+        def spy(size):
+            compiled.append(size)
+            return compile_tracker(size)
+
+        monkeypatch.setattr(policy_module, "_TRACKERS", {})
+        monkeypatch.setattr(policy_module, "_compile_tracker", spy)
+        run_batch(v, "het-ts", 0.5, [(0.1, seed) for seed in range(3)])
+        assert sorted(compiled) == [2, 3]
+        run_batch(v, "het-ts", 0.5, [(0.1, seed) for seed in range(3, 6)])
+        assert sorted(compiled) == [2, 3]
+
+
 class TestEpisodeLaw:
     """The block kernel against the per-pull reference loop, in distribution.
 
