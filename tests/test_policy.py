@@ -479,6 +479,34 @@ class TestFMachinery:
             assert roots == [math.log(1.0 / d) for d in order]
         assert math.log(1.0 / d32) != math.log(1.0 / float(d32))
 
+    def test_rejects_delta_whose_reciprocal_overflows(self):
+        # 1/delta is taken in delta's own type; where it overflows, log(1/delta) is inf and
+        # the threshold inf or nan, so no episode could stop
+        for delta in (1e-310, 2.0**-1024, np.float32(1e-40), np.float32(2.0**-128)):
+            with pytest.raises(ValueError, match="too small: 1/delta overflows"):
+                f_inverse(delta, 3)
+        for smallest in (np.nextafter(2.0**-1024, 1.0), np.nextafter(np.float32(2.0**-128), 1)):
+            assert math.isfinite(f_inverse(smallest, 3))
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 100, 1000, 10_000, 100_000])
+    def test_newton_starts_right_of_the_root(self, k, monkeypatch):
+        # f <= K' T(x) for x >= K' - 1 puts the start's log-tail at least
+        # (K' + 1) log(log(1/delta) + 3) + 2 nats below log(delta) (f_inverse's docstring)
+        class Started(Exception):
+            pass
+
+        real = policy._log_tail
+
+        def log_tail(x, log_factorials):
+            raise Started(real(x, log_factorials)[0])
+
+        monkeypatch.setattr(policy, "_log_tail", log_tail)
+        for delta in (np.nextafter(2.0**-1024, 1.0), 1e-300, 1e-40, 1e-6, 0.1, 0.5, 1 - 2**-53):
+            with pytest.raises(Started) as start:
+                policy.f_inverse.__wrapped__(delta, k)  # past the kept roots
+            bound = math.log(delta) - (k + 1) * math.log(math.log(1.0 / delta) + 3.0) - 2.0
+            assert start.value.args[0] < bound, (k, delta)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             f_eval(0.0, 2)

@@ -228,6 +228,13 @@ class TestBatchMatchesBatchOfOne:
             run_episode(v, "het-ts", delta, 0.2, seed, trace=alone)
             assert trace == alone
 
+    @pytest.mark.parametrize("lists", [1, 3])
+    def test_one_trace_per_task(self, lists, monkeypatch):
+        monkeypatch.setattr(simulator, "validate", None)  # rejected before any episode runs
+        tasks = [(0.1, 3), (0.3, 5)]
+        with pytest.raises(ValueError, match=f"^one trace per task: {lists} traces for 2 tasks$"):
+            run_batch(chain_three_arm(), "het-ts", 0.2, tasks, traces=[[] for _ in range(lists)])
+
     def test_set_up_once_per_batch(self, monkeypatch):
         import hetbai.simulator as simulator
 
@@ -503,6 +510,13 @@ class TestSweep:
             SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), workers=0, step_cap=2**53 + 1)
         for needle in ("workers must be a positive integer, got 0",
                        f"step_cap must be at most 2**53, got {2**53 + 1}"):
+            assert needle in str(exc.value)
+        # a delta whose reciprocal overflows would get an inf or nan threshold
+        with pytest.raises(ValueError) as exc:
+            SweepConfig(instance=symmetric_two_arm(), deltas=(1e-310, 1.5), lam=0.0)
+        for needle in ("lambda must be a positive finite number, got 0.0",
+                       "delta 1.5 outside (0, 1)",
+                       "delta 1e-310 too small: 1/delta overflows"):
             assert needle in str(exc.value)
         largest = SweepConfig(instance=symmetric_two_arm(), deltas=(0.1,), step_cap=2**53)
         assert largest.step_cap == 2**53
@@ -933,6 +947,7 @@ class TestCsvRoundTrip:
         ("delta", "", "delta must be a number, got ''"),
         ("delta", "nan", "delta nan outside (0, 1)"),
         ("delta", "1.5", "delta 1.5 outside (0, 1)"),
+        ("delta", "1e-310", "delta 1e-310 too small: 1/delta overflows"),
         ("seed", "-1", "seed must be non-negative, got -1"),
         ("seed", "1.0", "seed must be an integer, got '1.0'"),
         ("tau", "-8", "tau must be a positive integer, got -8"),
