@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 
 from hetbai import (
@@ -411,6 +412,34 @@ def brute_force_g_tilde_max(
     best_idx = np.unravel_index(best_flat, counts)
     rows = [tuple(float(w) for w in grids[m][best_idx[m]]) for m in range(instance.num_clients)]
     return Allocation(arm_sets=instance.arm_sets, weights=tuple(rows)), best_value
+
+
+# --- mpmath root of the threshold offset ---
+
+
+def f_root_oracle(delta: float, kprime: int) -> float:
+    """Root ``x`` of ``Q(K', x) = delta`` at 60 digits: the regularized upper incomplete gamma.
+
+    Above ``delta = 1/2`` it solves the lower tail ``P(K', x) = 1 - delta``
+    instead, so neither side cancels.  Bisection to eight digits from a
+    doubling bracket, then Newton's method on mpmath's own functions.
+    """
+    with mpmath.workdps(60):
+        d, k = mpmath.mpf(float(delta)), mpmath.mpf(kprime)
+        if d > 0.5:
+            rising = lambda x: mpmath.gammainc(k, 0, x, regularized=True) - (1 - d)
+        else:
+            rising = lambda x: d - mpmath.gammainc(k, x, mpmath.inf, regularized=True)
+        lo = hi = k
+        while rising(hi) < 0:
+            hi *= 2
+        while rising(lo) > 0:
+            lo /= 2
+        while hi - lo > hi * mpmath.mpf(10) ** -8:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if rising(mid) < 0 else (lo, mid)
+        density = lambda x: mpmath.exp((k - 1) * mpmath.log(x) - x - mpmath.loggamma(k))
+        return float(mpmath.findroot(rising, (lo + hi) / 2, df=density, solver="newton"))
 
 
 # --- Reference per-pull client rules and episode loop ---

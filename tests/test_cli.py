@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ class TestValidate:
         assert dispatch(["validate", str(path)]) == 2
 
     def test_non_number_mean_exits_two_with_message(self, instance_file, capsys):
-        doc = json.loads(open(instance_file).read())
+        doc = json.loads(Path(instance_file).read_text())
         doc["means"][0]["mu"] = [1.0]
         with open(instance_file, "w") as fh:
             json.dump(doc, fh)
@@ -244,7 +245,7 @@ class TestSweepCommand:
         # a 401-digit JSON integer: exactly in (0, inf), but no float holds it
         monkeypatch.setattr(cli, "sweep", None)
         config = self.write_config(tmp_path, instance_file, **{"lambda": 10**400})
-        assert '"lambda": 1000' in open(config).read()
+        assert '"lambda": 1000' in Path(config).read_text()
         assert dispatch(["sweep", "--config", config, "--out", str(tmp_path / "r.csv")]) == 2
         assert "lambda must be a positive finite number, got 1000" in capsys.readouterr().err
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from hetbai import (
 from helpers import (
     ClientState,
     empirical_slots,
+    f_root_oracle,
     loop_z_statistic,
     make_instance,
     observe,
@@ -285,6 +287,38 @@ class TestBlockAdvanceMatchesPerPullLoop:
             assert {type(c) for c in got} == {number}, case
             assert block_rng.integers(2**62) == ref_rng.integers(2**62), case
         assert 250 <= forced_starts <= 750
+        # Exact score ties placed at the first step, at every size the tree
+        # covers and the first one it leaves to the scan: the least score on
+        # each pair of arms (the first and last among them), which draws; on a
+        # pair with a strictly smaller later arm, which does not; on every arm.
+        for size in range(2, policy._TREE_ARMS + 2):
+            # sixteenths, so s * weight is a whole number at s = 1600
+            weights = (rng.multinomial(16 - size, np.full(size, 1.0 / size)) + 1) / 16
+            s = 1600
+            pairs = itertools.combinations(range(size), 2)
+            placed = [((i, j), [-1.0 if k in (i, j) else 1.0 for k in range(size)], True) for i, j in pairs]
+            for i, j, h in itertools.combinations(range(size), 3):
+                scores = [-1.0 if k in (i, j) else -2.0 if k == h else 1.0 for k in range(size)]
+                placed.append(((i, j), scores, False))
+            placed.append((tuple(range(size)), None, True))
+            for tied, scores, draws in placed:
+                if scores is None:  # uniform weights and equal counts
+                    w = np.full(size, 1.0 / size)
+                    start = [float(s // size)] * size
+                    t = s // size * size
+                else:
+                    w, start, t = weights, (s * weights + scores).tolist(), s - 1
+                for stop in (t + 1, t + 40):
+                    seed = int(rng.integers(2**32))
+                    ref_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    expected = per_pull_block(start, w, t, stop, ref_rng)
+                    counts = list(start)
+                    got = track_pulls(counts, w.tolist(), t, stop, block_rng)
+                    assert got is counts and got == expected, (size, tied, stop)
+                    if stop == t + 1:  # the one step drew exactly when the least score tied
+                        state = block_rng.bit_generator.state
+                        assert (state != np.random.default_rng(seed).bit_generator.state) == draws
+                    assert block_rng.integers(2**62) == ref_rng.integers(2**62), (size, tied, stop)
 
     def test_long_blocks_late_starts_and_skip_bounds_inside(self):
         # Long blocks, starts near 10**6, and starved arms whose skip bound
@@ -501,11 +535,32 @@ class TestFMachinery:
             raise Started(real(x, log_factorials)[0])
 
         monkeypatch.setattr(policy, "_log_tail", log_tail)
-        for delta in (np.nextafter(2.0**-1024, 1.0), 1e-300, 1e-40, 1e-6, 0.1, 0.5, 1 - 2**-53):
+        # above 1/2 the root is solved on the complement, from the left (test_near_one_*)
+        for delta in (np.nextafter(2.0**-1024, 1.0), 1e-300, 1e-40, 1e-6, 0.1, 0.5):
             with pytest.raises(Started) as start:
                 policy.f_inverse.__wrapped__(delta, k)  # past the kept roots
             bound = math.log(delta) - (k + 1) * math.log(math.log(1.0 / delta) + 3.0) - 2.0
             assert start.value.args[0] < bound, (k, delta)
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 1000, 10_000, 100_000])
+    def test_near_one_matches_mpmath_root(self, k, monkeypatch):
+        # near delta = 1, log(delta) drowns in the rounding of log f: solving there
+        # overshot the root (762.07 at K' = 1000, delta = 1 - 2**-53) or stepped to a
+        # negative x; the complement's Newton steps climb onto the root from the left
+        steps = []
+        log_head = policy._log_head
+
+        def spy(x, kprime, log_factorials):
+            steps.append(x)
+            return log_head(x, kprime, log_factorials)
+
+        monkeypatch.setattr(policy, "_log_head", spy)
+        for delta in (np.nextafter(0.5, 1.0), 0.6, 0.9, 1 - 1e-5, 1 - 1e-9, 1 - 1e-13, 1 - 2**-53):
+            steps.clear()
+            x = policy.f_inverse.__wrapped__(delta, k)  # past the kept roots
+            assert abs(x - f_root_oracle(delta, k)) <= 1e-9 * x, (k, delta)
+            assert all(b > a for a, b in zip(steps, steps[1:])), (k, delta)
+            assert 0.0 < steps[0] and steps[-1] < k, (k, delta)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

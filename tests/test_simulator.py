@@ -30,6 +30,7 @@ from hetbai import (
     run_episode,
     slot_index,
     sweep,
+    track_pulls,
 )
 from hetbai import policy as policy_module
 from hetbai import simulator
@@ -354,6 +355,29 @@ class TestTrackerCompilation:
         assert sorted(compiled) == [2, 3]
         run_batch(v, "het-ts", 0.5, [(0.1, seed) for seed in range(3, 6)])
         assert sorted(compiled) == [2, 3]
+
+    def test_tree_up_to_the_cap_then_scan(self, monkeypatch):
+        # a tree step keeps no running pick: its leaves are the increments themselves
+        compiled = []
+        compile_tracker = policy_module._compile_tracker
+
+        def spy(size):
+            compiled.append(size)
+            return compile_tracker(size)
+
+        monkeypatch.setattr(policy_module, "_TRACKERS", {})
+        monkeypatch.setattr(policy_module, "_compile_tracker", spy)
+        cap = policy_module._TREE_ARMS
+        sizes = range(1, cap + 2)
+        for _ in range(2):
+            for size in sizes:
+                counts = [4.0] * size
+                track_pulls(counts, [1.0 / size] * size, 4 * size, 4 * size + 10, np.random.default_rng(0))
+        assert compiled == list(sizes)
+        scan_locals = {"best", "pick", "tied"}
+        for size in sizes:
+            kept = scan_locals & set(policy_module._TRACKERS[size].__code__.co_varnames)
+            assert kept == (scan_locals if size > cap else set()), size
 
 
 class TestEpisodeLaw:
