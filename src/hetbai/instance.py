@@ -211,7 +211,7 @@ class SlotIndex:
         cls, num_arms: int, sizes: Sequence[int], slot_arm: Sequence[int], copies: int = 1
     ) -> "SlotIndex":
         slot_arm = np.asarray(slot_arm, dtype=np.int64)
-        index = cls(
+        return cls(
             num_arms=num_arms,
             num_clients=len(sizes),
             slot_client=_frozen(np.repeat(np.arange(len(sizes)), sizes)),
@@ -220,8 +220,6 @@ class SlotIndex:
             multiplicities=_frozen(np.bincount(slot_arm, minlength=num_arms)),
             copies=copies,
         )
-        index.__dict__["client_starts"] = index.starts[:-1]  # every reduction reads it
-        return index
 
     @property
     def num_slots(self) -> int:
@@ -279,7 +277,6 @@ class SlotIndex:
             arm_runs=(order[:slots], arm_starts[:arms]),
             slot_positions=self.slot_positions[:slots],
             squared_multiplicities=self.squared_multiplicities[:arms],
-            client_starts=self.client_starts[:clients],
             copy_arm=self.copy_arm[:slots],
             arm_rows=self.arm_rows[:copies],
             client_rows=self.client_rows[:copies],

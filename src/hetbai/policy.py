@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .allocation import _confusion_rate, slot_global_vector
-from .instance import ArmStats, SlotIndex
+from .instance import ArmStats, SlotIndex, _is_real
 
 __all__ = [
     "CommSchedule",
@@ -62,10 +62,9 @@ class CommSchedule:
     """
 
     def __init__(self, lam: float) -> None:
-        if not (lam > 0.0) or not math.isfinite(lam):
-            raise ValueError("lam must be a positive finite real")
-        if 1.0 + lam == 1.0:
-            raise ValueError(f"lam must not vanish against 1 (1 + lam == 1), got {lam!r}")
+        problem = _lambda_problem(lam)
+        if problem:
+            raise ValueError(problem)
         self.lam = float(lam)
         q = 1.0 + self.lam
         num, den = q.as_integer_ratio()
@@ -366,31 +365,16 @@ def slot_z_statistic(
     return 0.0 if counts.ndim == 1 else np.where(stats.is_admissible(), z, 0.0)
 
 
-def _log_tail(x: float, log_factorials: np.ndarray) -> tuple[float, float]:
-    """``log f(x)`` and its derivative in ``x``, with ``K' = len(log_factorials)``.
+def _log_poisson(x: float, first: int, log_factorials: np.ndarray) -> float:
+    """``log sum_i x^i e^(-x) / i!`` over ``i = first, ..., first + n - 1``, by log-sum-exp.
 
-    ``log f(x) = log sum_{i<K'} exp(i log x - x - log i!)`` by log-sum-exp;
-    the derivative is ``-exp(last term - log f(x))``.
+    ``log_factorials`` holds the ``n`` values ``log i!``.  From ``first = 0``
+    with ``n = K'`` it is ``log f(x)``; from ``first = K'`` it is ``log(1 -
+    f(x))``, up to the terms left out.
     """
-    terms = np.arange(len(log_factorials)) * math.log(x) - x - log_factorials
+    terms = np.arange(first, first + len(log_factorials)) * math.log(x) - x - log_factorials
     top = float(terms.max())
-    value = top + math.log(float(np.exp(terms - top).sum()))
-    return value, -math.exp(float(terms[-1]) - value)
-
-
-def _log_head(x: float, kprime: int, log_factorials: np.ndarray) -> tuple[float, float]:
-    """``log(1 - f(x))`` and its derivative in ``x``, for ``0 < x < K'``.
-
-    ``1 - f(x) = sum_{i>=K'} x^i e^(-x) / i!``, the Gamma(K') distribution
-    function, summed over ``len(log_factorials)`` terms from ``i = K'``
-    (``log_factorials`` holds their ``log i!``); below ``K'`` the terms fall
-    from the first.  The derivative is ``x^(K'-1) e^(-x) / (K'-1)!``, ``K'/x``
-    times the first term, over ``1 - f(x)``.
-    """
-    terms = np.arange(kprime, kprime + len(log_factorials)) * math.log(x) - x - log_factorials
-    top = float(terms[0])
-    value = top + math.log(float(np.exp(terms - top).sum()))
-    return value, math.exp(top - value) * kprime / x
+    return top + math.log(float(np.exp(terms - top).sum()))
 
 
 def _log_factorials(start: int, stop: int) -> np.ndarray:
@@ -407,36 +391,40 @@ def f_eval(x: float, kprime: int) -> float:
         raise ValueError("kprime must be at least 1")
     if not (x > 0.0):
         raise ValueError("x must be positive")
-    return math.exp(_log_tail(x, _log_factorials(0, kprime))[0])
+    return math.exp(_log_poisson(x, 0, _log_factorials(0, kprime)))
 
 
 @lru_cache(maxsize=1024, typed=True)  # typed: 1.0 / delta is float32 for a float32 delta
 def f_inverse(delta: float, kprime: int) -> float:
-    """Unique ``x`` with ``f_eval(x, kprime) == delta``, by Newton's method on ``log f``.
+    """Unique ``x`` with ``f_eval(x, kprime) == delta``, by Newton's method on a log tail.
 
-    ``L = log(1/delta)``, finite for ``delta`` above ``2**-1024`` (``2**-128``
-    as a float32; a smaller one raises), is exact for ``kprime == 1`` and a
-    lower bound otherwise.  With ``T(x) = x^(K'-1) e^(-x) / (K'-1)!``, the
-    last term of the tail series, ``T <= f <= K' T`` for ``x >= K' - 1``, so
-    ``l <= f_inverse(delta, K') <= u`` for the roots ``l, u >= K' - 1`` of
-    ``T = delta`` and ``K' T = delta`` (whenever ``delta < T(K' - 1)``);
-    acceptance criterion 4b checks this bracket.  At the start ``x0 = L +
-    2K'(log(L + 3) + K') <= 2 (L + 3) (K' + 1)^2``, ``f <= K' T``,
-    ``lgamma(K') >= 0`` and ``log y <= y - 1`` give ``log f(x0) < log(delta) -
-    (K' + 1) log(L + 3) - 2`` for ``K' >= 2``.  ``f``, a Gamma(K') survival
-    function, is log-concave, so Newton steps from the right of the root
-    decrease monotonically onto it.
+    ``f`` is the Gamma(K') survival function.  For ``delta <= 1/2`` Newton
+    solves ``log f = log(delta)`` from the right of the root; above 1/2,
+    where ``log(delta)`` shrinks below the rounding of ``log f``, it solves
+    ``log(1 - f) = log1p(-delta)``, no less than ``log(2**-53)``, from the
+    left.  ``f`` and ``1 - f`` are log-concave, so from either start the
+    iterates move monotonically onto the root, and the loop stops at the
+    first step that does not move ``x`` forward by more than ``1e-15 x``:
+    the rounding floor of the log sum, with no test on its value.  With
+    ``T(x) = x^(K'-1) e^(-x) / (K'-1)!``, the derivatives are ``-T / f``
+    and ``T / (1 - f)``.
 
-    Above ``delta = 1/2`` (``K' = 1`` included) ``log(delta)`` shrinks below
-    the rounding of ``log f``, so the root is solved on the complement
-    instead: ``log(1 - f) = log1p(-delta)``, no less than ``log(2**-53)``.
-    The Gamma(K') distribution function ``1 - f`` is log-concave,
-    increasing and below ``x^K' / K'!``, so Newton steps from ``x0 = (K'!
-    (1 - delta))^(1/K')``, left of the root, increase monotonically onto it
-    until a step falls below the rounding of ``log(1 - f)``.  The root lies
-    below the median, so below ``K'``, where each term of the series is at
-    most ``K' / (K' + m)`` times the one before; ``N = 60 + 10 sqrt(K')``
-    terms leave out at most ``e^-50 (1 + sqrt(K')/10)`` of the sum.
+    Right start.  ``L = log(1/delta)``, finite for ``delta`` above
+    ``2**-1024`` (``2**-128`` as a float32; a smaller one raises), is exact
+    for ``kprime == 1`` and a lower bound otherwise.  ``T <= f <= K' T`` for
+    ``x >= K' - 1``, so ``l <= f_inverse(delta, K') <= u`` for the roots
+    ``l, u >= K' - 1`` of ``T = delta`` and ``K' T = delta`` (whenever
+    ``delta < T(K' - 1)``); acceptance criterion 4b checks this bracket.  At
+    ``x0 = L + 2K'(log(L + 3) + K') <= 2 (L + 3) (K' + 1)^2``, ``f <= K' T``,
+    ``lgamma(K') >= 0`` and ``log y <= y - 1`` give ``log f(x0) < log(delta)
+    - (K' + 1) log(L + 3) - 2`` for ``K' >= 2``.
+
+    Left start.  ``1 - f`` is below ``x^K' / K'!``, so ``x0 = (K'! (1 -
+    delta))^(1/K')`` is left of the root.  The root lies below the median,
+    so below ``K'``, where each term of ``1 - f = sum_{i>=K'} x^i e^(-x) /
+    i!`` is at most ``K' / (K' + m)`` times the one before; ``N = 60 + 10
+    sqrt(K')`` terms leave out at most ``e^-50 (1 + sqrt(K')/10)`` of the
+    sum.
 
     Roots are kept per ``(delta, kprime)`` and argument types, so every
     episode of a process shares its delta's.
@@ -447,28 +435,24 @@ def f_inverse(delta: float, kprime: int) -> float:
     if problem:
         raise ValueError(problem)
     if delta > 0.5:
+        first, terms, sign = kprime, 60 + int(10.0 * math.sqrt(kprime)), 1.0
         target = math.log1p(-delta)
-        log_factorials = _log_factorials(kprime, kprime + 60 + int(10.0 * math.sqrt(kprime)))
         x = math.exp((target + math.lgamma(kprime + 1)) / kprime)
-        for _ in range(100):
-            value, slope = _log_head(x, kprime, log_factorials)
-            step = (target - value) / slope
-            if not step > 1e-15 * x:  # at the root, to the rounding of log(1 - f)
-                break
-            x += step
-        return x
-    base = math.log(1.0 / delta)
-    if kprime == 1:
-        return base
-    log_delta = math.log(delta)
-    log_factorials = _log_factorials(0, kprime)
-    x = base + 2.0 * kprime * (math.log(base + 3.0) + kprime)
+    else:
+        base = math.log(1.0 / delta)
+        if kprime == 1:
+            return base
+        first, terms, sign = 0, kprime, -1.0
+        target = math.log(delta)
+        x = base + 2.0 * kprime * (math.log(base + 3.0) + kprime)
+    log_factorials = _log_factorials(first, first + terms)
+    log_norm = math.lgamma(kprime)  # log (K'-1)!
     for _ in range(100):
-        value, slope = _log_tail(x, log_factorials)
-        step = (value - log_delta) / slope
-        x -= step
-        if abs(value - log_delta) <= 1e-12 or abs(step) <= 1e-15 * x:
-            return x
+        value = _log_poisson(x, first, log_factorials)
+        step = (target - value) / math.exp((kprime - 1) * math.log(x) - x - log_norm - value)
+        if not step > 1e-15 * x:  # at the root, to the rounding of the log sum
+            break
+        x += sign * step
     return x
 
 
@@ -479,6 +463,24 @@ def _delta_problem(delta: float) -> str | None:
     with np.errstate(over="ignore"):  # a numpy float warns where 1/delta overflows
         overflows = math.isinf(math.log(1.0 / delta))
     return f"delta {delta!r} too small: 1/delta overflows" if overflows else None
+
+
+def _lambda_problem(lam: float) -> str | None:
+    """Why ``lam`` has no schedule: not a number, not positive and finite, or lost against 1.
+
+    An integer too large for a float is not finite.
+    """
+    if not _is_real(lam):
+        return f"lambda must be a number, got {lam!r}"
+    try:
+        finite = math.isfinite(lam)
+    except OverflowError:
+        finite = False
+    if not (finite and lam > 0.0):
+        return f"lambda must be a positive finite number, got {lam!r}"
+    if 1.0 + lam == 1.0:
+        return f"lambda must not vanish against 1 (1 + lambda == 1), got {lam!r}"
+    return None
 
 
 def should_stop(

@@ -35,7 +35,6 @@ process started for each other batch sends its records back through a pipe.
 from __future__ import annotations
 
 import csv
-import math
 import multiprocessing
 import os
 import re
@@ -63,6 +62,7 @@ from .instance import (
 from .policy import (
     CommSchedule,
     _delta_problem,
+    _lambda_problem,
     f_inverse,
     should_stop,
     slot_server_vector,
@@ -177,16 +177,7 @@ def input_violations(
     problems = []
     if policy not in POLICIES:
         problems.append(f"policy must be one of {', '.join(POLICIES)}, got {policy!r}")
-    try:
-        finite = _is_real(lam) and math.isfinite(lam)  # an int too large for a float raises
-    except OverflowError:
-        finite = False
-    if not _is_real(lam):
-        problems.append(f"lambda must be a number, got {lam!r}")
-    elif not (finite and lam > 0.0):
-        problems.append(f"lambda must be a positive finite number, got {lam!r}")
-    elif 1.0 + lam == 1.0:
-        problems.append(f"lambda must not vanish against 1 (1 + lambda == 1), got {lam!r}")
+    problems += filter(None, [_lambda_problem(lam)])
     if len(deltas) == 0:  # an array's truth value is ambiguous
         problems.append("deltas must be nonempty")
     deltas = {repr(d): d for d in deltas}.values()
@@ -324,10 +315,7 @@ def run_batch(
     slot_means = index.flatten(instance.means)
     true_best = tuple(int(a) for a in slot_stats(index, slot_means).best_arms)
     kprime = index.num_slots
-    # Keyed by type too: np.float32(0.3) == 0.30000001192092896, but their roots differ.
-    deltas = {(type(delta), delta) for delta, _ in tasks}
-    thresholds = {key: f_inverse(key[1], kprime) for key in deltas}
-    offsets = np.array([thresholds[type(delta), delta] for delta, _ in tasks])
+    offsets = np.array([f_inverse(delta, kprime) for delta, _ in tasks])
 
     schedule = _schedule(float(lam))
     instants = iter(schedule)

@@ -441,6 +441,9 @@ class TestAllocationFromGlobal:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="strictly positive"):
             allocation_from_global(np.array([1.0, 0.0]), single_client_two_arm())
+        message = "global vector length does not match the number of arms"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            allocation_from_global(np.array([1.0, 1.0, 1.0]), single_client_two_arm())
 
     def test_rejects_non_finite(self):
         message = "global vector must be finite, got [nan, 1.0, 1.0]"
@@ -578,6 +581,10 @@ class TestCStarInterval:
             v = gen_hardness_instance(rho, 3, 2, [(0, 1), (1, 2)])
             lower, upper = c_star_interval(v)
             assert 4 * rho / (2 * 9) <= lower <= upper <= 4 * 3 * rho
+
+    def test_rejects_zero_relaxed_rate(self):
+        with pytest.raises(ValueError, match="^relaxed rate is zero; instance is degenerate$"):
+            c_star_interval(symmetric_two_arm(), g_star=0.0)
 
 
 class TestBalanceResiduals:

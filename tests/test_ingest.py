@@ -211,6 +211,10 @@ class TestBuildInstance:
         table = make_table(*([("a", "x", 5)] * 10 + [("a", "y", 5)] * 10 + [("a", "z", 1)] * 10))
         with pytest.raises(ValueError, match="not admissible"):
             build_instance(table, min_samples=10)
+        # with every surviving rating equal there is no range to normalize by
+        table = make_table(*([("a", "x", 5)] * 10 + [("a", "y", 5)] * 10))
+        with pytest.raises(ValueError, match="^all surviving ratings are identical; cannot"):
+            build_instance(table, min_samples=10)
 
     def test_surviving_pairs_have_enough_samples(self):
         table = parse_ratings(MINI_RATINGS)

@@ -425,6 +425,8 @@ class TestGenerators:
     def test_hardness_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
             gen_hardness_instance(0.0, 2, 1, [(0, 1)])
+        with pytest.raises(ValueError, match="^arm_sets length does not match num_clients$"):
+            gen_hardness_instance(1.0, 2, 2, [(0, 1)])
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,13 @@ class TestCommSchedule:
             CommSchedule(0.0)
         with pytest.raises(ValueError):
             CommSchedule(-0.5)
+        # the wording and the rule of input_violations: an int too large for a
+        # float is not finite, and a bool is not a number
+        message = f"lambda must be a positive finite number, got {10**400!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CommSchedule(10**400)
+        with pytest.raises(ValueError, match="^lambda must be a number, got True$"):
+            CommSchedule(True)
 
     def test_rejects_lambda_that_vanishes_against_one(self):
         # 1 + 2**-53 rounds to 1, so no power would ever pass the first instant
@@ -529,12 +537,12 @@ class TestFMachinery:
         class Started(Exception):
             pass
 
-        real = policy._log_tail
+        real = policy._log_poisson
 
-        def log_tail(x, log_factorials):
-            raise Started(real(x, log_factorials)[0])
+        def log_tail(x, first, log_factorials):
+            raise Started(real(x, first, log_factorials))
 
-        monkeypatch.setattr(policy, "_log_tail", log_tail)
+        monkeypatch.setattr(policy, "_log_poisson", log_tail)
         # above 1/2 the root is solved on the complement, from the left (test_near_one_*)
         for delta in (np.nextafter(2.0**-1024, 1.0), 1e-300, 1e-40, 1e-6, 0.1, 0.5):
             with pytest.raises(Started) as start:
@@ -544,23 +552,36 @@ class TestFMachinery:
 
     @pytest.mark.parametrize("k", [1, 2, 10, 1000, 10_000, 100_000])
     def test_near_one_matches_mpmath_root(self, k, monkeypatch):
-        # near delta = 1, log(delta) drowns in the rounding of log f: solving there
-        # overshot the root (762.07 at K' = 1000, delta = 1 - 2**-53) or stepped to a
-        # negative x; the complement's Newton steps climb onto the root from the left
+        # Every root, not only those near delta = 1.  Near 1, log(delta) drowns in the
+        # rounding of log f: solving there overshot the root (762.07 at K' = 1000,
+        # delta = 1 - 2**-53) or stepped to a negative x, so the complement's Newton
+        # steps climb onto the root from the left; at and below 1/2 they fall onto it
+        # from the right.  Either way they stop at the rounding floor of the log sum:
+        # a stop on |log f - log delta| <= 1e-12, finer than that floor from K' = 10**4
+        # on, spent all 100 iterations there.
         steps = []
-        log_head = policy._log_head
+        log_poisson = policy._log_poisson
 
-        def spy(x, kprime, log_factorials):
+        def spy(x, first, log_factorials):
             steps.append(x)
-            return log_head(x, kprime, log_factorials)
+            return log_poisson(x, first, log_factorials)
 
-        monkeypatch.setattr(policy, "_log_head", spy)
-        for delta in (np.nextafter(0.5, 1.0), 0.6, 0.9, 1 - 1e-5, 1 - 1e-9, 1 - 1e-13, 1 - 2**-53):
+        monkeypatch.setattr(policy, "_log_poisson", spy)
+        tail = (np.nextafter(2.0**-1024, 1.0), 1e-300, 1e-40, 1e-6, 0.1, 0.5)
+        head = (np.nextafter(0.5, 1.0), 0.6, 0.9, 1 - 1e-5, 1 - 1e-9, 1 - 1e-13, 1 - 2**-53)
+        for delta in tail + head:
             steps.clear()
             x = policy.f_inverse.__wrapped__(delta, k)  # past the kept roots
-            assert abs(x - f_root_oracle(delta, k)) <= 1e-9 * x, (k, delta)
-            assert all(b > a for a, b in zip(steps, steps[1:])), (k, delta)
-            assert 0.0 < steps[0] and steps[-1] < k, (k, delta)
+            assert abs(x - f_root_oracle(delta, k)) <= 1e-12 * x, (k, delta)
+            assert len(steps) <= 20, (k, delta, len(steps))
+            if delta in tail:
+                if k == 1:
+                    assert x == math.log(1.0 / delta) and not steps, delta
+                    continue
+                assert all(b < a for a, b in zip(steps, steps[1:])), (k, delta)
+            else:
+                assert all(b > a for a, b in zip(steps, steps[1:])), (k, delta)
+                assert 0.0 < steps[0] and steps[-1] < k, (k, delta)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -571,6 +592,8 @@ class TestFMachinery:
             f_inverse(0.0, 2)
         with pytest.raises(ValueError):
             f_inverse(1.5, 2)
+        with pytest.raises(ValueError, match="^kprime must be at least 1$"):
+            f_inverse(0.1, 0)
 
 
 class TestShouldStop:

@@ -239,7 +239,7 @@ class TestBatchMatchesBatchOfOne:
     def test_set_up_once_per_batch(self, monkeypatch):
         import hetbai.simulator as simulator
 
-        calls = {"f_inverse": 0, "validate": 0}
+        calls = {"validate": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -247,10 +247,11 @@ class TestBatchMatchesBatchOfOne:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(simulator, "f_inverse", counted("f_inverse", simulator.f_inverse))
         monkeypatch.setattr(simulator, "validate", counted("validate", simulator.validate))
+        simulator.f_inverse.cache_clear()  # each task asks for its root; one is solved per delta
         run_batch(chain_three_arm(), "uniform", 0.5, [(0.1, s) for s in range(6)] + [(0.01, 6)])
-        assert calls == {"f_inverse": 2, "validate": 1}
+        assert calls == {"validate": 1}
+        assert simulator.f_inverse.cache_info().misses == 2
 
     def test_equal_deltas_of_two_types_keep_their_own_thresholds(self):
         # np.float32(0.3) == 0.30000001192092896, but its f_inverse root is not the float's

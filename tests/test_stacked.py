@@ -74,7 +74,8 @@ class TestStackedStats:
         # prefixes of the largest stack's arrays, sliced once, and allocates none.
         rng = np.random.default_rng(77)
         fields = ("slot_client", "slot_arm", "starts", "multiplicities",
-                  "slot_positions", "squared_multiplicities")
+                  "slot_positions", "squared_multiplicities",
+                  "client_starts", "copy_arm", "arm_rows", "client_rows")
         for _ in range(20):
             index = slot_index(random_structural_instance(rng))
             for largest_rows in (4, 7):  # a larger batch later replaces the largest stack
