@@ -230,22 +230,23 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     symmetric ``D^(1/2) C D^(1/2)`` gives ``x = D^(1/2) v`` for its top
     eigenvector ``v``, and :func:`_perron_polish` certifies it.  Stacked
     stats (admissible in every row) give one vector per row: the
-    eigensolver and the polish run once per class over the whole stack,
-    and each row equals that configuration's vector alone bit for bit.
+    eigensolver and the polish run once per class size over rows and classes
+    stacked, and each row's class equals that class and row alone bit for bit.
     """
     scale = _inverse_scale(index, stats)
     rows = scale.reshape(-1, index.num_arms)
-    vectors = [(arms, _class_vector(rows[:, arms, None], co)) for arms, co in index.class_blocks]
-    if len(vectors) == 1:  # one class holds every arm, in order
-        return vectors[0][1].reshape(scale.shape)
-    entries = np.zeros(rows.shape)
-    for arms, vector in vectors:
-        entries[:, arms] = vector
+    if len(index.partition.classes) == 1:  # one class holds every arm, in order
+        return _class_vector(rows[:, :, None], index.co_ownership).reshape(scale.shape)
+    entries = np.empty(rows.shape)
+    for arms, blocks in index.class_blocks:  # (c, n) arms and (c, n, n) blocks, stacked B * c
+        d = rows[:, arms].reshape(-1, arms.shape[1], 1)
+        vectors = _class_vector(d, np.tile(blocks, (len(rows), 1, 1)))
+        entries[:, arms] = vectors.reshape(len(rows), *arms.shape)
     return entries.reshape(scale.shape)
 
 
 def _class_vector(d: np.ndarray, co: np.ndarray) -> np.ndarray:
-    """A class's polished vectors ``(B, n)`` from its ``(B, n, 1)`` diagonal and co-ownership.
+    """Polished vectors ``(B, n)`` of ``(B, n, 1)`` diagonals and ``(n, n)`` or ``(B, n, n)`` blocks.
 
     Each row of ``d`` is first scaled by ``4^-k`` to a largest entry in
     ``[1/2, 2)``.  Every product, sum, square root (``sqrt(d) 2^-k``) and

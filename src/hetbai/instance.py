@@ -369,18 +369,17 @@ class SlotIndex:
         )
 
     @cached_property
-    def class_blocks(self) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...]:
-        """``(arms, co-ownership block)`` of every class, in partition order.
+    def class_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``(arms, blocks)`` per class size ``n``, in increasing ``n``: one eigensolver call each.
 
-        ``arms`` indexes the class's arms along an arm axis: a slice when
-        they are consecutive (a view, no gather), an index array otherwise.
+        ``arms`` holds the ``c`` classes of that size as ``(c, n)``, in partition order, and
+        ``blocks`` their ``(c, n, n)`` co-ownership.
         """
+        classes = self.partition.classes
         out = []
-        for cls in self.partition.classes:
-            idx = _frozen(np.array(cls))
-            consecutive = cls[-1] - cls[0] + 1 == len(cls)
-            arms = slice(cls[0], cls[-1] + 1) if consecutive else idx
-            out.append((arms, _frozen(self.co_ownership[np.ix_(idx, idx)])))
+        for n in sorted(set(map(len, classes))):
+            arms = _frozen(np.array([cls for cls in classes if len(cls) == n]))
+            out.append((arms, _frozen(self.co_ownership[arms[:, :, None], arms[:, None, :]])))
         return tuple(out)
 
 

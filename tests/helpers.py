@@ -211,6 +211,28 @@ def random_structural_instance(rng: np.random.Generator, max_arms: int = 6, max_
     return make_instance(sets, means, num_arms=K)
 
 
+def class_instance(rng):
+    """Random instance whose ``K`` arms, shuffled, form 1 to ``K // 2`` groups of clients' arm sets.
+
+    A group's arm sets may leave it one class or split it into several;
+    classes of one size are common, and arm-set sizes vary within and
+    across groups.
+    """
+    K = int(rng.integers(4, 10))
+    groups = np.array_split(rng.permutation(K), int(rng.integers(1, K // 2 + 1)))
+    sets = []
+    for group in groups:
+        covered: set[int] = set()
+        while covered != set(group.tolist()):
+            size = int(rng.integers(2, len(group) + 1))
+            arms = tuple(sorted(rng.choice(group, size=size, replace=False).tolist()))
+            sets.append(arms)
+            covered.update(arms)
+    order = rng.permutation(len(sets))
+    sets = [sets[k] for k in order]
+    return make_instance(sets, {(m, i): 0.0 for m, s in enumerate(sets) for i in s}, num_arms=K)
+
+
 def nan_eigh(a: np.ndarray, signature: str) -> tuple[np.ndarray, np.ndarray]:
     """An ``eigh_lo`` that did not converge: LAPACK's gufunc returns NaNs, not an error."""
     return np.full(a.shape[:-1], np.nan), np.full(a.shape, np.nan)
@@ -630,17 +652,41 @@ def reference_z_statistic(index: SlotIndex, stats: ArmStats, slot_counts):
     return np.where(admissible, z, 0.0)
 
 
+def reference_classes(arm_sets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(arms, co-ownership)`` of every arm class, without the library's partition or counts.
+
+    Clients' arm sets are merged while they overlap; the classes come sorted
+    by least arm, each with its arms in increasing order, and every count
+    is added one (client, arm, arm) triple at a time.
+    """
+    classes: list[set[int]] = []
+    for arms in arm_sets:
+        merged = set(arms).union(*(c for c in classes if c & set(arms)))
+        classes = [c for c in classes if not c & merged] + [merged]
+    out = []
+    for cls in sorted(sorted(c) for c in classes):
+        position = {i: k for k, i in enumerate(cls)}
+        co = np.zeros((len(cls), len(cls)))
+        for arms in arm_sets:
+            for i1 in arms:
+                for i2 in arms:
+                    if i1 in position:
+                        co[position[i1], position[i2]] += 1.0
+        out.append((np.array(cls), co))
+    return out
+
+
 def reference_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     """``slot_global_vector`` of admissible (stacked) stats: per class and row, eigh and polish.
 
-    The polish is :func:`loop_perron`, one block at a time.
+    The classes and their co-ownership are :func:`reference_classes` of the
+    index's slot arrays; the polish is :func:`loop_perron`, one block at a time.
     """
     scale = 1.0 / (stats.gaps**2 * (index.multiplicities.astype(float) ** 2))
     rows = scale.reshape(-1, index.num_arms)
     entries = np.zeros(rows.shape)
-    for cls in index.partition.classes:
-        arms = np.array(cls)
-        co = index.co_ownership[np.ix_(arms, arms)]
+    arm_sets = [index.slot_arm[a:b].tolist() for a, b in zip(index.starts[:-1], index.starts[1:])]
+    for arms, co in reference_classes(arm_sets):
         for row, d in zip(entries, rows[:, arms]):
             root = np.sqrt(d)
             _, vectors = np.linalg.eigh(root[:, None] * co * root[None, :])

@@ -270,9 +270,10 @@ class TestGlobalVector:
             scale = 1.0 / (stats.gaps**2 * index.squared_multiplicities)
             entries, _ = optimal_allocation(v, stats)
             assert np.min(entries) > 0.0
-            for arms, co in index.class_blocks:
-                want = perron_reference(co, scale[arms])
-                assert np.max(np.abs(entries[arms] - want) / want) <= 1e-9
+            for arms, blocks in index.class_blocks:  # the classes of one size
+                for cls, co in zip(arms, blocks):
+                    want = perron_reference(co, scale[cls])
+                    assert np.max(np.abs(entries[cls] - want) / want) <= 1e-9
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(6)

@@ -63,6 +63,10 @@ class TestUsageErrors:
         assert dispatch(["frobnicate"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_help_exits_zero(self, capsys):
+        assert dispatch(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: hetbai")
+
     def test_unknown_flag(self, capsys):
         assert dispatch(["validate", "--frob", "x.json"]) == 1
 
@@ -408,6 +412,13 @@ class TestIngestCommand:
         assert labels["clients"] == ["north", "south"]
         assert labels["arms"] == ["alpha", "beta"]
         assert any("gamma" in msg for msg in labels["dropped"])
+
+    def test_skipped_rows_reported_on_stderr(self, tmp_path, capsys):
+        lines = Path(MINI_RATINGS).read_text().splitlines(keepends=True)
+        path = tmp_path / "ratings.csv"
+        path.write_text("".join(lines[:2] + ["north,alpha\n"] + lines[2:]))
+        assert dispatch(["ingest", "--ratings", str(path), "--out", str(tmp_path / "movie.json")]) == 0
+        assert capsys.readouterr().err == "skipped line 3: expected 3 fields, got 2\n"
 
     def test_labels_out_flag(self, tmp_path):
         out, labels_path = tmp_path / "movie.json", tmp_path / "names.json"

@@ -24,6 +24,7 @@ from hetbai.cli import dispatch
 from hetbai.instance import OVERLAP_PATTERNS
 
 from helpers import (
+    class_instance,
     loop_arm_stats,
     loop_from_json,
     loop_multiplicities,
@@ -33,6 +34,7 @@ from helpers import (
     mean_of,
     random_admissible_instance,
     random_structural_instance,
+    reference_classes,
     symmetric_two_arm,
     with_means,
 )
@@ -281,7 +283,28 @@ class TestSlotReductions:
                 want[np.ix_(arms, arms)] += 1.0
             assert np.array_equal(index.co_ownership, want)
             assert index.co_ownership.dtype == want.dtype
-            assert index.partition == partition_arms(v)
+            classes = [tuple(arms.tolist()) for arms, _ in reference_classes(v.arm_sets)]
+            assert index.partition.classes == tuple(classes)
+            assert index.partition.class_of == tuple(
+                next(j for j, cls in enumerate(classes) if i in cls) for i in range(v.num_arms)
+            )
+
+    def test_class_blocks_stack_the_classes_of_each_size(self):
+        rng = np.random.default_rng(14)
+        several = 0  # instances with several classes of one size
+        for _ in range(200):
+            v = class_instance(rng)
+            by_size = {}
+            for arms, co in reference_classes(v.arm_sets):
+                by_size.setdefault(len(arms), []).append((arms, co))
+            blocks = slot_index(v).class_blocks
+            assert [arms.shape[1] for arms, _ in blocks] == sorted(by_size)
+            for arms, co in blocks:
+                want = by_size[arms.shape[1]]
+                assert np.array_equal(arms, [a for a, _ in want])
+                assert np.array_equal(co, [c for _, c in want]) and co.dtype == np.float64
+            several += any(len(arms) > 1 for arms, _ in blocks)
+        assert several >= 10, several
 
     def test_index_rejects_structurally_invalid(self):
         v = ProblemInstance(num_arms=2, num_clients=1, arm_sets=((0,),), means=((1.0,),))

@@ -283,15 +283,18 @@ class TestBatchMatchesBatchOfOne:
 
 
 class TestOneStackedServerStepPerInstant:
-    """Whatever the batch size, each instant runs one server computation over all running rows."""
+    """Whatever the batch size, each instant runs one server computation over all running rows.
 
-    @pytest.mark.parametrize("rows", [1, 3, 8])
-    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
-    def test_calls_per_instant(self, monkeypatch, policy, rows):
-        # two classes: arms 1-3 through two clients, arms 4-5 through a third
-        sets = [(0, 1), (1, 2), (3, 4)]
-        means = {(0, 0): 3.0, (0, 1): 2.0, (1, 1): 2.0, (1, 2): 0.0, (2, 3): 1.5, (2, 4): 0.0}
-        v = make_instance(sets, means)
+    Its broadcast makes one eigensolver call per class size.
+    """
+
+    @staticmethod
+    def spied_batch(monkeypatch, v, policy, rows):
+        """Run ``rows`` seeds as one batch, counting the server's calls.
+
+        Returns the call counts, ``(eigh_lo calls, any row admissible)`` per
+        broadcast, and the number of instants.
+        """
         calls = dict.fromkeys(("slot_stats", "_confusion_rate", "eigh_lo"), 0)
 
         def counted(name, fn):
@@ -319,7 +322,16 @@ class TestOneStackedServerStepPerInstant:
         monkeypatch.setattr(simulator, "slot_server_vector", broadcast)
         traces = [[] for _ in range(rows)]
         run_batch(v, policy, 0.2, [(0.01, seed) for seed in range(rows)], traces=traces)
-        instants = max(map(len, traces))
+        return calls, broadcasts, max(map(len, traces))
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("policy", ["het-ts", "uniform"])
+    def test_calls_per_instant(self, monkeypatch, policy, rows):
+        # two classes: arms 1-3 through two clients, arms 4-5 through a third
+        sets = [(0, 1), (1, 2), (3, 4)]
+        means = {(0, 0): 3.0, (0, 1): 2.0, (1, 1): 2.0, (1, 2): 0.0, (2, 3): 1.5, (2, 4): 0.0}
+        v = make_instance(sets, means)
+        calls, broadcasts, instants = self.spied_batch(monkeypatch, v, policy, rows)
         assert calls["slot_stats"] == instants + 1  # and once for the true best arms
         assert calls["_confusion_rate"] == instants
         if policy == "uniform":
@@ -328,6 +340,18 @@ class TestOneStackedServerStepPerInstant:
             assert len(broadcasts) == instants - 1  # every instant but the last
             assert all(n == (2 if admissible else 0) for n, admissible in broadcasts)
             assert sum(admissible for _, admissible in broadcasts) >= instants // 2
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_one_eigensolver_call_per_class_size(self, monkeypatch, rows):
+        # three two-arm classes (arms 1-2, 3-4, 5-6) and one three-arm class (arms 7-9)
+        sets = [(0, 1), (2, 3), (4, 5), (6, 7), (7, 8)]
+        means = {(0, 0): 3.0, (0, 1): 0.0, (1, 2): 2.5, (1, 3): 0.0, (2, 4): 2.0, (2, 5): 0.0,
+                 (3, 6): 3.0, (3, 7): 1.5, (4, 7): 1.5, (4, 8): 0.0}
+        v = make_instance(sets, means)
+        _, broadcasts, instants = self.spied_batch(monkeypatch, v, "het-ts", rows)
+        assert len(broadcasts) == instants - 1
+        assert all(n == (2 if admissible else 0) for n, admissible in broadcasts)
+        assert sum(admissible for _, admissible in broadcasts) >= instants // 2
 
 
 class TestTrackerCompilation:
@@ -417,6 +441,11 @@ class TestEpisodeStreams:
         keys = np.random.default_rng(length).integers(2**32, size=(40, length), dtype=np.uint32)
         expected = [np.random.SeedSequence(key).generate_state(4, np.uint64) for key in keys]
         assert np.array_equal(simulator._seed_states(keys), expected)
+
+    def test_seed_state_gives_only_its_four_uint64_words(self):
+        state = simulator._SeedState(np.zeros(4, dtype=np.uint64))
+        with pytest.raises(ValueError, match="state words are 4 uint64, not 3 "):
+            state.generate_state(3)
 
     def test_batch_mixing_key_lengths(self):
         # seeds of one, two and three words share one batch; every stream keeps its tuple's state

@@ -21,9 +21,11 @@ from hetbai.allocation import _client_weights, _perron_polish, slot_global_vecto
 from hetbai.simulator import _server_step
 
 from helpers import (
+    class_instance,
     loop_perron,
     make_instance,
     random_structural_instance,
+    reference_classes,
     reference_server_step,
     wide_gap_instance,
 )
@@ -122,42 +124,21 @@ class TestStackedStats:
         assert checked > 500
 
 
-def class_instance(rng):
-    """Random instance whose arms, shuffled, form 1-3 groups of clients' arm sets.
-
-    A group whose arms are not consecutive is a class the global vector reaches
-    through an index array; arm-set sizes vary within and across groups.
-    """
-    K = int(rng.integers(4, 10))
-    groups = np.array_split(rng.permutation(K), int(rng.integers(1, K // 2 + 1)))
-    sets = []
-    for group in groups:
-        covered: set[int] = set()
-        while covered != set(group.tolist()):
-            size = int(rng.integers(2, len(group) + 1))
-            arms = tuple(sorted(rng.choice(group, size=size, replace=False).tolist()))
-            sets.append(arms)
-            covered.update(arms)
-    order = rng.permutation(len(sets))
-    sets = [sets[k] for k in order]
-    return make_instance(sets, {(m, i): 0.0 for m, s in enumerate(sets) for i in s}, num_arms=K)
-
-
 class TestServerStepMatchesReference:
     def test_stats_z_stop_and_weights_bit_for_bit(self):
         # Successive steps of a shrinking batch, as run_batch takes them: stats,
         # Z, stop flags, thresholds and the running rows' weights, against the
         # frozen reference server with its own stack arrays.
         rng = np.random.default_rng(79)
-        seen = dict.fromkeys(("index-array class", "size groups", "zero count",
-                              "mixed admissible", "prefix stack", "stop", "run on"), 0)
+        seen = dict.fromkeys(("several classes", "classes of one size", "size groups",
+                              "zero count", "mixed admissible", "prefix stack", "stop", "run on"), 0)
         rows_seen = set()
         for _ in range(300):
             v = class_instance(rng)
             index = slot_index(v)
-            seen["index-array class"] += any(
-                not isinstance(arms, slice) for arms, _ in index.class_blocks
-            )
+            sizes = [len(arms) for arms, _ in reference_classes(v.arm_sets)]
+            seen["several classes"] += len(sizes) > 1
+            seen["classes of one size"] += len(set(sizes)) < len(sizes)
             seen["size groups"] += len(index.clients_by_size) > 1
             rows = int(rng.choice([1, 2, 5]))
             rows_seen.add(rows)
