@@ -5,8 +5,8 @@ positive vector over the arms (the *global vector*): each client normalizes
 its restriction to its own arm set.  Per equivalence class of co-resident
 arms, the global vector is the unique all-positive unit eigenvector of a
 nonnegative matrix ``H = D C`` built from the separation gaps and ownership
-counts (``D`` positive diagonal, ``C`` the symmetric co-ownership counts).
-It is computed per class by LAPACK's symmetric eigensolver on
+counts (``D`` positive diagonal; ``C`` symmetric, one ``(n, n)`` block per class
+of ``n`` arms).  It is computed per class by LAPACK's symmetric eigensolver on
 ``D^(1/2) C D^(1/2)``, after ``D`` is scaled by an even power of two per row
 (so the vector keeps its bits when every mean is scaled by a power of two).
 The solver is ``numpy.linalg._umath_linalg.eigh_lo``, the gufunc that
@@ -140,17 +140,20 @@ def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> np.nda
     """The K x K allocation matrix ``H = D C``; requires all separation gaps to be positive.
 
     Entry (i1, i2) is the number of clients owning both arms, divided by
-    ``gap(i1)^2 * mult(i1)^2``.  Entries across distinct classes are zero.
+    ``gap(i1)^2 * mult(i1)^2``: the class blocks laid out on zeros, then scaled in place.
     """
     index = slot_index(instance)
-    stats = arm_stats(instance) if stats is None else stats
-    return index.co_ownership * _inverse_scale(index, stats)[:, None]
+    scale = _inverse_scale(index, arm_stats(instance) if stats is None else stats)
+    out = np.zeros((index.num_arms, index.num_arms))
+    for arms, blocks in index.class_blocks:
+        out[arms[:, :, None], arms[:, None, :]] = blocks
+    return np.multiply(out, scale[:, None], out=out)
 
 
 def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified Perron vectors and eigenvalues of nonnegative blocks ``(B, n, n)``.
+    """Certified Perron vectors and eigenvalues of nonnegative blocks ``(..., n, n)``.
 
-    Iterates ``x <- Hx / |Hx|`` from ``|start|`` (starts ``(B, n, 1)``) until
+    Iterates ``x <- Hx / |Hx|`` from ``|start|`` (starts ``(..., n, 1)``) until
     every entry of ``x`` is positive and ``|(Hx)_i - lambda x_i| <=
     CERTIFICATE_TOL * lambda x_i`` with ``lambda = x . Hx``.  The first step
     is straight-line code with one whole-stack check, and runs even from a
@@ -170,11 +173,13 @@ def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, 
     y = blocks @ x
     lam = x.mT @ y
     if _certified(x, y, lam):
-        return x[..., 0], lam[:, 0, 0]
+        return x[..., 0], lam[..., 0, 0]
     if not np.isfinite(starts).all():
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    shape = x.shape[:-1]  # the blocks iterate one by one, from a flat stack
+    blocks, x, y, lam = (a.reshape(-1, *a.shape[-2:]) for a in (blocks, x, y, lam))
     todo = np.arange(len(blocks))  # blocks still iterating
-    vectors, values = np.empty(starts.shape[:2]), np.empty(len(blocks))
+    vectors, values = np.empty(x.shape[:2]), np.empty(len(blocks))
     for _ in range(1, _MAX_POWER_STEPS):  # the first step is taken
         if len(todo) > 1:  # a lone block's check was the whole-stack one
             done = _residuals(x, y, lam) <= CERTIFICATE_TOL
@@ -191,7 +196,7 @@ def _perron_polish(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, 
         lam = x.mT @ y
         if _certified(x, y, lam):
             vectors[todo], values[todo] = x[..., 0], lam[:, 0, 0]
-            return vectors, values
+            return vectors.reshape(shape), values.reshape(shape[:-1])
     raise PowerIterationError(
         f"no certified positive eigenvector within {_MAX_POWER_STEPS} power steps",
         float(np.maximum.reduce(_residuals(x, y, lam))),
@@ -236,19 +241,17 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     scale = _inverse_scale(index, stats)
     rows = scale.reshape(-1, index.num_arms)
     if len(index.partition.classes) == 1:  # one class holds every arm, in order
-        return _class_vector(rows[:, :, None], index.co_ownership).reshape(scale.shape)
+        return _class_vector(rows[:, :, None], index.class_blocks[0][1]).reshape(scale.shape)
     entries = np.empty(rows.shape)
-    for arms, blocks in index.class_blocks:  # (c, n) arms and (c, n, n) blocks, stacked B * c
-        d = rows[:, arms].reshape(-1, arms.shape[1], 1)
-        vectors = _class_vector(d, np.tile(blocks, (len(rows), 1, 1)))
-        entries[:, arms] = vectors.reshape(len(rows), *arms.shape)
+    for arms, blocks in index.class_blocks:  # (c, n) arms; (c, n, n) blocks against (B, c, n, 1)
+        entries[:, arms] = _class_vector(rows[:, arms, None], blocks)
     return entries.reshape(scale.shape)
 
 
 def _class_vector(d: np.ndarray, co: np.ndarray) -> np.ndarray:
-    """Polished vectors ``(B, n)`` of ``(B, n, 1)`` diagonals and ``(n, n)`` or ``(B, n, n)`` blocks.
+    """Polished vectors ``(..., n)`` of ``(..., n, 1)`` diagonals and blocks broadcast over rows.
 
-    Each row of ``d`` is first scaled by ``4^-k`` to a largest entry in
+    Each diagonal is first scaled by ``4^-k`` to a largest entry in
     ``[1/2, 2)``.  Every product, sum, square root (``sqrt(d) 2^-k``) and
     quotient below then scales exactly: the bits do not depend on the scale
     of the gaps, and nothing moves on gaps of normal scale.  And the first
@@ -261,11 +264,11 @@ def _class_vector(d: np.ndarray, co: np.ndarray) -> np.ndarray:
     between the largest diagonal entry and the largest row sum of ``H``,
     ``1/2 <= lambda <= 2 n M``, so ``2^-3 / (n M) <= |y|^2 <= 8 (n M)^2``.
     """
-    _, e = np.frexp(np.maximum.reduce(d, axis=1, keepdims=True))  # max d in [2^(e-1), 2^e)
+    _, e = np.frexp(np.maximum.reduce(d, axis=-2, keepdims=True))  # max d in [2^(e-1), 2^e)
     d = np.ldexp(d, (e & 1) - e)
     root = np.sqrt(d)
     _, vectors = _umath_linalg.eigh_lo(root * co * root.mT, signature="d->dd")
-    return _perron_polish(d * co, root * vectors[:, :, -1:])[0]
+    return _perron_polish(d * co, root * vectors[..., -1:])[0]
 
 
 def _client_weights(index: SlotIndex, gvec: np.ndarray) -> list[list[list[float]]]:
@@ -429,29 +432,26 @@ def balance_residuals(
 ) -> tuple[float, float]:
     """How far an allocation is from the two optimality conditions.
 
-    Returns ``(balanced, pseudo_balanced)``: the worst mismatch of arm-weight
-    ratios across clients sharing both arms, and the worst relative spread of
-    the per-arm rate values within a class of
-    :func:`~hetbai.instance.partition_arms`.  Per ordered arm pair, the worst
-    mismatch over two sharing clients is the largest ratio minus the smallest.
+    Returns ``(balanced, pseudo_balanced)``: the worst mismatch of arm-weight ratios across
+    clients sharing both arms, and the worst relative spread of the per-arm rate values
+    within a class of :func:`~hetbai.instance.partition_arms`.  Per ordered arm pair, the
+    worst mismatch over two sharing clients is the largest ratio minus the smallest, each
+    kept at the pair's place in its class block (``SlotIndex.arm_pairs``).
     """
     index, w = _slot_weights(instance, allocation)
     if w is None:
         raise ValueError("balance residuals require strictly positive owned weights")
     values = _arm_rates(index, stats, w)
-    K = index.num_arms
-    high = np.full(K * K, -np.inf)
-    low = np.full(K * K, np.inf)
-    for clients, arms in index.clients_by_size:
+    size = index.pair_layout[2]
+    high, low = np.full(size, -np.inf), np.full(size, np.inf)
+    for (clients, arms), pair in zip(index.clients_by_size, index.arm_pairs()):
         g = w[index.starts[list(clients)][:, None] + np.arange(arms.shape[1])]
-        pair = (arms[:, :, None] * K + arms[:, None, :]).ravel()
-        ratio = (g[:, :, None] / g[:, None, :]).ravel()
+        ratio = g[:, :, None] / g[:, None, :]
         np.maximum.at(high, pair, ratio)
         np.minimum.at(low, pair, ratio)
     balanced = float(np.max(high - low, initial=0.0))
     pseudo = 0.0
-    for cls in index.partition.classes:
-        vals = values[np.array(cls)]
-        if len(vals) > 1:
-            pseudo = max(pseudo, float((vals.max() - vals.min()) / vals.mean()))
+    for arms, _ in index.class_blocks:  # the classes of one size at once; fmax passes over NaN
+        vals = values[arms]
+        pseudo = float(np.fmax.reduce(np.ptp(vals, axis=1) / vals.mean(axis=1), initial=pseudo))
     return balanced, pseudo

@@ -333,17 +333,25 @@ class SlotIndex:
         return tuple(out)
 
     @cached_property
-    def co_ownership(self) -> np.ndarray:
-        """``[i1, i2]``: number of clients owning both arms (diagonal: multiplicity).
+    def pair_layout(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(row_start, place, size)``: the class blocks laid end to end in partition order.
 
-        A count of every client's ordered arm pairs, as floats.
+        Arm ``i`` is ``place[i]``-th in its class, the pair ``(i, j)`` of a class is at
+        ``row_start[i] + place[j]`` (row-major), and the ``(n, n)`` blocks take ``size = sum n^2``.
         """
-        K = self.num_arms
-        pairs = [
-            (arms[:, :, None] * K + arms[:, None, :]).ravel() for _, arms in self.clients_by_size
-        ]
-        counts = np.bincount(np.concatenate(pairs), minlength=K * K)
-        return _frozen(counts.reshape(K, K).astype(float))
+        class_of = np.array(self.partition.class_of)
+        sizes, rank = np.bincount(class_of), np.argsort(np.argsort(class_of, kind="stable"))
+        place = rank - (np.cumsum(sizes) - sizes)[class_of]  # rank: among all the classes in turn
+        row_start = (np.cumsum(sizes**2) - sizes**2)[class_of] + place * sizes[class_of]
+        return _frozen(row_start), _frozen(place), int(sizes @ sizes)
+
+    def arm_pairs(self) -> Iterable[np.ndarray]:
+        """Per :attr:`clients_by_size` group, ``(clients, size, size)`` places of its arm pairs.
+
+        Built per call: they number ``sum |S_m|^2``, more than ``K^2`` when clients share arms.
+        """
+        row_start, place, _ = self.pair_layout
+        return (row_start[a][:, :, None] + place[a][:, None, :] for _, a in self.clients_by_size)
 
     @cached_property
     def partition(self) -> ArmPartition:
@@ -373,13 +381,15 @@ class SlotIndex:
         """``(arms, blocks)`` per class size ``n``, in increasing ``n``: one eigensolver call each.
 
         ``arms`` holds the ``c`` classes of that size as ``(c, n)``, in partition order, and
-        ``blocks`` their ``(c, n, n)`` co-ownership.
+        ``blocks`` their ``(c, n, n)`` co-ownership: the :meth:`arm_pairs` counted, as floats.
         """
-        classes = self.partition.classes
+        classes, (row_start, _, size) = self.partition.classes, self.pair_layout
+        counts = np.bincount(np.concatenate([p.ravel() for p in self.arm_pairs()]), minlength=size)
         out = []
         for n in sorted(set(map(len, classes))):
             arms = _frozen(np.array([cls for cls in classes if len(cls) == n]))
-            out.append((arms, _frozen(self.co_ownership[arms[:, :, None], arms[:, None, :]])))
+            blocks = counts[row_start[arms[:, :1]] + np.arange(n * n)].reshape(-1, n, n)
+            out.append((arms, _frozen(blocks.astype(float))))
         return tuple(out)
 
 

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 
 import mpmath
@@ -231,6 +232,26 @@ def class_instance(rng):
     order = rng.permutation(len(sets))
     sets = [sets[k] for k in order]
     return make_instance(sets, {(m, i): 0.0 for m, s in enumerate(sets) for i in s}, num_arms=K)
+
+
+def admissible_class_instance(rng):
+    """A :func:`class_instance` layout with normal means, redrawn until :func:`validate` admits."""
+    layout = class_instance(rng)
+    while True:
+        means = {(m, i): float(rng.normal()) for m, s in enumerate(layout.arm_sets) for i in s}
+        instance = with_means(layout, means)
+        if validate(instance).admissible:
+            return instance
+
+
+def traced_peak(call, *args) -> int:
+    """Peak bytes traced by ``tracemalloc`` (numpy buffers included) while ``call(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def nan_eigh(a: np.ndarray, signature: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -10,6 +11,7 @@ from scipy import optimize
 from hetbai import (
     Allocation,
     PowerIterationError,
+    ProblemInstance,
     allocation_from_global,
     arm_stats,
     balance_residuals,
@@ -31,12 +33,14 @@ from hetbai.simulator import StepCapExceeded
 from hetbai.allocation import ZERO_WEIGHT, _client_weights, _perron_polish
 
 from helpers import (
+    admissible_class_instance,
     brute_force_g_tilde_max,
     chain_three_arm,
     loop_balanced,
     loop_g_exact,
     loop_g_tilde,
     loop_g_tilde_per_class,
+    loop_multiplicities,
     loop_pseudo_balance,
     make_instance,
     means_map,
@@ -44,9 +48,11 @@ from helpers import (
     random_admissible_instance,
     random_overlap_instance,
     random_positive_allocation,
+    reference_classes,
     single_client_two_arm,
     symmetric_two_arm,
     synthetic_stats_gap_1_2,
+    traced_peak,
     weight_of,
     wide_gap_instance,
     with_means,
@@ -144,6 +150,26 @@ class TestHMatrix:
                 root = np.sqrt(scale)
                 conjugated = (1.0 / root)[:, None] * B * root[None, :]
                 np.testing.assert_allclose(conjugated, conjugated.T, atol=1e-10)
+
+    def test_equals_loops_over_the_classes_bit_for_bit(self):
+        # H is laid out from the class blocks; here from reference_classes, one entry at a time
+        rng = np.random.default_rng(3)
+        several = 0  # instances with several classes of one size
+        for _ in range(100):
+            v = admissible_class_instance(rng)
+            stats = arm_stats(v)
+            scale = 1.0 / (stats.gaps**2 * loop_multiplicities(v) ** 2)
+            want = np.zeros((v.num_arms, v.num_arms))
+            classes = reference_classes(v.arm_sets)
+            for arms, co in classes:
+                for a, i in enumerate(arms):
+                    for b, j in enumerate(arms):
+                        want[i, j] = co[a, b] * scale[i]
+            H = h_matrix(v, stats)
+            assert H.shape == want.shape and H.tobytes() == want.tobytes()
+            sizes = [len(arms) for arms, _ in classes]
+            several += len(set(sizes)) < len(sizes)
+        assert several >= 10, several
 
 
 def perron(block, start=None) -> tuple[np.ndarray, float]:
@@ -606,8 +632,12 @@ class TestBalanceResiduals:
 
     def test_balanced_equals_pairwise_loop(self):
         rng = np.random.default_rng(13)
-        for k in range(150):
-            v = random_overlap_instance(rng) if k % 2 else random_admissible_instance(rng)
+        drawn = (
+            random_overlap_instance(rng) if k % 2 else random_admissible_instance(rng)
+            for k in range(150)
+        )
+        layouts = (admissible_class_instance(rng) for _ in range(150))  # several classes of a size
+        for k, v in enumerate(itertools.chain(drawn, layouts)):
             stats = arm_stats(v)
             alloc = optimal_allocation(v, stats)[1] if k % 3 == 0 else random_positive_allocation(rng, v)
             balanced, _ = balance_residuals(v, stats, alloc)
@@ -619,14 +649,45 @@ class TestBalanceResiduals:
             balance_residuals(v, arm_stats(v), Allocation.from_rows(v, [(1.0, 0.0)]))
 
 
+class TestMemoryLinearInTheClasses:
+    """On 2000 two-arm classes, peaks within a budget per slot, arm and class-block entry."""
+
+    CLIENTS = 2000
+    # Client m owns arms 2m and 2m + 1: K' = 2M slots, K = 2M arms and sum n^2 = 4M block
+    # entries.  Each may take 64 eight-byte words: the slot and arm arrays, the blocks and
+    # their temporaries take a few each; the partition's union-find and the allocation's
+    # Python rows (float objects, tuple, list and dict entries) about ten more.  One K x K
+    # float array alone is K / 4 = 1000 words per entry here.
+    BUDGET = 64 * 8 * (2 + 2 + 4) * CLIENTS
+
+    def disjoint_pairs(self) -> ProblemInstance:
+        return ProblemInstance(
+            num_arms=2 * self.CLIENTS,
+            num_clients=self.CLIENTS,
+            arm_sets=tuple((2 * m, 2 * m + 1) for m in range(self.CLIENTS)),
+            means=((1.0, 0.0),) * self.CLIENTS,
+        )
+
+    def test_optimal_allocation(self):
+        # the instance's slot index, partition and blocks are built inside the trace
+        assert traced_peak(optimal_allocation, self.disjoint_pairs()) <= self.BUDGET
+
+    def test_balance_residuals(self):
+        v = self.disjoint_pairs()
+        stats = arm_stats(v)
+        _, alloc = optimal_allocation(v, stats)
+        assert traced_peak(balance_residuals, v, stats, alloc) <= self.BUDGET
+
+
 class TestSlotFunctionalsMatchLoops:
     """The slot-array rate functionals against the per-client reference loops."""
 
     @staticmethod
     def cases():
         rng = np.random.default_rng(31)
-        for k in range(300):
-            v = random_admissible_instance(rng, max_arms=6, max_clients=5)
+        drawn = (random_admissible_instance(rng, max_arms=6, max_clients=5) for _ in range(300))
+        layouts = (admissible_class_instance(rng) for _ in range(150))  # several classes of a size
+        for k, v in enumerate(itertools.chain(drawn, layouts)):
             stats = arm_stats(v)
             alloc = optimal_allocation(v, stats)[1] if k % 3 == 0 else random_positive_allocation(rng, v)
             yield v, stats, alloc

@@ -33,6 +33,11 @@ def test_removed_wrappers_are_gone(name):
         assert name not in getattr(module, "__all__", ()), module.__name__
 
 
+def test_slot_index_has_no_dense_co_ownership():
+    # arm pairs are counted per class (SlotIndex.pair_layout); a K x K count matrix grows as K^2
+    assert not hasattr(hetbai.SlotIndex, "co_ownership")
+
+
 def test_declared_numpy_floor_has_ndarray_mT():
     # the allocation stacks its transposes with ndarray.mT, new in NumPy 2.0
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")

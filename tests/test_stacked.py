@@ -26,6 +26,7 @@ from helpers import (
     make_instance,
     random_structural_instance,
     reference_classes,
+    reference_global_vector,
     reference_server_step,
     wide_gap_instance,
 )
@@ -263,6 +264,25 @@ class TestStackedEigen:
             for row in range(len(means)):
                 alone = slot_global_vector(index, slot_stats(index, means[row]))
                 assert bitwise_equal(stacked[row], alone)
+
+    def test_power_iteration_over_class_blocks_broadcast_over_rows(self, monkeypatch):
+        # an eigensolver vector of all ones does not certify in one step, so the classes of
+        # each size, their blocks broadcast over the rows, iterate to their own certificates
+        def ones(a, signature):
+            return np.zeros(a.shape[:-1]), np.ones(a.shape)
+
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", ones)
+        rng = np.random.default_rng(81)
+        several = 0  # instances with several classes of one size
+        for _ in range(100):
+            v = class_instance(rng)
+            index = slot_index(v)
+            stats = slot_stats(index, rng.normal(size=(int(rng.integers(1, 4)), index.num_slots)))
+            assert stats.all_admissible
+            got = slot_global_vector(index, stats)
+            assert bitwise_equal(got, reference_global_vector(index, stats))
+            several += any(len(arms) > 1 for arms, _ in index.class_blocks)
+        assert several >= 10, several
 
 
 class TestStackedEpisodeArithmetic:
