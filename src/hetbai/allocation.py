@@ -144,8 +144,9 @@ def h_matrix(instance: ProblemInstance, stats: ArmStats | None = None) -> np.nda
     """
     index = slot_index(instance)
     scale = _inverse_scale(index, arm_stats(instance) if stats is None else stats)
+    by_size = index.class_blocks  # a class over the block budget raises before the K x K
     out = np.zeros((index.num_arms, index.num_arms))
-    for arms, blocks in index.class_blocks:
+    for arms, blocks in by_size:
         out[arms[:, :, None], arms[:, None, :]] = blocks
     return np.multiply(out, scale[:, None], out=out)
 
@@ -240,7 +241,7 @@ def slot_global_vector(index: SlotIndex, stats: ArmStats) -> np.ndarray:
     """
     scale = _inverse_scale(index, stats)
     rows = scale.reshape(-1, index.num_arms)
-    if len(index.partition.classes) == 1:  # one class holds every arm, in order
+    if index.class_blocks[0][0].shape[1] == index.num_arms:  # one class holds every arm, in order
         return _class_vector(rows[:, :, None], index.class_blocks[0][1]).reshape(scale.shape)
     entries = np.empty(rows.shape)
     for arms, blocks in index.class_blocks:  # (c, n) arms; (c, n, n) blocks against (B, c, n, 1)
@@ -383,12 +384,9 @@ def g_tilde_per_class(
     the optimal allocation.
     """
     index, w = _slot_weights(instance, allocation)
-    partition = index.partition
-    if w is None:
-        return np.zeros(len(partition.classes))
-    out = np.full(len(partition.classes), np.inf)
-    np.minimum.at(out, np.asarray(partition.class_of), _arm_rates(index, stats, w))
-    return out
+    out = np.full(index.num_arms, np.inf)
+    np.minimum.at(out, index.class_root, 0.0 if w is None else _arm_rates(index, stats, w))
+    return out[np.unique(index.class_root)]  # at each class's root, in partition order
 
 
 def g_exact(instance: ProblemInstance, stats: ArmStats, allocation: Allocation) -> float:
@@ -442,7 +440,7 @@ def balance_residuals(
     if w is None:
         raise ValueError("balance residuals require strictly positive owned weights")
     values = _arm_rates(index, stats, w)
-    size = index.pair_layout[2]
+    size = int(index.pair_layout[1].sum())  # sum n^2 over the classes
     high, low = np.full(size, -np.inf), np.full(size, np.inf)
     for (clients, arms), pair in zip(index.clients_by_size, index.arm_pairs()):
         g = w[index.starts[list(clients)][:, None] + np.arange(arms.shape[1])]

@@ -176,6 +176,13 @@ class ArmPartition:
     class_of: tuple[int, ...]
 
 
+# Most bytes one class of n arms may take in the allocation: its (n, n) float block and the
+# eigensolve's temporaries, about seven such blocks at once (the counted block, the scaled
+# matrix eigh reads, LAPACK's copy, workspace and eigenvectors, the polish's H), so 56 n^2.
+# A 2000-arm class takes 224 MB; a class of more than 4378 arms is refused.
+_CLASS_BYTES = 1 << 30
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -185,16 +192,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class SlotIndex:
     """Arm-set structure of an instance, flattened into slots.
 
-    A slot is one (client, arm) pair.  Slots are numbered client by client
-    in arm-set order, so client ``m`` owns slots ``starts[m]:starts[m + 1]``;
-    ``slot_arm`` names each slot's arm, ``multiplicities[i]`` counts the
-    clients owning arm ``i``, and flattening the instance's ``means`` rows
-    gives the mean of every slot.  The structure is fixed for a whole
-    episode, so it is built once and the per-instant statistics are
-    array reductions over it.  A stack of configurations is the slot index
-    of ``copies`` disjoint copies of the instance (see :meth:`stacked`), so
-    every reduction gives each row what the row alone gives.  Arrays are
-    read-only.
+    A slot is one (client, arm) pair.  Slots are numbered client by client in arm-set
+    order, so client ``m`` owns slots ``starts[m]:starts[m + 1]``; ``slot_arm`` names each
+    slot's arm, ``multiplicities[i]`` counts the clients owning arm ``i``, and flattening the
+    instance's ``means`` rows gives the mean of every slot.  One array, :attr:`class_root`,
+    holds the arm classes; their block layout and blocks are numpy expressions of it.  The
+    structure is fixed for a whole episode, so it is built once and the per-instant
+    statistics are array reductions over it.  A stack of configurations is the slot index of
+    ``copies`` disjoint copies of the instance (see :meth:`stacked`), so every reduction
+    gives each row what the row alone gives.  Arrays are read-only.
     """
 
     num_arms: int
@@ -333,63 +339,74 @@ class SlotIndex:
         return tuple(out)
 
     @cached_property
-    def pair_layout(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``(row_start, place, size)``: the class blocks laid end to end in partition order.
+    def class_root(self) -> np.ndarray:
+        """Each arm's class root, the least arm of its class, by root hooking.
 
-        Arm ``i`` is ``place[i]``-th in its class, the pair ``(i, j)`` of a class is at
-        ``row_start[i] + place[j]`` (row-major), and the ``(n, n)`` blocks take ``size = sum n^2``.
+        Each round hooks every root onto the least root of its clients' arms and jumps pointers
+        to roots (Liu and Tarjan, SOSA 2019); a hook removes a root, so at most ``K`` rounds run.
         """
-        class_of = np.array(self.partition.class_of)
-        sizes, rank = np.bincount(class_of), np.argsort(np.argsort(class_of, kind="stable"))
-        place = rank - (np.cumsum(sizes) - sizes)[class_of]  # rank: among all the classes in turn
-        row_start = (np.cumsum(sizes**2) - sizes**2)[class_of] + place * sizes[class_of]
-        return _frozen(row_start), _frozen(place), int(sizes @ sizes)
+        root = np.arange(self.num_arms)
+        while True:
+            slot_root, hooked = root[self.slot_arm], root.copy()
+            low = np.minimum.reduceat(slot_root, self.client_starts)  # least root per client
+            np.minimum.at(hooked, slot_root, low[self.slot_client])
+            if np.array_equal(hooked, root):
+                return _frozen(root)
+            while not np.array_equal(root, hooked):  # jump until every arm points at a root
+                root, hooked = hooked, hooked[hooked]
+
+    @cached_property
+    def pair_layout(self) -> tuple[np.ndarray, ...]:
+        """``(order, n, row_start, place)``: the ``(n, n)`` class blocks laid end to end.
+
+        ``order`` lists the arms by class size, class (least arm) and arm, and ``n`` their class
+        sizes: one size's blocks are one run.  Pair ``(i, j)`` is at ``row_start[i] + place[j]``.
+        """
+        root = self.class_root
+        sizes = np.bincount(root)[root]
+        order = np.lexsort((root, sizes))  # stable: a class's arms ascend from its root
+        row_start, place, n = np.empty_like(order), np.empty_like(order), sizes[order]
+        row_start[order], place[order] = np.cumsum(n) - n, np.arange(len(order))
+        return tuple(map(_frozen, (order, n, row_start, place - place[root])))  # root leads
 
     def arm_pairs(self) -> Iterable[np.ndarray]:
         """Per :attr:`clients_by_size` group, ``(clients, size, size)`` places of its arm pairs.
 
         Built per call: they number ``sum |S_m|^2``, more than ``K^2`` when clients share arms.
         """
-        row_start, place, _ = self.pair_layout
+        *_, row_start, place = self.pair_layout
         return (row_start[a][:, :, None] + place[a][:, None, :] for _, a in self.clients_by_size)
 
     @cached_property
     def partition(self) -> ArmPartition:
-        """Arm classes of :func:`partition_arms`, by union-find over the arm sets."""
-        parent = list(range(self.num_arms))
-
-        def root(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]  # path halving
-            return i
-
-        slot_arm, starts = self.slot_arm.tolist(), self.starts.tolist()
-        for lo, hi in zip(starts, starts[1:]):
-            for other in slot_arm[lo + 1 : hi]:
-                parent[root(other)] = root(slot_arm[lo])
-        roots = [root(i) for i in range(self.num_arms)]
-        classes: dict[int, list[int]] = {}  # root -> its arms; a class enters at its least arm
-        for i, r in enumerate(roots):
-            classes.setdefault(r, []).append(i)
-        number = {r: j for j, r in enumerate(classes)}
-        return ArmPartition(
-            classes=tuple(map(tuple, classes.values())), class_of=tuple(number[r] for r in roots)
-        )
+        """Arm classes of :func:`partition_arms`, from :attr:`class_root`; built for it alone."""
+        _, class_of, sizes = np.unique(self.class_root, return_inverse=True, return_counts=True)
+        arms, ends = np.argsort(class_of, kind="stable").tolist(), np.cumsum(sizes).tolist()
+        classes = tuple(tuple(arms[a:b]) for a, b in zip([0, *ends], ends))  # by class, then arm
+        return ArmPartition(classes, tuple(class_of.tolist()))
 
     @cached_property
     def class_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``(arms, blocks)`` per class size ``n``, in increasing ``n``: one eigensolver call each.
 
         ``arms`` holds the ``c`` classes of that size as ``(c, n)``, in partition order, and
-        ``blocks`` their ``(c, n, n)`` co-ownership: the :meth:`arm_pairs` counted, as floats.
+        ``blocks`` their ``(c, n, n)`` co-ownership, one slice of the counted :meth:`arm_pairs`.
+        A class whose solve would take over ``_CLASS_BYTES`` raises ``ValueError`` first.
         """
-        classes, (row_start, _, size) = self.partition.classes, self.pair_layout
-        counts = np.bincount(np.concatenate([p.ravel() for p in self.arm_pairs()]), minlength=size)
-        out = []
-        for n in sorted(set(map(len, classes))):
-            arms = _frozen(np.array([cls for cls in classes if len(cls) == n]))
-            blocks = counts[row_start[arms[:, :1]] + np.arange(n * n)].reshape(-1, n, n)
-            out.append((arms, _frozen(blocks.astype(float))))
+        order, n, row_start, _ = self.pair_layout
+        runs = np.flatnonzero(np.diff(n, prepend=0, append=0)).tolist()  # where each size starts
+        least, largest = int(order[runs[-2]]), int(n[-1])  # the largest class of least root
+        if 56 * largest**2 > _CLASS_BYTES:
+            raise ValueError(
+                f"the class of arm {least + 1} has {largest} arms: its block and eigensolve "
+                f"take {56 * largest**2} bytes, over the {_CLASS_BYTES}-byte budget"
+            )
+        counts = np.bincount(np.concatenate([p.ravel() for p in self.arm_pairs()])).astype(float)
+        out = []  # counts run to the last block's last (i, i) pair: every arm owns its own pair
+        for lo, hi in zip(runs, runs[1:]):
+            start, k = int(row_start[order[lo]]), int(n[lo])
+            blocks = counts[start : start + (hi - lo) * k].reshape(-1, k, k)
+            out.append((_frozen(order[lo:hi].reshape(-1, k)), _frozen(blocks)))
         return tuple(out)
 
 
@@ -632,8 +649,8 @@ def confusion_pairs(
 def partition_arms(instance: ProblemInstance) -> ArmPartition:
     """Connected components of arms linked by co-residence in some arm set.
 
-    Classes are reported in ascending order of their smallest member, each
-    class sorted ascending.  Computed once per instance, with its slot index.
+    Classes come in ascending order of their least arm, the ``SlotIndex.class_root`` of
+    their arms, each sorted ascending; the tuples are built on the first call only.
     """
     return slot_index(instance).partition
 

@@ -404,6 +404,7 @@ def _server_step(index: SlotIndex, num_arms: int, counts, sums, t: int, offsets)
 
 def _tracking_clients(index: SlotIndex, sizes: list[int], select_rngs: Sequence[list]):
     """Client advance of het-ts: apply the broadcast for the server's view, then D-track."""
+    index.class_blocks  # the broadcast's blocks, first: a class over their budget raises here
     # pull counts per client as floats: track_pulls steps on them without converting
     tracked = [[[0.0] * size for size in sizes] for _ in select_rngs]
     weights = [[[1.0 / size] * size for size in sizes] for _ in select_rngs]

@@ -244,6 +244,61 @@ def admissible_class_instance(rng):
             return instance
 
 
+def layout_instance(arm_sets, num_arms: int) -> ProblemInstance:
+    """A structurally valid instance on ``arm_sets``, every mean 0.0 (a layout, not admissible)."""
+    sets = tuple(tuple(sorted(s)) for s in arm_sets)
+    zeros = tuple((0.0,) * len(s) for s in sets)
+    return ProblemInstance(num_arms=num_arms, num_clients=len(sets), arm_sets=sets, means=zeros)
+
+
+def path_sets(arms) -> list[tuple[int, ...]]:
+    """One two-arm client per consecutive pair of ``arms``: the path through them in order."""
+    return [tuple(sorted(pair)) for pair in zip(arms, arms[1:])]
+
+
+def shuffled_chains(num_arms: int, rng: np.random.Generator) -> list[list[int]]:
+    """The arms, shuffled, cut into chains of 2 to 4 arms (the last one of 2 to 5)."""
+    ends = np.cumsum(rng.integers(2, 5, size=num_arms // 2))
+    cuts = ends[ends <= num_arms - 2].tolist()
+    arms = rng.permutation(num_arms).tolist()
+    return [arms[a:b] for a, b in zip([0, *cuts], [*cuts, num_arms])]
+
+
+def adversarial_layouts(num_arms: int, rng: np.random.Generator):
+    """``(name, arm_sets)`` of two-arm clients that chain the arms far apart.
+
+    A shuffled path; the least arm at one end with the rest descending, where
+    min-label propagation moves a label one arm per round; a zigzag path
+    (least, greatest, next least, ...); a star centred on the greatest arm; a
+    shuffled heap-ordered tree (arm ``q[v]`` under ``q[(v - 1) // 2]``); and
+    shuffled chains of 2 to 4 arms.
+    """
+    K = num_arms
+    yield "shuffled path", path_sets(rng.permutation(K).tolist())
+    yield "least end, rest descending", path_sets([0, *range(K - 1, 0, -1)])
+    yield "zigzag path", path_sets([K - 1 - v // 2 if v % 2 else v // 2 for v in range(K)])
+    yield "star on the greatest arm", [(i, K - 1) for i in range(K - 1)]
+    q = rng.permutation(K).tolist()
+    yield "shuffled heap tree", [tuple(sorted((q[v], q[(v - 1) // 2]))) for v in range(1, K)]
+    yield "shuffled chains", [s for chain in shuffled_chains(K, rng) for s in path_sets(chain)]
+
+
+def long_path(num_arms: int, seed: int = 1) -> ProblemInstance:
+    """Client ``m`` owns arms ``m`` and ``m + 1``; arm means are sorted normal draws, descending.
+
+    Both owners of an arm see its mean, so client ``m``'s best arm is ``m``:
+    one class of ``num_arms`` arms that :func:`validate` admits.
+    """
+    mu = np.sort(np.random.default_rng(seed).normal(size=num_arms))[::-1].tolist()
+    pairs = [(m, m + 1) for m in range(num_arms - 1)]
+    return ProblemInstance(
+        num_arms=num_arms,
+        num_clients=num_arms - 1,
+        arm_sets=tuple(pairs),
+        means=tuple((mu[a], mu[b]) for a, b in pairs),
+    )
+
+
 def traced_peak(call, *args) -> int:
     """Peak bytes traced by ``tracemalloc`` (numpy buffers included) while ``call(*args)`` runs."""
     tracemalloc.start()

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from hetbai import (
     slot_stats,
     validate,
 )
-from hetbai.simulator import StepCapExceeded
+from hetbai.simulator import StepCapExceeded, run_batch
 from hetbai.allocation import ZERO_WEIGHT, _client_weights, _perron_polish
 
 from helpers import (
@@ -42,6 +43,7 @@ from helpers import (
     loop_g_tilde_per_class,
     loop_multiplicities,
     loop_pseudo_balance,
+    long_path,
     make_instance,
     means_map,
     nan_eigh,
@@ -655,7 +657,7 @@ class TestMemoryLinearInTheClasses:
     CLIENTS = 2000
     # Client m owns arms 2m and 2m + 1: K' = 2M slots, K = 2M arms and sum n^2 = 4M block
     # entries.  Each may take 64 eight-byte words: the slot and arm arrays, the blocks and
-    # their temporaries take a few each; the partition's union-find and the allocation's
+    # their temporaries take a few each; the class roots' hooking rounds and the allocation's
     # Python rows (float objects, tuple, list and dict entries) about ten more.  One K x K
     # float array alone is K / 4 = 1000 words per entry here.
     BUDGET = 64 * 8 * (2 + 2 + 4) * CLIENTS
@@ -677,6 +679,74 @@ class TestMemoryLinearInTheClasses:
         stats = arm_stats(v)
         _, alloc = optimal_allocation(v, stats)
         assert traced_peak(balance_residuals, v, stats, alloc) <= self.BUDGET
+
+
+class TestClassBudget:
+    """A class whose solve would pass ``_CLASS_BYTES`` is refused before any block is built."""
+
+    # Client m owns arms m and m + 1 of 10^5: one class, whose (K, K) block alone is 80 GB.
+    K = 100_000
+    REFUSAL = r"the class of arm 1 has 100000 arms: its block and eigensolve take 560000000000 bytes"
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        v = long_path(self.K)
+        assert validate(v).admissible and "class_root" not in slot_index(v).__dict__
+        return v
+
+    def test_optimal_allocation_refuses_at_once(self, path):
+        fresh = ProblemInstance(path.num_arms, path.num_clients, path.arm_sets, path.means)
+        start = time.process_time()
+        with pytest.raises(ValueError, match=self.REFUSAL):
+            optimal_allocation(fresh)  # slot index, class roots and layout included
+        assert time.process_time() - start < 1.0
+
+    def test_refusal_peak_is_linear_in_the_slots(self, path):
+        # 32 eight-byte words per slot, for the slot index, stats and class layout; no
+        # K x K or block term (the block alone is K^2 / K' = 50,000 words per slot here)
+        fresh = ProblemInstance(path.num_arms, path.num_clients, path.arm_sets, path.means)
+        kprime = 2 * (self.K - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=self.REFUSAL):
+                optimal_allocation(fresh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 8 * kprime, peak
+
+    def test_every_solving_entry_point_refuses(self):
+        v = long_path(5000)  # 56 * 5000^2 bytes = 1.4 GB, over the 1 GiB budget
+        match = "the class of arm 1 has 5000 arms"
+        stats, uniform = arm_stats(v), Allocation.uniform(v)
+        for call in (h_matrix, optimal_allocation, lambda v: balance_residuals(v, stats, uniform)):
+            with pytest.raises(ValueError, match=match):
+                call(v)
+        with pytest.raises(ValueError, match=match):
+            run_batch(v, "het-ts", 0.1, [(0.01, 1)])
+        assert validate(v).admissible
+
+    def test_a_2000_arm_class_is_admitted(self):
+        blocks = slot_index(long_path(2000)).class_blocks
+        assert [b.shape for _, b in blocks] == [(1, 2000, 2000)]
+        assert blocks[0][1].sum() == 4 * 1999  # each two-arm client counts four pairs
+
+
+def test_solves_and_episodes_build_no_partition_tuples():
+    # only partition_arms builds the ArmPartition; the allocation reads the class roots
+    v = make_instance(
+        [(0, 1), (2, 3), (2, 4)],
+        {(0, 0): 1.0, (0, 1): 0.0, (1, 2): 2.0, (1, 3): 0.5, (2, 2): 2.0, (2, 4): 0.0},
+    )
+    stats = arm_stats(v)
+    _, alloc = optimal_allocation(v, stats)
+    g_tilde_per_class(v, stats, alloc)
+    balance_residuals(v, stats, alloc)
+    h_matrix(v, stats)
+    run_episode(v, "het-ts", 0.01, 0.5, 1)
+    index = slot_index(v)
+    assert len(index.class_blocks) == 2 and "partition" not in index.__dict__
+    assert partition_arms(v).classes == ((0, 1), (2, 3, 4)) and "partition" in index.__dict__
 
 
 class TestSlotFunctionalsMatchLoops:

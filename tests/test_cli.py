@@ -16,7 +16,7 @@ from hetbai import cli
 from hetbai.cli import dispatch, load_sweep_config
 from hetbai.simulator import POLICIES, RECORD_FIELDS
 
-from helpers import chain_three_arm, make_instance, nan_eigh, symmetric_two_arm
+from helpers import chain_three_arm, long_path, make_instance, nan_eigh, symmetric_two_arm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -127,6 +127,25 @@ class TestSolve:
         monkeypatch.setattr(np.linalg._umath_linalg, "eigh_lo", nan_eigh)
         assert dispatch(["solve", instance_file]) == 2
         assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+
+    def test_memory_error_exits_two_with_one_line(self, instance_file, monkeypatch, capsys):
+        message = "Unable to allocate 74.5 GiB for an array with shape (10000000000,)"
+        for raised, line in ((MemoryError(message), message), (MemoryError(), "MemoryError")):
+
+            def exhausted(*args, exc=raised):
+                raise exc
+
+            monkeypatch.setattr(cli, "optimal_allocation", exhausted)
+            assert dispatch(["solve", instance_file]) == 2
+            assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_class_over_the_block_budget_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "path.json"
+        save_instance(long_path(100_000), str(path))
+        assert dispatch(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the class of arm 1 has 100000 arms: ") and err.count("\n") == 1
+        assert "560000000000 bytes" in err
 
     def test_c_star_interval_matches_library(self, tmp_path, capsys):
         path = tmp_path / "chain.json"

@@ -24,7 +24,9 @@ from hetbai.cli import dispatch
 from hetbai.instance import OVERLAP_PATTERNS
 
 from helpers import (
+    adversarial_layouts,
     class_instance,
+    layout_instance,
     loop_arm_stats,
     loop_from_json,
     loop_multiplicities,
@@ -32,9 +34,11 @@ from helpers import (
     loop_to_json,
     make_instance,
     mean_of,
+    path_sets,
     random_admissible_instance,
     random_structural_instance,
     reference_classes,
+    shuffled_chains,
     symmetric_two_arm,
     with_means,
 )
@@ -389,6 +393,51 @@ class TestPartition:
                     reached |= nxt
                     frontier.extend(nxt)
                 assert reached == set(cls)
+
+    def test_adversarial_layouts_match_the_reference(self):
+        # layouts where labels spread slowly: the classes and blocks against merged arm sets
+        rng = np.random.default_rng(32)
+        for name, sets in adversarial_layouts(500, rng):
+            v = layout_instance(sets, 500)
+            reference = reference_classes(v.arm_sets)
+            classes = tuple(tuple(arms.tolist()) for arms, _ in reference)
+            part = partition_arms(v)
+            assert part.classes == classes, name
+            assert part.class_of == tuple(
+                next(j for j, c in enumerate(classes) if i in c) for i in range(500)
+            ), name
+            by_size = {}
+            for arms, co in reference:
+                by_size.setdefault(len(arms), []).append((arms, co))
+            blocks = slot_index(v).class_blocks
+            assert [arms.shape[1] for arms, _ in blocks] == sorted(by_size), name
+            for arms, co in blocks:
+                want = by_size[arms.shape[1]]
+                assert np.array_equal(arms, [a for a, _ in want]), name
+                assert np.array_equal(co, [c for _, c in want]), name
+
+    def test_hundred_thousand_arms_in_time(self):
+        # The union-find this replaced took 0.1-0.25 s of CPU on these layouts, and root
+        # hooking 12 rounds at most; min-label propagation would need about 10^5 rounds.
+        K = 100_000
+        rng = np.random.default_rng(33)
+        chains = shuffled_chains(K, rng)
+        layouts = {
+            "shuffled path": (path_sets(rng.permutation(K).tolist()), [range(K)]),
+            "shuffled chains": ([s for c in chains for s in path_sets(c)], chains),
+        }
+        for name, (sets, members) in layouts.items():
+            v = layout_instance(sets, K)
+            slot_index(v)
+            start = time.process_time()
+            part = partition_arms(v)
+            elapsed = time.process_time() - start
+            assert part.classes == tuple(sorted(tuple(sorted(c)) for c in members)), name
+            assert elapsed < 2.0, (name, elapsed)
+            if name == "shuffled chains":
+                for arms, _ in slot_index(v).class_blocks:
+                    same_size = [list(c) for c in part.classes if len(c) == arms.shape[1]]
+                    assert arms.tolist() == same_size
 
 
 class TestGenerators:
